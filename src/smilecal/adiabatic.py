@@ -30,7 +30,12 @@ import numpy as np
 
 from ._lm import levenberg_marquardt
 from .density import STANDARD_GRID_POINTS, STANDARD_SPAN, analyze, density_curve
-from .errors import CriticalSearchError, DomainError, IdentifiabilityError
+from .errors import (
+    CriticalSearchError,
+    DomainError,
+    IdentifiabilityError,
+    SmilecalError,
+)
 from .smile import SmileParams
 
 __all__ = [
@@ -260,7 +265,9 @@ def _sweep_one(task: tuple) -> SweepRow:
     try:
         chi_c = chi_critical_numeric(g, n, maturity, settings)
         return SweepRow(g=g, maturity=maturity, n=n, rho=rho, chi_c=chi_c)
-    except Exception as exc:  # per-row failures must not kill the sweep
+    # a failed search or an overflow must not kill the sweep; a
+    # programming error must surface rather than become an error row
+    except (SmilecalError, ArithmeticError) as exc:
         return SweepRow(
             g=g, maturity=maturity, n=n, rho=rho, chi_c=math.nan,
             status=f"error: {exc}",
@@ -278,8 +285,9 @@ def sweep(
 
     Rows are independent pure computations; with ``workers > 1`` they are
     distributed over a process pool. Output order always follows the input
-    lattice order (g outermost, T innermost), and individual failures are
-    recorded in the row's status rather than aborting the sweep.
+    lattice order (g outermost, T innermost). A row whose search raises a
+    :class:`SmilecalError` or an ``ArithmeticError`` records it in its
+    status rather than aborting the sweep; any other exception propagates.
     """
     opts = settings or ChiSearchSettings()
     tasks = [

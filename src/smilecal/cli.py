@@ -172,11 +172,15 @@ def read_report(path: str) -> dict:
     return out
 
 
+def _csv_line(row) -> str:
+    return ",".join(_fmt(v) for v in row) + "\n"
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(
+        ",".join(header) + "\n" + "".join(_csv_line(row) for row in rows),
+        encoding="utf-8",
+    )
 
 
 def read_table(path: str) -> tuple[list[str], list[list[str]]]:
@@ -638,24 +642,21 @@ def cmd_sweep(args) -> int:
     print(f"sweep: {len(lattice)} rows, {len(lattice) - len(missing)} reused, "
           f"{len(missing)} to compute")
 
-    if cfg.workers <= 1:
-        computed = [
-            adiab._sweep_one((g, rho, t, cfg.search_settings()))
-            for g, rho, t in missing
-        ]
-    else:
-        computed = _parallel_rows(missing, cfg)
+    # rows reach the file as they complete, so an interrupted sweep resumes
+    # from what it finished; the final rewrite restores lattice order
+    write_csv(path, _SWEEP_HEADER, map(_sweep_fields, done.values()))
+    fresh: dict[tuple[str, str, str], adiab.SweepRow] = {}
+    with path.open("a", encoding="utf-8") as fh:
+        for row in _computed_rows(missing, cfg):
+            fh.write(_csv_line(_sweep_fields(row)))
+            fh.flush()
+            fresh[_row_key(row.g, row.rho, row.maturity)] = row
 
-    fresh = {_row_key(r.g, r.rho, r.maturity): r for r in computed}
     rows = [
         done.get(_row_key(*pt)) or fresh[_row_key(*pt)]
         for pt in lattice
     ]
-    write_csv(
-        path,
-        _SWEEP_HEADER,
-        ((r.g, r.maturity, r.n, r.rho, r.chi_c, r.status) for r in rows),
-    )
+    write_csv(path, _SWEEP_HEADER, map(_sweep_fields, rows))
     ok = sum(1 for r in rows if r.status == "ok")
     print(f"sweep complete: {ok}/{len(rows)} rows ok -> {path}")
     if cfg.svg:
@@ -663,12 +664,20 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if ok >= 0.9 * len(rows) else EXIT_CONVERGENCE
 
 
-def _parallel_rows(missing, cfg: RunConfig) -> list[adiab.SweepRow]:
+def _sweep_fields(r: adiab.SweepRow) -> tuple:
+    return (r.g, r.maturity, r.n, r.rho, r.chi_c, r.status)
+
+
+def _computed_rows(missing, cfg: RunConfig):
+    """Yield the row of each missing lattice point, in order, as it completes."""
+    tasks = [(g, rho, t, cfg.search_settings()) for g, rho, t in missing]
+    if cfg.workers <= 1:
+        yield from map(adiab._sweep_one, tasks)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
-    tasks = [(g, rho, t, cfg.search_settings()) for g, rho, t in missing]
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(adiab._sweep_one, tasks, chunksize=4))
+        yield from pool.map(adiab._sweep_one, tasks, chunksize=4)
 
 
 def _sweep_svg(out: Path, rows: list[adiab.SweepRow]) -> None:

@@ -54,6 +54,8 @@ STANDARD_SPAN = 10.0  # half-width of the x-grid in units of g*chi*sqrt(T)
 
 NEGATIVE_EPS_REL = 1e-12  # negativity threshold relative to the curve peak
 
+_KINDS = ("minimum", "maximum", "inflection-plateau")
+
 
 @dataclass(frozen=True)
 class DensityCurve:
@@ -344,22 +346,23 @@ def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:
     (- to +); a run of exactly equal samples flanked by same-sign slopes is
     reported as an inflection plateau.
     """
-    diffs = np.sign(np.diff(curve.ps))
-    nonzero = np.nonzero(diffs)[0]
-    found: list[StationaryPoint] = []
-    for left, right in zip(nonzero[:-1], nonzero[1:]):
-        s_left, s_right = diffs[left], diffs[right]
-        idx = (left + 1 + right) // 2
-        if s_left < 0.0 < s_right:
-            kind = "minimum"
-        elif s_left > 0.0 > s_right:
-            kind = "maximum"
-        elif right > left + 1:
-            kind = "inflection-plateau"
-        else:
-            continue
-        found.append(StationaryPoint(x=float(curve.xs[idx]), kind=kind, p=float(curve.ps[idx])))
-    return tuple(found)
+    signs = np.sign(np.diff(curve.ps))
+    nonzero = np.flatnonzero(signs)
+    # each pair of neighbouring nonzero slopes brackets at most one point
+    left, right = nonzero[:-1], nonzero[1:]
+    s_left, s_right = signs[left], signs[right]
+    minimum = (s_left < 0.0) & (s_right > 0.0)
+    maximum = (s_left > 0.0) & (s_right < 0.0)
+    plateau = ~(minimum | maximum) & (right > left + 1)
+    kind = np.select([minimum, maximum, plateau], [0, 1, 2], default=-1)
+    hits = np.flatnonzero(kind >= 0)
+    idx = (left[hits] + 1 + right[hits]) // 2
+    return tuple(
+        StationaryPoint(x=x, kind=_KINDS[k], p=p)
+        for x, k, p in zip(
+            curve.xs[idx].tolist(), kind[hits].tolist(), curve.ps[idx].tolist()
+        )
+    )
 
 
 def _negative_regions(curve: DensityCurve) -> tuple[tuple[float, float], ...]:

@@ -135,7 +135,7 @@ def test_criterion_5_desk_scale_recalibration():
     assert p.gamma == pytest.approx(-0.1738, abs=0.05)
     assert p.delta == pytest.approx(0.4683, abs=0.05)
     assert result.mse <= 1e-3
-    assert elapsed < 600.0
+    assert elapsed < 60.0
     print(
         f"\nPASS criterion 5: alpha={p.alpha:.4f} beta={p.beta:.4f} "
         f"gamma={p.gamma:.4f} delta={p.delta:.4f} mse={result.mse:.2e} ({elapsed:.1f}s)"

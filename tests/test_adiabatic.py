@@ -4,10 +4,12 @@ check.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
+import smilecal.adiabatic
 from smilecal import (
     DEFAULT_CRITICAL_FIT,
     ChiSearchSettings,
@@ -127,6 +129,18 @@ class TestChiCriticalNumeric:
         with pytest.raises(CriticalSearchError):
             chi_critical_numeric(0.1, 0.04, 0.5, ChiSearchSettings(chi_max=1.5))
 
+    def test_unimodal_everywhere_below_chi_c(self):
+        # the bisection assumes the verdict is monotone in chi but re-checks
+        # only the low end of its bracket; check the whole of (1, chi_c)
+        fractions = np.arange(1, 13) / 13.0
+        for g, rho, t in product(*default_sweep_axes(3, 3, 3)):
+            n = rho * g * g * t
+            chi_c = chi_critical_numeric(g, n, t)
+            for frac in fractions:
+                chi = 1.0 + frac * (chi_c - 1.0)
+                params = SmileParams(g=g, chi=chi, n=n, maturity=t)
+                assert analyze(density_curve(params)).unimodal, (g, rho, t, chi)
+
 
 class TestChiCriticalFormula:
     def test_rho_one_specialization(self):
@@ -198,6 +212,23 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0].status.startswith("error")
         assert math.isnan(rows[0].chi_c)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug in the search")
+
+        monkeypatch.setattr(smilecal.adiabatic, "chi_critical_numeric", broken)
+        with pytest.raises(TypeError, match="bug in the search"):
+            sweep([0.1], [8.0], [0.5])
+
+    def test_arithmetic_error_recorded(self, monkeypatch):
+        def overflow(*args):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(smilecal.adiabatic, "chi_critical_numeric", overflow)
+        (row,) = sweep([0.1], [8.0], [0.5])
+        assert row.status == "error: math range error"
+        assert math.isnan(row.chi_c)
 
     def test_default_axes(self):
         gs, rhos, ts = default_sweep_axes()

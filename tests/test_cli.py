@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from smilecal import SmileParams, sigma_of_x
+from smilecal import SmileParams, adiabatic, sigma_of_x
 from smilecal.cli import (
     EXIT_CONSTRAINED_FAILURE,
     EXIT_CONVERGENCE,
@@ -337,6 +337,44 @@ class TestSweepAndCalibrate:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(args) == EXIT_OK
         assert read_sweep_csv(str(path))[0].chi_c == 9.25
+
+    def test_interrupted_sweep_keeps_finished_rows(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        args = ["sweep", "--g-range", "0.05:0.3:2", "--rho-range", "3:9:2",
+                "--t-range", "0.2:1.5:2", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        finished = (out / "sweep.csv").read_bytes()
+        (out / "sweep.csv").unlink()
+
+        k = 3
+        real = adiabatic._sweep_one
+        calls = []
+
+        def interrupted(task):
+            if len(calls) == k:
+                raise KeyboardInterrupt
+            calls.append(task)
+            return real(task)
+
+        monkeypatch.setattr(adiabatic, "_sweep_one", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+        assert len(read_sweep_csv(str(out / "sweep.csv"))) == k
+
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        assert f"{k} reused, {8 - k} to compute" in capsys.readouterr().out
+        assert (out / "sweep.csv").read_bytes() == finished
+
+    def test_parallel_sweep_writes_serial_bytes(self, tmp_path):
+        args = ["sweep", "--g-range", "0.05:0.3:2", "--rho-range", "3:9:2",
+                "--t-range", "0.2:1.5:2"]
+        assert main([*args, "--out", str(tmp_path / "serial")]) == EXIT_OK
+        assert main([*args, "--workers", "2", "--out", str(tmp_path / "pool")]) == EXIT_OK
+        assert (tmp_path / "pool" / "sweep.csv").read_bytes() == (
+            tmp_path / "serial" / "sweep.csv"
+        ).read_bytes()
 
     def test_calibrate_near_packaged_constants(self, tmp_path):
         # synthesize a sweep CSV from the packaged surface plus tiny noise

@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import smilecal.density
 from smilecal import (
     DensityCurve,
     DomainError,
@@ -15,8 +18,10 @@ from smilecal import (
     MarketEnv,
     OracleStepError,
     SmileParams,
+    StationaryPoint,
     analyze,
     bl_density_oracle,
+    chi_critical_numeric,
     density_curve,
     gaussian_return_density,
     perturbation_factor,
@@ -25,6 +30,7 @@ from smilecal import (
     smile_vol_of_strike,
     stationary_points,
 )
+from smilecal.adiabatic import TABLE_RANGES
 
 FIG1 = SmileParams(g=0.1, chi=2.7, n=0.04, maturity=0.5)
 
@@ -312,3 +318,50 @@ class TestStationaryPoints:
         shelf = DensityCurve(xs=xs, ps=np.array([5.0, 4.0, 3.0, 3.0, 3.0, 3.0, 2.0, 1.0, 0.5]))
         kinds = [pt.kind for pt in stationary_points(shelf)]
         assert kinds == ["inflection-plateau"]
+
+
+def _reference_stationary_points(curve):
+    # the original scalar loop, kept as the oracle for the numpy kernel
+    diffs = np.sign(np.diff(curve.ps))
+    nonzero = np.nonzero(diffs)[0]
+    found = []
+    for left, right in zip(nonzero[:-1], nonzero[1:]):
+        s_left, s_right = diffs[left], diffs[right]
+        idx = (left + 1 + right) // 2
+        if s_left < 0.0 < s_right:
+            kind = "minimum"
+        elif s_left > 0.0 > s_right:
+            kind = "maximum"
+        elif right > left + 1:
+            kind = "inflection-plateau"
+        else:
+            continue
+        found.append(StationaryPoint(x=float(curve.xs[idx]), kind=kind, p=float(curve.ps[idx])))
+    return tuple(found)
+
+
+class TestStationaryPointsKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=3, max_size=60))
+    def test_matches_reference_loop(self, values):
+        # small integers force exact ties, so plateaus of every length occur
+        ps = np.array(values, dtype=float)
+        curve = DensityCurve(xs=np.linspace(-1.0, 2.0, ps.size), ps=ps)
+        assert stationary_points(curve) == _reference_stationary_points(curve)
+
+    def test_chi_c_identical_with_reference_loop(self, monkeypatch):
+        corners = [
+            (g, rho, t)
+            for g in TABLE_RANGES["g"]
+            for rho in TABLE_RANGES["rho"]
+            for t in TABLE_RANGES["t"]
+        ]
+
+        def chi_cs():
+            return [chi_critical_numeric(g, rho * g * g * t, t) for g, rho, t in corners]
+
+        fast = chi_cs()
+        monkeypatch.setattr(
+            smilecal.density, "stationary_points", _reference_stationary_points
+        )
+        assert chi_cs() == fast
