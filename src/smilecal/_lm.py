@@ -33,7 +33,9 @@ def levenberg_marquardt(
 
     Damping multiplies the diagonal of the normal matrix; it shrinks by 3x
     on accepted steps and grows by 10x on rejected ones. Stops when the
-    relative cost improvement of an accepted step falls below ``rel_tol``.
+    relative cost improvement of an accepted step falls below ``rel_tol``;
+    only that stop sets ``converged``. Running out of iterations or damping
+    (beyond 1e14) returns the best point found with ``converged=False``.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     lam = lam0
@@ -64,8 +66,7 @@ def levenberg_marquardt(
         else:
             lam *= 10.0
             if lam > 1e14:
-                # flat or hostile landscape: accept current point as converged
-                converged = True
+                # no step, however short, lowers the cost: a stall, not convergence
                 break
 
     return LMResult(theta=theta, cost=cost, iterations=iterations, converged=converged)

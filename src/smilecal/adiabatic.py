@@ -22,6 +22,7 @@ see the sweep cross-validation tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -39,7 +40,6 @@ from .errors import (
 from .smile import SmileParams
 
 __all__ = [
-    "SquareWellSmile",
     "CriticalFitParams",
     "CriticalFitResult",
     "SweepRow",
@@ -51,6 +51,7 @@ __all__ = [
     "chi_critical_numeric",
     "chi_critical_formula",
     "default_sweep_axes",
+    "sweep_points",
     "sweep",
     "calibrate_critical_fit",
     "adiabatic_check",
@@ -58,25 +59,6 @@ __all__ = [
 
 # parameter box covered by the numerical sweeps: g, rho = n/(g^2 T), T
 TABLE_RANGES = {"g": (0.03, 0.5), "rho": (2.5, 10.0), "t": (1.0 / 365.0, 4.0)}
-
-
-@dataclass(frozen=True)
-class SquareWellSmile:
-    """Two-level caricature of a smile: inner vol, outer vol, half-width."""
-
-    sigma1: float
-    sigma2: float
-    x1: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.sigma1 < self.sigma2:
-            raise DomainError("need 0 < sigma1 < sigma2")
-        if self.x1 <= 0.0:
-            raise DomainError("half-width x1 must be positive")
-
-    @property
-    def chi(self) -> float:
-        return self.sigma2 / self.sigma1
 
 
 @dataclass(frozen=True)
@@ -274,6 +256,29 @@ def _sweep_one(task: tuple) -> SweepRow:
         )
 
 
+def sweep_points(
+    points,
+    settings: ChiSearchSettings | None = None,
+    workers: int = 1,
+) -> Iterator[SweepRow]:
+    """Yield the row of each (g, rho, T) point, in input order.
+
+    Rows are independent pure computations; with ``workers > 1`` they are
+    distributed over a process pool. Each row is yielded as soon as it and
+    every row before it are done, so a caller can persist rows while the
+    rest are still running. A row whose search raises a
+    :class:`SmilecalError` or an ``ArithmeticError`` records it in its
+    status rather than aborting the sweep; any other exception propagates.
+    """
+    opts = settings or ChiSearchSettings()
+    tasks = ((float(g), float(rho), float(t), opts) for g, rho, t in points)
+    if workers <= 1:
+        yield from map(_sweep_one, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_sweep_one, tasks, chunksize=4)
+
+
 def sweep(
     g_values,
     rho_values,
@@ -283,21 +288,11 @@ def sweep(
 ) -> list[SweepRow]:
     """Locate chi_c on the (g, rho, T) lattice, one row per point.
 
-    Rows are independent pure computations; with ``workers > 1`` they are
-    distributed over a process pool. Output order always follows the input
-    lattice order (g outermost, T innermost). A row whose search raises a
-    :class:`SmilecalError` or an ``ArithmeticError`` records it in its
-    status rather than aborting the sweep; any other exception propagates.
+    Row order follows the input lattice order (g outermost, T innermost);
+    see :func:`sweep_points` for workers and failed rows.
     """
-    opts = settings or ChiSearchSettings()
-    tasks = [
-        (float(g), float(rho), float(t), opts)
-        for g, rho, t in product(g_values, rho_values, t_values)
-    ]
-    if workers <= 1:
-        return [_sweep_one(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_one, tasks, chunksize=4))
+    points = product(g_values, rho_values, t_values)
+    return list(sweep_points(points, settings, workers))
 
 
 def _surface_resid_jac(theta: np.ndarray, rho, g_sqrt_t, target):

@@ -22,9 +22,7 @@ from scipy.special import ndtr, ndtri
 from .errors import ConvergenceError, DomainError, NoArbitrageError
 
 __all__ = [
-    "LogReturn",
     "MarketEnv",
-    "BSQuote",
     "std_normal_cdf",
     "std_normal_inv_cdf",
     "bs_call_price",
@@ -34,11 +32,7 @@ __all__ = [
     "delta_to_x",
     "strike_to_x",
     "x_to_strike",
-    "bs_quote",
 ]
-
-# The log-return coordinate is a plain float; the alias only documents intent.
-LogReturn = float
 
 IMPLIED_VOL_BRACKET = (0.0, 5.0)
 IMPLIED_VOL_MAX = 5120.0
@@ -77,26 +71,6 @@ class MarketEnv:
     @property
     def forward(self) -> float:
         return self.spot * math.exp(self.rate * self.maturity)
-
-
-@dataclass(frozen=True)
-class BSQuote:
-    """One priced call: strike, volatility, value and spot-delta."""
-
-    strike: float
-    vol: float
-    price: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.strike <= 0.0:
-            raise DomainError(f"strike must be positive, got {self.strike}")
-        if self.vol <= 0.0:
-            raise DomainError(f"vol must be positive, got {self.vol}")
-        if self.price < 0.0:
-            raise DomainError(f"call price must be nonnegative, got {self.price}")
-        if not 0.0 < self.delta < 1.0:
-            raise DomainError(f"call delta must lie in (0, 1), got {self.delta}")
 
 
 def _as_float_or_array(out: np.ndarray, *inputs) -> float | np.ndarray:
@@ -272,13 +246,3 @@ def x_to_strike(env: MarketEnv, x: float | np.ndarray) -> float | np.ndarray:
     x_a = np.asarray(x, dtype=float)
     out = env.spot * np.exp(x_a + env.rate * env.maturity)
     return _as_float_or_array(out, x_a)
-
-
-def bs_quote(env: MarketEnv, strike: float, vol: float) -> BSQuote:
-    """Price one (strike, vol) point and package it with its delta."""
-    return BSQuote(
-        strike=float(strike),
-        vol=float(vol),
-        price=bs_call_price(env, strike, vol),
-        delta=bs_delta(env, strike, vol),
-    )

@@ -183,23 +183,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     )
 
 
-def read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    """Read back any CSV this tool writes: header names and row fields.
-
-    Floats are written with 17 significant digits, so parsing a numeric
-    column with float() reproduces the original values exactly.
-    """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise QuoteFormatError(f"{path}: empty table")
-    header = [f.strip() for f in lines[0].split(",")]
-    rows = [line.split(",") for line in lines[1:] if line.strip()]
-    for i, row in enumerate(rows, 2):
-        if len(row) != len(header):
-            raise QuoteFormatError(f"{path}: line {i}: expected {len(header)} fields")
-    return header, rows
-
-
 def parse_quote_file(path: str) -> QuoteFile:
     """Read a quote CSV: optional context rows, a typed header, data rows.
 
@@ -467,9 +450,8 @@ def cmd_refit(args) -> int:
         return EXIT_CONVERGENCE
 
     verdict = adiab.adiabatic_check(free.params, mode=cfg.mode, settings=settings)
-    free_report = dens.analyze(
-        dens.density_curve(free.params, points=cfg.grid_points, span=cfg.span)
-    )
+    free_curve = dens.density_curve(free.params, points=cfg.grid_points, span=cfg.span)
+    free_report = dens.analyze(free_curve)
 
     final = free
     if verdict.adiabatic and free_report.unimodal:
@@ -508,11 +490,10 @@ def cmd_refit(args) -> int:
     )
     write_report(out / "refit.txt", items)
 
-    grid = dens.density_curve(free.params, points=cfg.grid_points, span=cfg.span)
-    xs = grid.xs
+    xs = free_curve.xs
     vol_free = _smile_vols(free.params, xs)
     vol_final = _smile_vols(final.params, xs)
-    p_free = grid.ps
+    p_free = free_curve.ps
     p_final = dens.return_density(final.params, xs)
     write_csv(
         out / "refit_comparison.csv",
@@ -645,17 +626,13 @@ def cmd_sweep(args) -> int:
     # rows reach the file as they complete, so an interrupted sweep resumes
     # from what it finished; the final rewrite restores lattice order
     write_csv(path, _SWEEP_HEADER, map(_sweep_fields, done.values()))
-    fresh: dict[tuple[str, str, str], adiab.SweepRow] = {}
     with path.open("a", encoding="utf-8") as fh:
-        for row in _computed_rows(missing, cfg):
+        for row in adiab.sweep_points(missing, cfg.search_settings(), cfg.workers):
             fh.write(_csv_line(_sweep_fields(row)))
             fh.flush()
-            fresh[_row_key(row.g, row.rho, row.maturity)] = row
+            done[_row_key(row.g, row.rho, row.maturity)] = row
 
-    rows = [
-        done.get(_row_key(*pt)) or fresh[_row_key(*pt)]
-        for pt in lattice
-    ]
+    rows = [done[_row_key(*pt)] for pt in lattice]
     write_csv(path, _SWEEP_HEADER, map(_sweep_fields, rows))
     ok = sum(1 for r in rows if r.status == "ok")
     print(f"sweep complete: {ok}/{len(rows)} rows ok -> {path}")
@@ -666,18 +643,6 @@ def cmd_sweep(args) -> int:
 
 def _sweep_fields(r: adiab.SweepRow) -> tuple:
     return (r.g, r.maturity, r.n, r.rho, r.chi_c, r.status)
-
-
-def _computed_rows(missing, cfg: RunConfig):
-    """Yield the row of each missing lattice point, in order, as it completes."""
-    tasks = [(g, rho, t, cfg.search_settings()) for g, rho, t in missing]
-    if cfg.workers <= 1:
-        yield from map(adiab._sweep_one, tasks)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        yield from pool.map(adiab._sweep_one, tasks, chunksize=4)
 
 
 def _sweep_svg(out: Path, rows: list[adiab.SweepRow]) -> None:

@@ -22,13 +22,13 @@ values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
 
-from .bs_core import LogReturn, MarketEnv
+from .bs_core import MarketEnv, _d1_d2
 from .errors import DomainError, GridError, OracleStepError
 from .smile import SmileParams, sigma_derivatives
 
@@ -61,17 +61,16 @@ _KINDS = ("minimum", "maximum", "inflection-plateau")
 class DensityCurve:
     """A return density sampled on a strictly increasing x-grid.
 
-    ``scale`` and ``mode_x`` carry the smile's natural width g*chi*sqrt(T)
-    and minimum location when the curve was built from smile parameters;
-    :func:`analyze` uses them to validate grid adequacy. ``mass`` is the
-    trapezoidal integral over the grid, recorded at construction.
+    ``scale`` carries the smile's natural width g*chi*sqrt(T) when the
+    curve was built from smile parameters; :func:`analyze` uses it to
+    validate grid adequacy. ``mass`` is the trapezoidal integral over the
+    grid, computed at construction.
     """
 
     xs: np.ndarray
     ps: np.ndarray
     scale: float | None = None
-    mode_x: float | None = None
-    mass: float = 0.0
+    mass: float = field(init=False)
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
@@ -128,7 +127,7 @@ def _gaussian_kernel(
 
 
 def gaussian_return_density(
-    vol: float, maturity: float, x: LogReturn | np.ndarray
+    vol: float, maturity: float, x: float | np.ndarray
 ) -> float | np.ndarray:
     """Flat-volatility return density: normal with mean -vol^2 T/2.
 
@@ -147,7 +146,7 @@ def perturbation_factor(
     sigma: float | np.ndarray,
     sigma_x: float | np.ndarray,
     sigma_xx: float | np.ndarray,
-    x: LogReturn | np.ndarray,
+    x: float | np.ndarray,
     maturity: float,
 ) -> float | np.ndarray:
     """Curvature multiplier on the Gaussian kernel from a non-flat smile.
@@ -171,7 +170,7 @@ def perturbation_factor(
 
 
 def return_density(
-    params: SmileParams, x: LogReturn | np.ndarray
+    params: SmileParams, x: float | np.ndarray
 ) -> float | np.ndarray:
     """Smile-implied return density at log-return x.
 
@@ -240,9 +239,7 @@ def _otm_value(env: MarketEnv, strike: np.ndarray, vol: np.ndarray, use_put: np.
     # forward value plus a tiny remainder, and differencing it loses the
     # remainder to cancellation. Calls and puts share the same second
     # strike-derivative, so the switch is exact.
-    srt = vol * math.sqrt(env.maturity)
-    d1 = (np.log(env.spot / strike) + (env.rate + 0.5 * vol * vol) * env.maturity) / srt
-    d2 = d1 - srt
+    d1, d2, _ = _d1_d2(env, strike, vol)
     call = env.spot * ndtr(d1) - strike * env.discount * ndtr(d2)
     put = strike * env.discount * ndtr(-d2) - env.spot * ndtr(-d1)
     return np.where(use_put, put, call)
@@ -336,7 +333,7 @@ def density_curve(
     scale = params.sigma_plateau * math.sqrt(params.maturity)
     xs = np.linspace(params.x_min - span * scale, params.x_min + span * scale, points)
     ps = return_density(params, xs)
-    return DensityCurve(xs=xs, ps=ps, scale=scale, mode_x=params.x_min)
+    return DensityCurve(xs=xs, ps=ps, scale=scale)
 
 
 def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:
@@ -379,16 +376,13 @@ def _negative_regions(curve: DensityCurve) -> tuple[tuple[float, float], ...]:
     )
 
 
-def analyze(curve: DensityCurve, mode_exclusion_radius: float = 0.0) -> DensityReport:
+def analyze(curve: DensityCurve) -> DensityReport:
     """Validate a sampled density: mass, forward consistency, shape.
 
     Flags two kinds of pathology: interior relative minima (discrete
     derivative changing - to +) and regions where the density is negative
     beyond round-off (threshold 1e-12 of the peak). ``unimodal`` is true
     iff neither is present.
-
-    ``mode_exclusion_radius`` > 0 drops minima within that distance of the
-    mode; the default 0 classifies strict unimodality.
 
     Raises
     ------
@@ -414,11 +408,6 @@ def analyze(curve: DensityCurve, mode_exclusion_radius: float = 0.0) -> DensityR
 
     points = stationary_points(curve)
     minima = tuple(p for p in points if p.kind == "minimum")
-    if mode_exclusion_radius > 0.0:
-        mode_ref = curve.mode_x
-        if mode_ref is None:
-            mode_ref = float(curve.xs[int(np.argmax(curve.ps))])
-        minima = tuple(p for p in minima if abs(p.x - mode_ref) > mode_exclusion_radius)
 
     negative = _negative_regions(curve)
     return DensityReport(

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lm import levenberg_marquardt
-from .bs_core import LogReturn, delta_to_x
-from .errors import DomainError
+from .bs_core import delta_to_x
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "SmileParams",
@@ -94,7 +94,7 @@ class VolQuote:
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
 
-    def to_x(self, maturity: float) -> LogReturn:
+    def to_x(self, maturity: float) -> float:
         """Log-return coordinate; delta quotes convert with their own vol."""
         if self.x is not None:
             return float(self.x)
@@ -119,14 +119,14 @@ class ScalingFitResult:
     n_smiles: int = 0
 
 
-def sigma_of_x(params: SmileParams, x: LogReturn | np.ndarray) -> float | np.ndarray:
+def sigma_of_x(params: SmileParams, x: float | np.ndarray) -> float | np.ndarray:
     """Smile volatility at log-return x."""
     sig, _, _ = sigma_derivatives(params, x)
     return sig
 
 
 def sigma_derivatives(
-    params: SmileParams, x: LogReturn | np.ndarray
+    params: SmileParams, x: float | np.ndarray
 ) -> tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Volatility and its first two x-derivatives, in closed form.
 
@@ -170,13 +170,17 @@ def _residuals_and_jacobian(
     """Vol-space residuals and Jacobian in log-parameters.
 
     theta = (ln g, ln(chi - 1 + eps), ln n), or (ln g, ln n) when chi is
-    pinned by an active constraint.
+    pinned by an active constraint. A step whose parameters overflow
+    raises :class:`ConvergenceError`: the fit has diverged.
     """
-    if chi_fixed is None:
-        g, height, n = math.exp(theta[0]), math.exp(theta[1]), math.exp(theta[2])
-    else:
-        g, n = math.exp(theta[0]), math.exp(theta[1])
-        height = chi_fixed - 1.0
+    try:
+        if chi_fixed is None:
+            g, height, n = math.exp(theta[0]), math.exp(theta[1]), math.exp(theta[2])
+        else:
+            g, n = math.exp(theta[0]), math.exp(theta[1])
+            height = chi_fixed - 1.0
+    except OverflowError as exc:
+        raise ConvergenceError(f"smile fit diverged: {exc}") from exc
 
     u = xs + 0.5 * g * g * maturity
     den = u * u + n
@@ -220,7 +224,8 @@ def fit_smile(
     iterated against the fitted curve.
 
     A flat quote set (all vols equal) short-circuits to the exact chi = 1
-    solution.
+    solution. Raises :class:`ConvergenceError` if the iteration diverges
+    beyond the range of floats.
     """
     xs, vols = _quotes_to_arrays(quotes, maturity)
 

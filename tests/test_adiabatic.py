@@ -18,7 +18,6 @@ from smilecal import (
     DomainError,
     IdentifiabilityError,
     SmileParams,
-    SquareWellSmile,
     SweepRow,
     adiabatic_check,
     analyze,
@@ -29,6 +28,7 @@ from smilecal import (
     density_curve,
     gaussian_return_density,
     sweep,
+    sweep_points,
 )
 
 FIG1 = dict(g=0.1, n=0.04, maturity=0.5)
@@ -92,12 +92,6 @@ class TestSquareWell:
             square_well_critical_x(0.1, 0.99, 1.0)
         with pytest.raises(DomainError):
             square_well_critical_x(-0.1, 2.0, 1.0)
-
-    def test_well_type_validation(self):
-        with pytest.raises(DomainError):
-            SquareWellSmile(sigma1=0.2, sigma2=0.1, x1=0.1)
-        well = SquareWellSmile(sigma1=0.1, sigma2=0.25, x1=0.05)
-        assert well.chi == pytest.approx(2.5)
 
 
 class TestChiCriticalNumeric:
@@ -206,6 +200,15 @@ class TestSweep:
         serial = sweep(*axes, workers=1)
         parallel = sweep(*axes, workers=2)
         assert serial == parallel
+
+    def test_point_generator_keeps_input_order(self):
+        # not a lattice: repeated g, unsorted rho and T
+        points = [(0.2, 8.0, 1.0), (0.05, 3.0, 0.25), (0.2, 3.0, 0.25), (0.05, 8.0, 1.0)]
+        serial = list(sweep_points(points, workers=1))
+        assert [(r.g, r.rho, r.maturity) for r in serial] == points
+        assert list(sweep_points(iter(points), workers=2)) == serial
+        axes = ([0.05, 0.2], [3.0, 8.0], [0.25, 1.0])
+        assert sweep(*axes) == list(sweep_points(product(*axes)))
 
     def test_failures_recorded_not_raised(self):
         rows = sweep([0.1], [8.0], [0.5], settings=ChiSearchSettings(chi_max=1.5))

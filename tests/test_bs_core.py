@@ -17,7 +17,6 @@ from smilecal import (
     NoArbitrageError,
     bs_call_price,
     bs_delta,
-    bs_quote,
     delta_to_x,
     implied_vol,
     std_normal_cdf,
@@ -286,15 +285,3 @@ class TestCoordinates:
         env = MarketEnv(spot=100.0, rate=0.0, maturity=1.0)
         with pytest.raises(DomainError):
             strike_to_x(env, 0.0)
-
-
-class TestQuoteType:
-    def test_quote_invariants(self):
-        env = MarketEnv(spot=100.0, rate=0.01, maturity=1.0)
-        q = bs_quote(env, 105.0, 0.25)
-        assert 0.0 < q.price <= env.spot
-        assert 0.0 < q.delta < 1.0
-
-    def test_quote_validation(self):
-        with pytest.raises(DomainError):
-            bs_quote(MarketEnv(spot=100.0, rate=0.0, maturity=1.0), -1.0, 0.2)

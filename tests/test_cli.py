@@ -20,7 +20,6 @@ from smilecal.cli import (
     parse_quote_file,
     read_report,
     read_sweep_csv,
-    read_table,
 )
 
 TRUTH = SmileParams(g=0.12, chi=1.8, n=0.002, maturity=0.25)
@@ -110,6 +109,20 @@ class TestFit:
         report = read_report(out / "fit.txt")
         assert float(report["chi"]) == 1.0
         assert float(report["g"]) == 0.2
+
+    @pytest.mark.parametrize("draw", [13, 22])
+    def test_diverging_fit_exit_3(self, tmp_path, capsys, draw):
+        # 8 random quotes on which the unconstrained fit overflows
+        rng = np.random.default_rng(1)
+        for _ in range(draw + 1):
+            xs = np.sort(rng.uniform(-0.4, 0.4, 8))
+            vols = rng.uniform(0.05, 0.6, 8)
+        p = tmp_path / "q.csv"
+        p.write_text("x,vol\n" + "".join(f"{x!r},{v!r}\n" for x, v in zip(xs.tolist(), vols.tolist())))
+        for command in ("fit", "refit"):
+            args = [command, str(p), "--maturity", "0.5", "--out", str(tmp_path / command)]
+            assert main(args) == EXIT_CONVERGENCE
+            assert "diverged" in capsys.readouterr().err
 
     def test_maturity_required(self, tmp_path):
         p = tmp_path / "q.csv"
@@ -265,7 +278,7 @@ class TestRefit:
         import smilecal.cli as cli_mod
         from smilecal.density import DensityReport, StationaryPoint
 
-        def always_bad(curve, mode_exclusion_radius=0.0):
+        def always_bad(curve):
             return DensityReport(
                 total_mass=1.0,
                 martingale_gap=0.0,
@@ -418,13 +431,12 @@ class TestSweepAndCalibrate:
         out = tmp_path / "out"
         main(["density", "--params", "0.15,1.6,0.07875", "--maturity", "0.5",
               "--out", str(out), "--grid", "501"])
-        header, rows = read_table(str(out / "density.csv"))
-        assert header == ["x", "density"]
+        header, *lines = (out / "density.csv").read_text().splitlines()
+        assert header == "x,density"
         from smilecal import SmileParams, return_density
 
         params = SmileParams(g=0.15, chi=1.6, n=0.07875, maturity=0.5)
-        xs = np.array([float(r[0]) for r in rows])
-        ps = np.array([float(r[1]) for r in rows])
+        xs, ps = np.array([line.split(",") for line in lines], dtype=float).T
         assert np.array_equal(ps, np.asarray(return_density(params, xs)))
 
     def test_calibrate_single_row_fails(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ from smilecal import (
     StationaryPoint,
     analyze,
     bl_density_oracle,
+    bs_call_price,
     chi_critical_numeric,
     density_curve,
     gaussian_return_density,
@@ -219,6 +220,13 @@ class TestBlOracle:
         value, err = bl_density_oracle(env, vol_fn, 100.0, with_error=True)
         assert err < 1e-3 * abs(value)
 
+    def test_otm_call_is_the_call_price(self):
+        env = MarketEnv(spot=100.0, rate=0.03, maturity=0.75)
+        strikes = np.linspace(60.0, 160.0, 41)
+        vols = 0.15 + 0.1 * ((strikes - 100.0) / 60.0) ** 2
+        calls = smilecal.density._otm_value(env, strikes, vols, use_put=False)
+        assert np.array_equal(calls, bs_call_price(env, strikes, vols))
+
     def test_stencil_must_stay_positive(self):
         env = MarketEnv(spot=100.0, rate=0.0, maturity=1.0)
         with pytest.raises(DomainError):
@@ -268,14 +276,6 @@ class TestAnalyze:
         with pytest.raises(GridError):
             analyze(curve)
 
-    def test_mode_exclusion_radius(self):
-        report = analyze(density_curve(FIG1))
-        assert not report.unimodal
-        wide = max(abs(pt.x - FIG1.x_min) for pt in report.minima)
-        cleared = analyze(density_curve(FIG1), mode_exclusion_radius=wide * 1.01)
-        assert cleared.minima == ()
-        assert cleared.unimodal
-
     def test_deterministic(self):
         a = analyze(density_curve(FIG1))
         b = analyze(density_curve(FIG1))
@@ -296,6 +296,11 @@ class TestDensityCurveType:
         assert curve.mass == pytest.approx(1.0, abs=1e-6)
         assert curve.spacing == pytest.approx(0.01)
         assert curve.bounds == (-5.0, 5.0)
+
+    def test_mass_is_not_an_argument(self):
+        xs = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(TypeError):
+            DensityCurve(xs=xs, ps=np.ones(5), mass=2.0)
 
 
 class TestStationaryPoints:

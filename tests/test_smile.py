@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from smilecal import (
+    ConvergenceError,
     DomainError,
     ScalingFitResult,
     SmileParams,
@@ -20,6 +21,7 @@ from smilecal import (
     sigma_of_x,
     std_normal_cdf,
 )
+from smilecal._lm import levenberg_marquardt
 
 FIG1 = SmileParams(g=0.1, chi=2.7, n=0.04, maturity=0.5)
 
@@ -226,6 +228,36 @@ class TestConstrainedFit:
     def test_bound_validation(self):
         with pytest.raises(DomainError):
             constrained_fit_smile(self._quotes(), self.truth.maturity, chi_max=0.5)
+
+
+def _noisy_quotes(draw: int) -> list[VolQuote]:
+    """Draw number ``draw`` of 8 random quotes: x in +-0.4, vol in [0.05, 0.6]."""
+    rng = np.random.default_rng(1)
+    for _ in range(draw + 1):
+        xs = np.sort(rng.uniform(-0.4, 0.4, 8))
+        vols = rng.uniform(0.05, 0.6, 8)
+    return [VolQuote(vol=float(v), x=float(x)) for x, v in zip(xs, vols)]
+
+
+class TestSolverStatus:
+    def test_damping_stall_is_not_convergence(self):
+        # cost falls towards theta = 2, but every point past theta = 1 is NaN
+        def resid_jac(theta):
+            t = float(theta[0])
+            return np.array([t - 2.0 if t <= 1.0 else math.nan]), np.array([[1.0]])
+
+        result = levenberg_marquardt(resid_jac, np.array([0.0]))
+        assert result.theta[0] == pytest.approx(1.0)
+        assert result.cost == pytest.approx(0.5)
+        assert not result.converged
+
+    @pytest.mark.parametrize("draw", [13, 22])
+    def test_overflowing_fit_raises_convergence_error(self, draw):
+        quotes = _noisy_quotes(draw)
+        with pytest.raises(ConvergenceError, match="diverged"):
+            fit_smile(quotes, 0.5)
+        with pytest.raises(ConvergenceError, match="diverged"):
+            constrained_fit_smile(quotes, 0.5, chi_max=2.0)
 
 
 class TestScalingFit:
