@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -275,6 +274,8 @@ def sweep_points(
     if workers <= 1:
         yield from map(_sweep_one, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_sweep_one, tasks, chunksize=4)
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConvergenceError, DomainError, NoArbitrageError
 
@@ -79,12 +78,27 @@ def _as_float_or_array(out: np.ndarray, *inputs) -> float | np.ndarray:
     return out
 
 
+# scipy.special costs more to import than the rest of the package; it is
+# loaded on the first normal-CDF evaluation, so commands that never price
+# an option or convert a delta do not pay for it.
+def _ndtr(z):
+    from scipy.special import ndtr
+
+    return ndtr(z)
+
+
+def _ndtri(p):
+    from scipy.special import ndtri
+
+    return ndtri(p)
+
+
 def std_normal_cdf(z: float | np.ndarray) -> float | np.ndarray:
     """Standard normal CDF N(z), accurate to better than 1e-15 absolute."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise DomainError("std_normal_cdf requires finite arguments")
-    return _as_float_or_array(ndtr(z), z)
+    return _as_float_or_array(_ndtr(z), z)
 
 
 def std_normal_inv_cdf(p: float | np.ndarray) -> float | np.ndarray:
@@ -98,7 +112,7 @@ def std_normal_inv_cdf(p: float | np.ndarray) -> float | np.ndarray:
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise DomainError("std_normal_inv_cdf requires 0 < p < 1")
-    return _as_float_or_array(ndtri(p), p)
+    return _as_float_or_array(_ndtri(p), p)
 
 
 def _d1_d2(env: MarketEnv, strike: np.ndarray, vol: np.ndarray):
@@ -133,7 +147,7 @@ def bs_call_price(
     if np.any(vol_a < 0.0):
         raise DomainError("vol must be nonnegative")
     d1, d2, srt = _d1_d2(env, strike_a, vol_a)
-    value = env.spot * ndtr(d1) - strike_a * env.discount * ndtr(d2)
+    value = env.spot * _ndtr(d1) - strike_a * env.discount * _ndtr(d2)
     intrinsic = np.maximum(env.spot - strike_a * env.discount, 0.0)
     out = np.where(srt > 0.0, value, intrinsic)
     return _as_float_or_array(out, strike_a, vol_a)
@@ -150,7 +164,7 @@ def bs_delta(
     if np.any(vol_a <= 0.0):
         raise DomainError("vol must be positive")
     d1, _, _ = _d1_d2(env, strike_a, vol_a)
-    return _as_float_or_array(ndtr(d1), strike_a, vol_a)
+    return _as_float_or_array(_ndtr(d1), strike_a, vol_a)
 
 
 def bs_vega(env: MarketEnv, strike: float, vol: float) -> float:
@@ -228,7 +242,7 @@ def delta_to_x(
         raise DomainError("vol must be positive")
     if maturity <= 0.0:
         raise DomainError("maturity must be positive")
-    out = 0.5 * vol_a * vol_a * maturity - vol_a * math.sqrt(maturity) * ndtri(delta_a)
+    out = 0.5 * vol_a * vol_a * maturity - vol_a * math.sqrt(maturity) * _ndtri(delta_a)
     return _as_float_or_array(out, delta_a, vol_a)
 
 

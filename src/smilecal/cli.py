@@ -9,6 +9,10 @@ Exit codes are a stable contract:
     4  density goes negative beyond round-off
     5  even the constrained refit produced a non-unimodal density
 
+``density`` and ``bl-oracle`` are report commands: they exit 0 once their
+report is written, whatever the density looks like, and put the verdict in
+the report. ``check`` is the command that exits with the verdict.
+
 All tabular output is plain CSV with a one-line header; scalar reports are
 key=value text. Every command is deterministic for fixed inputs and
 configuration. Configuration precedence: flags > config file > built-in

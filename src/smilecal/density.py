@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
-from .bs_core import MarketEnv, _d1_d2
+from .bs_core import MarketEnv, _d1_d2, _ndtr
 from .errors import DomainError, GridError, OracleStepError
 from .smile import SmileParams, sigma_derivatives
 
@@ -240,8 +239,8 @@ def _otm_value(env: MarketEnv, strike: np.ndarray, vol: np.ndarray, use_put: np.
     # remainder to cancellation. Calls and puts share the same second
     # strike-derivative, so the switch is exact.
     d1, d2, _ = _d1_d2(env, strike, vol)
-    call = env.spot * ndtr(d1) - strike * env.discount * ndtr(d2)
-    put = strike * env.discount * ndtr(-d2) - env.spot * ndtr(-d1)
+    call = env.spot * _ndtr(d1) - strike * env.discount * _ndtr(d2)
+    put = strike * env.discount * _ndtr(-d2) - env.spot * _ndtr(-d1)
     return np.where(use_put, put, call)
 
 

@@ -200,6 +200,16 @@ def _residuals_and_jacobian(
     return r, jac
 
 
+def _fitted_params(g, chi, n, maturity: float) -> SmileParams:
+    """Smile at the solver's log-parameters. A g or n that underflowed to
+    zero raises :class:`ConvergenceError`: the fit has diverged, the input
+    need not be at fault."""
+    g, n = float(g), float(n)
+    if g == 0.0 or n == 0.0:
+        raise ConvergenceError(f"smile fit diverged: g={g}, n={n} underflowed to zero")
+    return SmileParams(g=g, chi=float(chi), n=n, maturity=maturity)
+
+
 def _default_init(xs: np.ndarray, vols: np.ndarray, maturity: float) -> SmileParams:
     g0 = float(vols.min())
     chi0 = float(vols.max() / vols.min())
@@ -225,7 +235,7 @@ def fit_smile(
 
     A flat quote set (all vols equal) short-circuits to the exact chi = 1
     solution. Raises :class:`ConvergenceError` if the iteration diverges
-    beyond the range of floats.
+    beyond the range of floats, by overflow or by underflow.
     """
     xs, vols = _quotes_to_arrays(quotes, maturity)
 
@@ -253,7 +263,7 @@ def fit_smile(
         rel_tol=rel_tol,
     )
     g, height, n = np.exp(result.theta)
-    params = SmileParams(g=float(g), chi=float(1.0 + height), n=float(n), maturity=maturity)
+    params = _fitted_params(g, 1.0 + height, n, maturity)
     rms = math.sqrt(2.0 * result.cost / xs.size)
     return SmileFitResult(
         params,
@@ -300,7 +310,7 @@ def constrained_fit_smile(
         rel_tol=rel_tol,
     )
     g, n = np.exp(result.theta)
-    params = SmileParams(g=float(g), chi=float(chi_max), n=float(n), maturity=maturity)
+    params = _fitted_params(g, chi_max, n, maturity)
     rms = math.sqrt(2.0 * result.cost / xs.size)
     return SmileFitResult(
         params,

@@ -2,13 +2,18 @@
 file formats, resume behavior, config precedence, determinism.
 """
 
+import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smilecal import SmileParams, adiabatic, sigma_of_x
+import smilecal
+from smilecal import SmileParams, adiabatic, sigma_of_x, std_normal_cdf
 from smilecal.cli import (
     EXIT_CONSTRAINED_FAILURE,
     EXIT_CONVERGENCE,
@@ -110,9 +115,9 @@ class TestFit:
         assert float(report["chi"]) == 1.0
         assert float(report["g"]) == 0.2
 
-    @pytest.mark.parametrize("draw", [13, 22])
+    @pytest.mark.parametrize("draw", [8, 11, 13, 22])
     def test_diverging_fit_exit_3(self, tmp_path, capsys, draw):
-        # 8 random quotes on which the unconstrained fit overflows
+        # 8 random quotes on which the unconstrained fit overflows or underflows
         rng = np.random.default_rng(1)
         for _ in range(draw + 1):
             xs = np.sort(rng.uniform(-0.4, 0.4, 8))
@@ -322,6 +327,16 @@ class TestDensityCommand:
         last2 = float((out2 / "density.csv").read_text().splitlines()[-1].split(",")[0])
         assert last2 > last1
 
+    def test_report_command_exits_0_on_non_adiabatic_density(self, tmp_path):
+        # density reports the verdict in density.txt; check exits with it
+        out = tmp_path / "out"
+        code = main(["density", "--params", "0.1,2.7,0.04", "--maturity", "0.5",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        report = read_report(out / "density.txt")
+        assert report["unimodal"] == "False"
+        assert int(report["n_minima"]) > 0
+
 
 class TestSweepAndCalibrate:
     def test_sweep_csv_round_trips(self, tmp_path):
@@ -498,3 +513,56 @@ class TestConfigAndDeterminism:
                   "--out", str(out), "--svg"])
         for name in ("check.txt", "density.csv", "density.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+_COLD_START = """
+import json, sys
+from smilecal.cli import main
+
+def heavy():
+    return sorted(k for k in sys.modules
+                  if k.split(".")[0] == "scipy" or k == "concurrent.futures.process")
+
+report, runs, last = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+codes = [main(argv) for argv in runs]
+before = heavy()
+codes.append(main(last))
+with open(report, "w") as fh:
+    json.dump({"codes": codes, "before": before, "after": heavy()}, fh)
+"""
+
+
+class TestColdStart:
+    def test_scipy_and_process_pool_load_only_when_used(self, tmp_path):
+        # one fresh interpreter: commands that evaluate no normal CDF and
+        # start no pool must leave scipy and the process pool unimported
+        xfile = _write_quotes(tmp_path / "x.csv", NON_ADIABATIC, n_points=15, halfspan=0.45)
+        lines = [f"maturity,{TRUTH.maturity!r}", "delta,vol"]
+        for x in TRUTH.x_min + np.linspace(-0.1, 0.1, 9):
+            vol = float(sigma_of_x(TRUTH, float(x)))
+            srt = vol * math.sqrt(TRUTH.maturity)
+            lines.append(f"{std_normal_cdf((0.5 * srt * srt - float(x)) / srt)!r},{vol!r}")
+        dfile = tmp_path / "d.csv"
+        dfile.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        out = str(tmp_path / "out")
+        runs = [
+            ["check", "--params", "0.1,2.7,0.04", "--maturity", "0.5", "--out", out],
+            ["density", "--params", "0.15,1.6,0.07875", "--maturity", "0.5", "--out", out],
+            ["refit", str(xfile), "--out", out],
+            ["sweep", "--g-range", "0.05:0.3:2", "--rho-range", "3:9:2",
+             "--t-range", "0.2:1.5:2", "--out", out],
+        ]
+        last = ["fit", str(dfile), "--out", out]
+        env = dict(os.environ)
+        src = str(Path(smilecal.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        report = tmp_path / "modules.json"
+        subprocess.run(
+            [sys.executable, "-c", _COLD_START, str(report), json.dumps(runs), json.dumps(last)],
+            env=env, check=True, capture_output=True,
+        )
+        result = json.loads(report.read_text())
+        assert result["codes"] == [EXIT_NON_ADIABATIC, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert result["before"] == []
+        assert "scipy.special" in result["after"]

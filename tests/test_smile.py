@@ -251,7 +251,7 @@ class TestSolverStatus:
         assert result.cost == pytest.approx(0.5)
         assert not result.converged
 
-    @pytest.mark.parametrize("draw", [13, 22])
+    @pytest.mark.parametrize("draw", [8, 11, 13, 22])
     def test_overflowing_fit_raises_convergence_error(self, draw):
         quotes = _noisy_quotes(draw)
         with pytest.raises(ConvergenceError, match="diverged"):
