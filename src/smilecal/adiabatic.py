@@ -125,6 +125,21 @@ class ChiSearchSettings:
     grid_points: int = STANDARD_GRID_POINTS
     span: float = STANDARD_SPAN
 
+    def __post_init__(self) -> None:
+        # a step or tol that is zero, negative or not finite either stalls
+        # the scan or the bisection, or ends it before its first verdict
+        for name in ("step", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be finite and positive, got {value}")
+        # every scan point is a plateau ratio, so the scan starts at chi >= 1
+        if not (math.isfinite(self.chi_start) and self.chi_start >= 1.0):
+            raise DomainError(f"chi_start must be finite and >= 1, got {self.chi_start}")
+        if not self.chi_start + self.step > self.chi_start:
+            raise DomainError(f"step {self.step} does not advance chi from chi_start")
+        if not math.isfinite(self.chi_max):
+            raise DomainError(f"chi_max must be finite, got {self.chi_max}")
+
 
 def square_well_critical_x(sigma1: float, chi: float, maturity: float) -> float:
     """Largest half-width of a square-well smile that avoids spurious minima.
@@ -152,6 +167,24 @@ def _is_non_unimodal(params: SmileParams, settings: ChiSearchSettings) -> bool:
     return not analyze(curve).unimodal
 
 
+# The box of (rho, s = g*sqrt(T)) that the Table-1 lattice covers, each
+# edge widened by a relative 1e-9 because rounding puts some lattice
+# points just outside the exact bounds. On it the verdict has been
+# checked unimodal below chi_c, and the surface is within 1% of chi_c.
+_BOX_RHO = (2.5 * (1.0 - 1e-9), 10.0 * (1.0 + 1e-9))
+_BOX_S = (0.03 / math.sqrt(365.0) * (1.0 - 1e-9), 1.0 + 1e-9)
+
+
+def _in_calibrated_box(g: float, n: float, maturity: float) -> bool:
+    try:
+        rho = n / (g * g * maturity)
+        s = g * math.sqrt(maturity)
+    except (ZeroDivisionError, ValueError):
+        return False
+    # NaN fails every comparison, so a non-finite point is outside
+    return _BOX_RHO[0] <= rho <= _BOX_RHO[1] and _BOX_S[0] <= s <= _BOX_S[1]
+
+
 def chi_critical_numeric(
     g: float,
     n: float,
@@ -160,10 +193,21 @@ def chi_critical_numeric(
 ) -> float:
     """Smallest plateau ratio whose density loses unimodality.
 
-    A coarse upward scan in chi brackets the transition, then bisection on
-    the unimodality verdict narrows it to ``settings.tol``. The verdict is
-    monotone in chi on the bracket by construction of the scan; the
-    endpoints are re-checked before bisecting and a violation aborts.
+    An upward scan in chi, from ``settings.chi_start`` in steps of
+    ``settings.step``, brackets the transition between its last unimodal
+    and first non-unimodal point; bisection on the unimodality verdict
+    then narrows the bracket to ``settings.tol``.
+
+    Inside the calibrated (rho, s) box the scan makes no verdicts below
+    0.97 times :func:`chi_critical_formula`: it steps through those scan
+    points by the same float additions and starts its verdicts at the
+    last one, so it reaches the bracket, and the result, of the full
+    scan. This rests on the verdict being unimodal below chi_c there,
+    which the tests check on a sub-lattice of the box, and on the
+    surface lying within 1% of chi_c on every Table-1 point, which the
+    tests check by comparing all of them with the full scan. If the
+    first verdict is already non-unimodal, the full scan runs instead;
+    outside the box it always does.
 
     Raises
     ------
@@ -177,27 +221,31 @@ def chi_critical_numeric(
             SmileParams(g=g, chi=chi, n=n, maturity=maturity), opts
         )
 
-    lo = 1.0  # the chi -> 1 limit is Gaussian, hence unimodal
-    chi = opts.chi_start
-    hi = None
-    while chi <= opts.chi_max:
-        if non_unimodal(chi):
-            hi = chi
-            break
-        lo = chi
-        chi += opts.step
-    if hi is None:
+    def scan(chi: float) -> tuple[float, float]:
+        lo = 1.0  # the chi -> 1 limit is Gaussian, hence unimodal
+        while chi <= opts.chi_max:
+            if non_unimodal(chi):
+                return lo, chi
+            lo = chi
+            chi += opts.step
         raise CriticalSearchError(
             f"density stays unimodal for chi in (1, {opts.chi_max}] "
             f"at g={g}, n={n}, T={maturity}"
         )
-    if lo > 1.0 and non_unimodal(lo):
-        raise CriticalSearchError(
-            f"unimodality verdict not monotone on bracket [{lo}, {hi}]"
-        )
+
+    start = opts.chi_start
+    if _in_calibrated_box(g, n, maturity):
+        target = min(0.97 * chi_critical_formula(g, n, maturity), opts.chi_max)
+        while start + opts.step < target:
+            start += opts.step
+    lo, hi = scan(start)
+    if hi == start and start != opts.chi_start:
+        lo, hi = scan(opts.chi_start)
 
     while hi - lo > opts.tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # tol below the float resolution at chi
+            break
         if non_unimodal(mid):
             hi = mid
         else:

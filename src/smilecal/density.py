@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,13 +64,12 @@ class DensityCurve:
     ``scale`` carries the smile's natural width g*chi*sqrt(T) when the
     curve was built from smile parameters; :func:`analyze` uses it to
     validate grid adequacy. ``mass`` is the trapezoidal integral over the
-    grid, computed at construction.
+    grid, computed on first read.
     """
 
     xs: np.ndarray
     ps: np.ndarray
     scale: float | None = None
-    mass: float = field(init=False)
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
@@ -84,7 +84,10 @@ class DensityCurve:
             raise DomainError("ps must be finite")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ps", ps)
-        object.__setattr__(self, "mass", float(np.trapezoid(ps, xs)))
+
+    @cached_property
+    def mass(self) -> float:
+        return float(np.trapezoid(self.ps, self.xs))
 
     @property
     def spacing(self) -> float:
@@ -106,13 +109,27 @@ class StationaryPoint:
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Outcome of :func:`analyze` on one density curve."""
+    """Outcome of :func:`analyze` on one density curve.
 
-    total_mass: float
-    martingale_gap: float
+    ``total_mass`` and ``martingale_gap`` are integrated over the curve on
+    first read; the shape verdict needs neither.
+    """
+
+    curve: DensityCurve = field(repr=False, compare=False)  # ndarray == is elementwise
     minima: tuple[StationaryPoint, ...]
     negative_regions: tuple[tuple[float, float], ...]
     unimodal: bool
+
+    @property
+    def total_mass(self) -> float:
+        return self.curve.mass
+
+    @cached_property
+    def martingale_gap(self) -> float:
+        # forward recovery: with S = S0 exp(x + rT), the forward gap reduces
+        # to |integral of exp(x) p(x) dx - 1| independent of spot and rate
+        xs, ps = self.curve.xs, self.curve.ps
+        return float(abs(np.trapezoid(np.exp(xs) * ps, xs) - 1.0))
 
 
 def _gaussian_kernel(
@@ -381,7 +398,8 @@ def analyze(curve: DensityCurve) -> DensityReport:
     Flags two kinds of pathology: interior relative minima (discrete
     derivative changing - to +) and regions where the density is negative
     beyond round-off (threshold 1e-12 of the peak). ``unimodal`` is true
-    iff neither is present.
+    iff neither is present. The report integrates the mass and the
+    forward gap only when they are first read.
 
     Raises
     ------
@@ -401,17 +419,12 @@ def analyze(curve: DensityCurve) -> DensityReport:
         if curve.xs[-1] - curve.xs[0] < 8.0 * curve.scale:
             raise GridError("grid must span at least 8 smile scales around the mode")
 
-    # forward recovery: with S = S0 exp(x + rT), the forward gap reduces to
-    # |integral of exp(x) p(x) dx - 1| independent of spot and rate
-    martingale_gap = float(abs(np.trapezoid(np.exp(curve.xs) * curve.ps, curve.xs) - 1.0))
-
     points = stationary_points(curve)
     minima = tuple(p for p in points if p.kind == "minimum")
 
     negative = _negative_regions(curve)
     return DensityReport(
-        total_mass=curve.mass,
-        martingale_gap=martingale_gap,
+        curve=curve,
         minima=minima,
         negative_regions=negative,
         unimodal=(not minima) and (not negative),

@@ -124,8 +124,8 @@ class TestChiCriticalNumeric:
             chi_critical_numeric(0.1, 0.04, 0.5, ChiSearchSettings(chi_max=1.5))
 
     def test_unimodal_everywhere_below_chi_c(self):
-        # the bisection assumes the verdict is monotone in chi but re-checks
-        # only the low end of its bracket; check the whole of (1, chi_c)
+        # the search assumes the verdict is monotone in chi and makes no
+        # verdicts below the surface; check the whole of (1, chi_c)
         fractions = np.arange(1, 13) / 13.0
         for g, rho, t in product(*default_sweep_axes(3, 3, 3)):
             n = rho * g * g * t
@@ -134,6 +134,153 @@ class TestChiCriticalNumeric:
                 chi = 1.0 + frac * (chi_c - 1.0)
                 params = SmileParams(g=g, chi=chi, n=n, maturity=t)
                 assert analyze(density_curve(params)).unimodal, (g, rho, t, chi)
+
+
+def _reference_chi_critical_numeric(g, n, maturity, settings=None):
+    # the full upward scan from chi_start that the search ran before it
+    # started next to the calibrated surface, kept as the oracle for the
+    # jumped start
+    opts = settings or ChiSearchSettings()
+
+    def non_unimodal(chi):
+        params = SmileParams(g=g, chi=chi, n=n, maturity=maturity)
+        curve = density_curve(params, points=opts.grid_points, span=opts.span)
+        return not analyze(curve).unimodal
+
+    lo = 1.0
+    chi = opts.chi_start
+    hi = None
+    while chi <= opts.chi_max:
+        if non_unimodal(chi):
+            hi = chi
+            break
+        lo = chi
+        chi += opts.step
+    assert hi is not None
+    while hi - lo > opts.tol:
+        mid = 0.5 * (lo + hi)
+        if non_unimodal(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _record_search_chis(monkeypatch):
+    # the chi of every verdict the search makes, in order
+    chis = []
+    real = smilecal.adiabatic.density_curve
+
+    def recording(params, **kwargs):
+        chis.append(params.chi)
+        return real(params, **kwargs)
+
+    monkeypatch.setattr(smilecal.adiabatic, "density_curve", recording)
+    return chis
+
+
+def _table1_points():
+    # (g, n, T) with n computed as the sweep computes it
+    return [(g, rho * g * g * t, t) for g, rho, t in product(*default_sweep_axes())]
+
+
+class TestJumpedStart:
+    def test_table1_identical_to_full_scan(self):
+        points = _table1_points()
+        fast = [repr(chi_critical_numeric(*p)) for p in points]
+        full = [repr(_reference_chi_critical_numeric(*p)) for p in points]
+        assert fast == full
+
+    def test_table1_lies_in_the_box(self):
+        # rounding puts some lattice points just outside the exact bounds
+        assert all(
+            smilecal.adiabatic._in_calibrated_box(*p) for p in _table1_points()
+        )
+
+    @pytest.mark.parametrize(
+        "g, n, t",
+        [
+            (1e-200, 1e-300, 0.5),  # g*g*T underflows to 0
+            (math.nan, 0.04, 0.5),
+            (0.1, math.inf, 0.5),
+            (0.1, 0.04, -0.5),
+            (0.1, 0.2, 0.5),  # rho = 40
+            (3.0, 9.0, 0.5),  # s = 2.1
+        ],
+    )
+    def test_box_rejects(self, g, n, t):
+        assert not smilecal.adiabatic._in_calibrated_box(g, n, t)
+
+    def test_fallback_when_first_verdict_is_non_unimodal(self, monkeypatch):
+        expected = _reference_chi_critical_numeric(**FIG1)
+        formula = smilecal.adiabatic.chi_critical_formula
+        monkeypatch.setattr(
+            smilecal.adiabatic, "chi_critical_formula",
+            lambda *args: 1.5 * formula(*args),
+        )
+        chis = _record_search_chis(monkeypatch)
+        assert chi_critical_numeric(**FIG1) == expected
+        assert chis[0] > expected  # the jumped start is past the transition
+        assert chis[1] == ChiSearchSettings().chi_start
+
+    def test_low_surface_still_matches(self, monkeypatch):
+        expected = _reference_chi_critical_numeric(**FIG1)
+        formula = smilecal.adiabatic.chi_critical_formula
+        monkeypatch.setattr(
+            smilecal.adiabatic, "chi_critical_formula",
+            lambda *args: 0.5 * formula(*args),
+        )
+        assert chi_critical_numeric(**FIG1) == expected
+
+    def test_outside_the_box_scans_from_chi_start(self, monkeypatch):
+        g, t = 0.1, 0.5
+        n = 40.0 * g * g * t
+        expected = _reference_chi_critical_numeric(g, n, t)
+        chis = _record_search_chis(monkeypatch)
+        assert chi_critical_numeric(g, n, t) == expected
+        assert chis[0] == ChiSearchSettings().chi_start
+
+    def test_custom_scan_settings(self):
+        opts = ChiSearchSettings(chi_start=1.2, step=0.03)
+        expected = _reference_chi_critical_numeric(**FIG1, settings=opts)
+        assert chi_critical_numeric(**FIG1, settings=opts) == expected
+
+    def test_fig1_verdict_count(self, monkeypatch):
+        calls = []
+        real = smilecal.adiabatic.analyze
+
+        def counting(curve):
+            calls.append(curve)
+            return real(curve)
+
+        monkeypatch.setattr(smilecal.adiabatic, "analyze", counting)
+        chi_critical_numeric(**FIG1)
+        assert len(calls) <= 13
+
+
+class TestChiSearchSettings:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(step=0.0),
+            dict(step=-0.05),
+            dict(step=math.nan),
+            dict(step=math.inf),
+            dict(tol=0.0),
+            dict(tol=math.nan),
+            dict(step=1e-300),  # below the float resolution at chi_start
+            dict(chi_start=math.nan),
+            dict(chi_start=0.5),  # below the Gaussian limit chi = 1
+            dict(chi_max=math.inf),
+        ],
+    )
+    def test_settings_that_cannot_terminate_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            ChiSearchSettings(**kwargs)
+
+    def test_tol_below_float_resolution_ends(self):
+        tiny = chi_critical_numeric(**FIG1, settings=ChiSearchSettings(tol=1e-300))
+        assert abs(tiny - chi_critical_numeric(**FIG1)) < 1e-4
 
 
 class TestChiCriticalFormula:

@@ -285,8 +285,7 @@ class TestRefit:
 
         def always_bad(curve):
             return DensityReport(
-                total_mass=1.0,
-                martingale_gap=0.0,
+                curve=curve,
                 minima=(StationaryPoint(x=0.0, kind="minimum", p=0.1),),
                 negative_regions=(),
                 unimodal=False,
@@ -498,6 +497,26 @@ class TestConfigAndDeterminism:
         cfg.write_text("gird=501\n", encoding="utf-8")
         assert main(["density", "--params", "0.15,1.5,0.005", "--maturity", "0.5",
                      "--config", str(cfg)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("chi-step=0", EXIT_PARSE),  # the scan cannot advance
+            ("chi-tol=0", EXIT_PARSE),  # the bisection cannot end
+            ("chi-tol=nan", EXIT_PARSE),  # the bisection would not start
+            ("chi-step=nan", EXIT_PARSE),  # the scan would end at once
+            ("chi-tol=1e-300", EXIT_OK),  # the bisection stops at float resolution
+        ],
+    )
+    def test_hostile_search_settings_end(self, tmp_path, capsys, line, expected):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code = main(["check", "--params", "0.1,2.0,0.04", "--maturity", "0.5",
+                     "--mode", "numeric", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == expected
+        if expected == EXIT_PARSE:
+            assert "must be finite and positive" in capsys.readouterr().err
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"

@@ -297,6 +297,18 @@ class TestDensityCurveType:
         assert curve.spacing == pytest.approx(0.01)
         assert curve.bounds == (-5.0, 5.0)
 
+    def test_mass_and_gap_integrated_on_first_read(self):
+        curve = density_curve(FIG1)
+        report = analyze(curve)
+        assert "mass" not in vars(curve)
+        assert "martingale_gap" not in vars(report)
+        xs, ps = curve.xs, curve.ps
+        assert report.total_mass == np.trapezoid(ps, xs)
+        assert report.martingale_gap == float(
+            abs(np.trapezoid(np.exp(xs) * ps, xs) - 1.0)
+        )
+        assert vars(curve)["mass"] == report.total_mass
+
     def test_mass_is_not_an_argument(self):
         xs = np.linspace(-1.0, 1.0, 5)
         with pytest.raises(TypeError):
