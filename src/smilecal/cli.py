@@ -14,10 +14,12 @@ report is written, whatever the density looks like, and put the verdict in
 the report. ``check`` is the command that exits with the verdict.
 
 All tabular output is plain CSV with a one-line header; scalar reports are
-key=value text. Every command is deterministic for fixed inputs and
-configuration. Configuration precedence: flags > config file > built-in
-defaults; the SMILECAL_OUT environment variable supplies the default
-output directory.
+key=value text. Floats are written ``%.17g``, which round-trips every
+float64 exactly; NaN and infinity are written ``nan``, ``inf`` and
+``-inf``, bools ``True``/``False``. Every command is deterministic for
+fixed inputs and configuration. Configuration precedence: flags > config
+file > built-in defaults; the SMILECAL_OUT environment variable supplies
+the default output directory.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
-from itertools import product
+from functools import cache
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -180,11 +183,18 @@ def _csv_line(row) -> str:
     return ",".join(_fmt(v) for v in row) + "\n"
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    path.write_text(
-        ",".join(header) + "\n" + "".join(_csv_line(row) for row in rows),
-        encoding="utf-8",
-    )
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length 1-D columns under a one-line header.
+
+    Each column's format is chosen once from its dtype: ``%.17g`` for
+    floats, ``%s`` for anything else, the same text :func:`_fmt` gives
+    value by value.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row_fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    rows = len(columns[0]) if columns else 0
+    values = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    path.write_text(",".join(header) + "\n" + (row_fmt * rows) % values, encoding="utf-8")
 
 
 def parse_quote_file(path: str) -> QuoteFile:
@@ -366,7 +376,7 @@ def cmd_fit(args) -> int:
     write_csv(
         out / "fit_residuals.csv",
         ["x", "vol_observed", "vol_fitted", "residual"],
-        zip(xs, vols, fitted, fitted - vols),
+        [xs, vols, fitted, fitted - vols],
     )
     if cfg.svg:
         dense_x = np.linspace(xs.min(), xs.max(), 401)
@@ -411,7 +421,7 @@ def cmd_check(args) -> int:
     curve = dens.density_curve(params, points=cfg.grid_points, span=cfg.span)
     report = dens.analyze(curve)
 
-    write_csv(out / "density.csv", ["x", "density"], zip(curve.xs, curve.ps))
+    write_csv(out / "density.csv", ["x", "density"], [curve.xs, curve.ps])
     items = [
         ("chi_opt", verdict.chi_opt),
         ("chi_c", verdict.chi_c),
@@ -502,7 +512,7 @@ def cmd_refit(args) -> int:
     write_csv(
         out / "refit_comparison.csv",
         ["x", "vol_unconstrained", "vol_constrained", "density_unconstrained", "density_constrained"],
-        zip(xs, vol_free, vol_final, p_free, p_final),
+        [xs, vol_free, vol_final, p_free, p_final],
     )
     if cfg.svg:
         write_line_plot(
@@ -534,7 +544,7 @@ def cmd_density(args) -> int:
         raise QuoteFormatError("density needs --params G,CHI,N with --maturity, or --params-file")
     curve = dens.density_curve(params, points=cfg.grid_points, span=cfg.span)
     report = dens.analyze(curve)
-    write_csv(out / "density.csv", ["x", "density"], zip(curve.xs, curve.ps))
+    write_csv(out / "density.csv", ["x", "density"], [curve.xs, curve.ps])
     items = [
         ("total_mass", report.total_mass),
         ("martingale_gap", report.martingale_gap),
@@ -629,7 +639,7 @@ def cmd_sweep(args) -> int:
 
     # rows reach the file as they complete, so an interrupted sweep resumes
     # from what it finished; the final rewrite restores lattice order
-    write_csv(path, _SWEEP_HEADER, map(_sweep_fields, done.values()))
+    write_csv(path, _SWEEP_HEADER, zip(*map(_sweep_fields, done.values())))
     with path.open("a", encoding="utf-8") as fh:
         for row in adiab.sweep_points(missing, cfg.search_settings(), cfg.workers):
             fh.write(_csv_line(_sweep_fields(row)))
@@ -637,7 +647,7 @@ def cmd_sweep(args) -> int:
             done[_row_key(row.g, row.rho, row.maturity)] = row
 
     rows = [done[_row_key(*pt)] for pt in lattice]
-    write_csv(path, _SWEEP_HEADER, map(_sweep_fields, rows))
+    write_csv(path, _SWEEP_HEADER, zip(*map(_sweep_fields, rows)))
     ok = sum(1 for r in rows if r.status == "ok")
     print(f"sweep complete: {ok}/{len(rows)} rows ok -> {path}")
     if cfg.svg:
@@ -720,7 +730,7 @@ def cmd_bl_oracle(args) -> int:
     write_csv(
         out / "bl_oracle.csv",
         ["strike", "x", "density_oracle", "density_analytic", "rel_diff", "flagged"],
-        zip(strikes, curve.xs, oracle_x, analytic, rel, flagged),
+        [strikes, curve.xs, oracle_x, analytic, rel, flagged],
     )
     core = analytic > 1e-3 * analytic.max()
     print(f"max rel diff where density > 1e-3 of peak: {_fmt(float(rel[core].max()))}")
@@ -757,6 +767,7 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
                    help="key=value file with g, chi, n, maturity")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smilecal",
@@ -767,23 +778,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the smile to a quote file")
     p.add_argument("quotefile")
     _add_common(p)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("check", help="adiabatic check and density report")
     p.add_argument("quotefile", nargs="?")
     _add_params_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("refit", help="fit, check, and constrain if needed")
     p.add_argument("quotefile")
     _add_common(p)
-    p.set_defaults(func=cmd_refit)
 
     p = sub.add_parser("density", help="evaluate the implied density on the standard grid")
     _add_params_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("sweep", help="map the critical ratio over a parameter lattice")
     p.add_argument("--g-range", dest="g_range", type=str, default="",
@@ -793,26 +800,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-range", dest="t_range", type=str, default="",
                    help="LO:HI:COUNT (default 1/365:4:6)")
     _add_common(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("calibrate", help="fit the critical-ratio surface to a sweep CSV")
     p.add_argument("sweepfile")
     _add_common(p)
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("bl-oracle", help="finite-difference density vs the closed form")
     _add_params_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_bl_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on each call, so a later patch of a cmd_* name takes effect
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return command(args)
     except (QuoteFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

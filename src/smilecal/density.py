@@ -299,19 +299,20 @@ def bl_density_oracle(
     scalar = np.ndim(strike) == 0
     if np.any(k <= 0.0):
         raise DomainError("strike must be positive")
+    vol_k = np.asarray(vol_fn(k), dtype=float)
     if step is None:
-        local_width = np.asarray(vol_fn(k), dtype=float) * math.sqrt(env.maturity)
-        h = k * np.minimum(1e-3, local_width / 60.0)
+        h = k * np.minimum(1e-3, vol_k * math.sqrt(env.maturity) / 60.0)
     else:
         h = np.broadcast_to(np.asarray(step, dtype=float), k.shape).copy()
     if np.any(k - h <= 0.0):
         raise DomainError("stencil leaves the positive strike axis; reduce step")
 
     use_put = k < env.forward
+    # the centre of both stencils: one vol and one price serve them both
+    mid = _otm_value(env, k, vol_k, use_put)
 
     def second_diff(hh):
         lo = _otm_value(env, k - hh, np.asarray(vol_fn(k - hh), float), use_put)
-        mid = _otm_value(env, k, np.asarray(vol_fn(k), float), use_put)
         hi = _otm_value(env, k + hh, np.asarray(vol_fn(k + hh), float), use_put)
         return (lo - 2.0 * mid + hi) / (hh * hh)
 
@@ -345,7 +346,10 @@ def density_curve(
 
     The grid is uniform over ``x_min +- span * g * chi * sqrt(T)``, wide
     enough to resolve both the floor-vol core and the plateau-vol wings.
+    Fewer than 3 points raise :class:`DomainError` before any grid is built.
     """
+    if points < 3:
+        raise DomainError("a density curve needs at least 3 samples")
     scale = params.sigma_plateau * math.sqrt(params.maturity)
     xs = np.linspace(params.x_min - span * scale, params.x_min + span * scale, points)
     ps = return_density(params, xs)

@@ -2,6 +2,7 @@
 file formats, resume behavior, config precedence, determinism.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smilecal
-from smilecal import SmileParams, adiabatic, sigma_of_x, std_normal_cdf
+from smilecal import SmileParams, adiabatic, cli, sigma_of_x, std_normal_cdf
 from smilecal.cli import (
     EXIT_CONSTRAINED_FAILURE,
     EXIT_CONVERGENCE,
@@ -25,6 +28,7 @@ from smilecal.cli import (
     parse_quote_file,
     read_report,
     read_sweep_csv,
+    write_csv,
 )
 
 TRUTH = SmileParams(g=0.12, chi=1.8, n=0.002, maturity=0.25)
@@ -405,8 +409,6 @@ class TestSweepAndCalibrate:
 
     def test_calibrate_near_packaged_constants(self, tmp_path):
         # synthesize a sweep CSV from the packaged surface plus tiny noise
-        from smilecal.cli import write_csv
-
         rng = np.random.default_rng(2)
         rows = []
         for g in np.geomspace(0.03, 0.5, 3):
@@ -419,7 +421,7 @@ class TestSweepAndCalibrate:
                     )
                     rows.append((g, t, rho * g * g * t, rho, chi_c, "ok"))
         path = tmp_path / "sweep.csv"
-        write_csv(path, ["g", "T", "n", "rho", "chi_c", "status"], rows)
+        write_csv(path, ["g", "T", "n", "rho", "chi_c", "status"], zip(*rows))
         out = tmp_path / "out"
         assert main(["calibrate", str(path), "--out", str(out)]) == EXIT_OK
         report = read_report(out / "calibration.txt")
@@ -454,11 +456,9 @@ class TestSweepAndCalibrate:
         assert np.array_equal(ps, np.asarray(return_density(params, xs)))
 
     def test_calibrate_single_row_fails(self, tmp_path, capsys):
-        from smilecal.cli import write_csv
-
         path = tmp_path / "sweep.csv"
         write_csv(path, ["g", "T", "n", "rho", "chi_c", "status"],
-                  [(0.1, 0.5, 0.04, 8.0, 2.5, "ok")])
+                  zip(*[(0.1, 0.5, 0.04, 8.0, 2.5, "ok")]))
         assert main(["calibrate", str(path)]) == EXIT_CONVERGENCE
         assert "calibration failed" in capsys.readouterr().err
 
@@ -517,6 +517,22 @@ class TestConfigAndDeterminism:
         assert code == expected
         if expected == EXIT_PARSE:
             assert "must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "density"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_grid_exit_2(self, tmp_path, capsys, command, source):
+        if source == "flag":
+            extra = ["--grid", "-5"]
+        else:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("grid=-5\n", encoding="utf-8")
+            extra = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        code = main([command, "--params", "0.1,2.7,0.04", "--maturity", "0.5",
+                     "--out", str(out), *extra])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == "error: a density curve needs at least 3 samples\n"
+        assert not (out / "density.csv").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
@@ -585,3 +601,150 @@ class TestColdStart:
         assert result["codes"] == [EXIT_NON_ADIABATIC, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
         assert result["before"] == []
         assert "scipy.special" in result["after"]
+
+
+def _reference_fmt(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _reference_write_csv(path, header, rows) -> None:
+    # the row-by-row writer the column writer replaced, kept as its oracle
+    path.write_text(
+        ",".join(header) + "\n"
+        + "".join(",".join(_reference_fmt(v) for v in row) + "\n" for row in rows),
+        encoding="utf-8",
+    )
+
+
+_EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+    2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.1, 1.0 / 3.0, 0.30000000000000004, 9007199254740993.0,
+    123456789.12345679,
+]
+
+
+@st.composite
+def _columns(draw):
+    rows = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.sampled_from("fbs"), min_size=1, max_size=6))
+    floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64))
+    texts = st.text("ab ,%s\"'é€\N{GRINNING FACE}", max_size=6)
+    columns = []
+    for kind in kinds:
+        if kind == "f":
+            columns.append(np.array(draw(st.lists(floats, min_size=rows, max_size=rows)),
+                                    dtype=np.float64))
+        elif kind == "b":
+            columns.append(np.array(draw(st.lists(st.booleans(), min_size=rows,
+                                                  max_size=rows)), dtype=bool))
+        else:
+            columns.append(np.array(draw(st.lists(texts, min_size=rows, max_size=rows)),
+                                    dtype=str))
+    return columns
+
+
+class TestCsvWriter:
+    @pytest.fixture(scope="class")
+    def csv_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("csv")
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(columns=_columns())
+    def test_matches_row_writer(self, csv_dir, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        write_csv(csv_dir / "new.csv", header, columns)
+        _reference_write_csv(csv_dir / "old.csv", header, zip(*columns))
+        assert (csv_dir / "new.csv").read_bytes() == (csv_dir / "old.csv").read_bytes()
+
+    def test_no_rows_writes_only_the_header(self, tmp_path):
+        write_csv(tmp_path / "a.csv", ["g", "status"], zip(*[]))
+        write_csv(tmp_path / "b.csv", ["x", "density"], [np.array([]), np.array([])])
+        assert (tmp_path / "a.csv").read_text() == "g,status\n"
+        assert (tmp_path / "b.csv").read_text() == "x,density\n"
+
+
+def _run(argv, capsys) -> tuple[int, str, dict[str, bytes]]:
+    code = main(argv)
+    out = Path(argv[argv.index("--out") + 1])
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return code, capsys.readouterr().out, files
+
+
+class TestParserCache:
+    DENSITY = ["density", "--params", "0.15,1.6,0.07875", "--maturity", "0.5",
+               "--grid", "501", "--svg"]
+    CHECK = ["check", "--params", "0.1,2.7,0.04", "--maturity", "0.5", "--mode", "numeric"]
+
+    def test_second_command_matches_a_first_call(self, tmp_path, capsys):
+        # flags of the first command must not leak into the second
+        first = {}
+        for name, argv in (("density", self.DENSITY), ("check", self.CHECK)):
+            cli.build_parser.cache_clear()
+            first[name] = _run([*argv, "--out", str(tmp_path / f"first_{name}")], capsys)
+        cli.build_parser.cache_clear()
+        for name, argv in (("density", self.DENSITY), ("check", self.CHECK)):
+            assert _run([*argv, "--out", str(tmp_path / f"again_{name}")], capsys) == first[name]
+        assert cli.build_parser.cache_info().misses == 1
+        assert first["check"][0] == EXIT_NON_ADIABATIC
+        assert "density.svg" not in first["check"][2]
+
+    def test_patched_command_called_after_first_call(self, tmp_path, monkeypatch):
+        assert main([*self.DENSITY, "--out", str(tmp_path)]) == EXIT_OK
+        seen = []
+
+        def patched(args):
+            seen.append(args.command)
+            return 42
+
+        monkeypatch.setattr(cli, "cmd_density", patched)
+        assert main([*self.DENSITY, "--out", str(tmp_path)]) == 42
+        assert seen == ["density"]
+
+    def test_unknown_subcommand_exits_through_argparse(self, capsys):
+        for _ in range(2):  # first call and cached parser alike
+            with pytest.raises(SystemExit) as exc:
+                main(["nosuch"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: smilecal ")
+            assert "smilecal: error: argument command: invalid choice: 'nosuch'" in err
+
+
+def _load_bench_tracing(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchTracer:
+    def test_tracer_sees_writes_and_commands(self, tmp_path, capsys, monkeypatch):
+        # the benchmark's per-layer desk metrics wrap cli names from outside,
+        # after the parser has been built
+        tracing = _load_bench_tracing(monkeypatch)
+        args = ["--params", "0.1,2.7,0.04", "--maturity", "0.5"]
+        assert main(["density", *args, "--out", str(tmp_path / "warm")]) == EXIT_OK
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        try:
+            assert main(["density", *args, "--out", str(tmp_path / "density")]) == EXIT_OK
+            assert main(["check", *args, "--out", str(tmp_path / "check")]) == EXIT_NON_ADIABATIC
+        finally:
+            tracer.restore()
+        names = [s.name for s in tracer.spans]
+        assert names.count("cli.density") == 1
+        assert names.count("cli.check") == 1
+        written = sorted(s.value for s in tracer.spans if s.name == "cli.write")
+        sizes = sorted(
+            float(p.stat().st_size)
+            for d in ("density", "check")
+            for p in (tmp_path / d).iterdir()
+        )
+        assert written == sizes
+        assert len(written) == 4
+        assert not hasattr(cli.write_csv, "__wrapped__")  # restored

@@ -232,6 +232,67 @@ class TestBlOracle:
         with pytest.raises(DomainError):
             bl_density_oracle(env, lambda k: 0.2, 1.0, step=2.0)
 
+    def test_centre_vol_evaluated_once(self):
+        # the centre strike's vol serves the default step and both stencils
+        env = MarketEnv(spot=1.0, rate=0.02, maturity=FIG1.maturity)
+        vol_fn = smile_vol_of_strike(env, FIG1)
+        calls = []
+
+        def counting(k):
+            calls.append(k)
+            return vol_fn(k)
+
+        strikes = np.linspace(0.8, 1.2, 9)
+        _reference_bl_density_oracle(env, counting, strikes)
+        assert len(calls) == 7
+        calls.clear()
+        bl_density_oracle(env, counting, strikes)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("step_frac", [None, 2e-3])
+    @pytest.mark.parametrize("rate", [0.0, 0.02])
+    def test_identical_to_reference_stencils(self, step_frac, rate):
+        env = MarketEnv(spot=1.0, rate=rate, maturity=FIG1.maturity)
+        vol_fn = smile_vol_of_strike(env, FIG1)
+        curve = density_curve(FIG1, points=801)
+        strikes = env.spot * np.exp(curve.xs + rate * env.maturity)
+        step = None if step_frac is None else strikes * step_frac
+        for richardson in (True, False):
+            got = bl_density_oracle(env, vol_fn, strikes, step=step, richardson=richardson,
+                                    with_error=True)
+            want = _reference_bl_density_oracle(env, vol_fn, strikes, step=step,
+                                                richardson=richardson, with_error=True)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+def _reference_bl_density_oracle(env, vol_fn, strike, step=None, richardson=True,
+                                 with_error=False):
+    # the stencils as first written, each evaluating the centre vol and price
+    # itself; kept as the oracle for the shared-centre version
+    otm = smilecal.density._otm_value
+    k = np.asarray(strike, dtype=float)
+    if step is None:
+        local_width = np.asarray(vol_fn(k), dtype=float) * math.sqrt(env.maturity)
+        h = k * np.minimum(1e-3, local_width / 60.0)
+    else:
+        h = np.broadcast_to(np.asarray(step, dtype=float), k.shape).copy()
+    use_put = k < env.forward
+
+    def second_diff(hh):
+        lo = otm(env, k - hh, np.asarray(vol_fn(k - hh), float), use_put)
+        mid = otm(env, k, np.asarray(vol_fn(k), float), use_put)
+        hi = otm(env, k + hh, np.asarray(vol_fn(k + hh), float), use_put)
+        return (lo - 2.0 * mid + hi) / (hh * hh)
+
+    d_h = second_diff(h)
+    d_h2 = second_diff(h / 2.0)
+    extrapolated = (4.0 * d_h2 - d_h) / 3.0
+    growth = math.exp(env.rate * env.maturity)
+    value = growth * (extrapolated if richardson else d_h)
+    err = growth * np.abs(extrapolated - d_h2)
+    return (value, err) if with_error else value
+
 
 class TestAnalyze:
     def test_gaussian_curve_is_clean(self):
@@ -275,6 +336,11 @@ class TestAnalyze:
         curve = DensityCurve(xs=xs, ps=np.exp(-(xs**2)))
         with pytest.raises(GridError):
             analyze(curve)
+
+    @pytest.mark.parametrize("points", [-5, 0, 2])
+    def test_curve_needs_three_points(self, points):
+        with pytest.raises(DomainError, match="at least 3 samples"):
+            density_curve(FIG1, points=points)
 
     def test_deterministic(self):
         a = analyze(density_curve(FIG1))
