@@ -13,6 +13,7 @@ from typing import Sequence
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH, _HEIGHT = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 36, 44
 
 
@@ -40,8 +41,6 @@ def write_line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 800,
-    height: int = 500,
 ) -> None:
     """Write labelled polylines with axes and tick marks to an SVG file."""
     xs_all = [float(v) for _, xs, _ in series for v in xs]
@@ -57,8 +56,8 @@ def write_line_plot(
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -67,15 +66,15 @@ def write_line_plot(
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{title}</text>'
         )
 
@@ -101,7 +100,7 @@ def write_line_plot(
         )
     if xlabel:
         parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 8}" '
+            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 8}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>'
         )
     if ylabel:
@@ -120,11 +119,11 @@ def write_line_plot(
         )
         ly = _MARGIN_T + 16 + 16 * i
         parts.append(
-            f'<line x1="{width - 150}" y1="{ly - 4}" x2="{width - 126}" y2="{ly - 4}" '
+            f'<line x1="{_WIDTH - 150}" y1="{ly - 4}" x2="{_WIDTH - 126}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{width - 120}" y="{ly}" font-family="sans-serif" '
+            f'<text x="{_WIDTH - 120}" y="{ly}" font-family="sans-serif" '
             f'font-size="11">{label}</text>'
         )
 

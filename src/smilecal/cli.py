@@ -4,7 +4,7 @@ Exit codes are a stable contract:
 
     0  success / density passes (adiabatic)
     1  density has interior relative minima (non-adiabatic)
-    2  input could not be parsed or is out of domain
+    2  input could not be read or parsed, or is out of domain
     3  a fit or search failed to converge / calibration not identifiable
     4  density goes negative beyond round-off
     5  even the constrained refit produced a non-unimodal density
@@ -17,9 +17,16 @@ All tabular output is plain CSV with a one-line header; scalar reports are
 key=value text. Floats are written ``%.17g``, which round-trips every
 float64 exactly; NaN and infinity are written ``nan``, ``inf`` and
 ``-inf``, bools ``True``/``False``. Every command is deterministic for
-fixed inputs and configuration. Configuration precedence: flags > config
-file > built-in defaults; the SMILECAL_OUT environment variable supplies
-the default output directory.
+fixed inputs and configuration.
+
+Settings come, in order of precedence, from flags, a ``--config`` file of
+``key=value`` lines, the SMILECAL_OUT environment variable (output
+directory only) and built-in defaults. Each setting is one
+:class:`RunConfig` field, named by its config key with ``_`` for ``-``:
+config key ``chi-max`` is field ``chi_max`` and flag ``--chi-max``.
+``chi-start``, ``chi-step`` and ``chi-tol`` are config-only. An input file
+that cannot be read or is not UTF-8 text exits 2, like one that cannot be
+parsed.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache
 from itertools import chain, product
 from pathlib import Path
@@ -46,7 +53,14 @@ from .errors import (
     QuoteFormatError,
     SmilecalError,
 )
-from .smile import SmileParams, VolQuote, constrained_fit_smile, fit_smile, sigma_of_x
+from .smile import (
+    SmileFitResult,
+    SmileParams,
+    VolQuote,
+    constrained_fit_smile,
+    fit_smile,
+    sigma_of_x,
+)
 
 EXIT_OK = 0
 EXIT_NON_ADIABATIC = 1
@@ -63,7 +77,10 @@ _CONTEXT_KEYS = ("spot", "rate", "maturity")
 
 @dataclass(frozen=True)
 class RunConfig:
-    grid_points: int = dens.STANDARD_GRID_POINTS
+    """Run settings; each field is its config key with ``_`` for ``-``, and
+    the ``dest`` of its flag where it has one."""
+
+    grid: int = dens.STANDARD_GRID_POINTS
     span: float = dens.STANDARD_SPAN
     step_frac: float | None = None  # oracle step / strike; None -> adaptive
     chi_start: float = 1.01
@@ -71,7 +88,7 @@ class RunConfig:
     chi_tol: float = 1e-4
     chi_max: float = 20.0
     mode: str = "formula"
-    out_dir: str = "."
+    out: str = "."
     svg: bool = False
     workers: int = 1
 
@@ -81,7 +98,7 @@ class RunConfig:
             step=self.chi_step,
             tol=self.chi_tol,
             chi_max=self.chi_max,
-            grid_points=self.grid_points,
+            grid_points=self.grid,
             span=self.span,
         )
 
@@ -99,24 +116,28 @@ class QuoteFile:
 # configuration and small-file I/O
 # ----------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "grid": ("grid_points", int),
-    "span": ("span", float),
-    "step-frac": ("step_frac", float),
-    "chi-start": ("chi_start", float),
-    "chi-step": ("chi_step", float),
-    "chi-tol": ("chi_tol", float),
-    "chi-max": ("chi_max", float),
-    "mode": ("mode", str),
-    "out": ("out_dir", str),
-    "svg": ("svg", lambda s: s.strip().lower() in ("1", "true", "yes", "on")),
-    "workers": ("workers", int),
+# config value parser, keyed by the text of a RunConfig field's annotation
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "str": str,
+    "bool": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
 }
+_CONFIG_KEYS = {f.name.replace("_", "-"): f for f in fields(RunConfig)}
+
+
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of an input file; any failure is a :class:`QuoteFormatError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise QuoteFormatError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
     cfg = RunConfig()
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for i, raw in enumerate(_read_text(path, "config file").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -126,34 +147,20 @@ def load_config(path: str) -> RunConfig:
         key = key.strip().lower().replace("_", "-")
         if key not in _CONFIG_KEYS:
             raise QuoteFormatError(f"{path}:{i}: unknown config key {key!r}")
-        field, conv = _CONFIG_KEYS[key]
+        field = _CONFIG_KEYS[key]
         try:
-            cfg = replace(cfg, **{field: conv(value.strip())})
+            cfg = replace(cfg, **{field.name: _PARSERS[field.type](value.strip())})
         except ValueError as exc:
             raise QuoteFormatError(f"{path}:{i}: bad value for {key}: {exc}") from exc
     return cfg
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    if cfg.out_dir == "." and os.environ.get(ENV_OUT_DIR):
-        cfg = replace(cfg, out_dir=os.environ[ENV_OUT_DIR])
-    overrides = {
-        "grid": "grid_points",
-        "span": "span",
-        "step_frac": "step_frac",
-        "chi_max": "chi_max",
-        "mode": "mode",
-        "out": "out_dir",
-        "workers": "workers",
-    }
-    for flag, field in overrides.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg = replace(cfg, **{field: value})
-    if getattr(args, "svg", False):
-        cfg = replace(cfg, svg=True)
-    return cfg
+    cfg = load_config(args.config) if args.config else RunConfig()
+    if cfg.out == "." and os.environ.get(ENV_OUT_DIR):
+        cfg = replace(cfg, out=os.environ[ENV_OUT_DIR])
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cfg)}
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _fmt(value) -> str:
@@ -163,14 +170,15 @@ def _fmt(value) -> str:
 
 
 def write_report(path: Path, items: list[tuple[str, object]]) -> None:
-    path.write_text(
-        "".join(f"{key}={_fmt(value)}\n" for key, value in items), encoding="utf-8"
-    )
+    """Write ``key=value`` lines to ``path`` and echo them to stdout."""
+    text = "".join(f"{key}={_fmt(value)}\n" for key, value in items)
+    path.write_text(text, encoding="utf-8")
+    print(text, end="")
 
 
 def read_report(path: str) -> dict:
     out = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in _read_text(path, "report").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -208,12 +216,7 @@ def parse_quote_file(path: str) -> QuoteFile:
     kind: str | None = None
     rows: list[tuple[float, float]] = []
     context: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise QuoteFormatError(f"cannot read quote file {path}: {exc}") from exc
-
-    for i, raw in enumerate(text.splitlines(), 1):
+    for i, raw in enumerate(_read_text(path, "quote file").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -268,34 +271,17 @@ def quotes_from_file(
 # ----------------------------------------------------------------------
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _market_context(args, qf: QuoteFile | None = None) -> tuple[float, float]:
+    """Spot and rate: the flag, else the quote file's context row, else 1 and 0."""
+    context = {} if qf is None else qf.context
+    spot = context.get("spot", 1.0) if args.spot is None else args.spot
+    rate = context.get("rate", 0.0) if args.rate is None else args.rate
+    return spot, rate
 
 
-def _need_maturity(args, qf: QuoteFile | None) -> float:
-    if args.maturity is not None:
-        return args.maturity
-    if qf is not None and "maturity" in qf.context:
-        return qf.context["maturity"]
-    raise QuoteFormatError("maturity required: pass --maturity or a maturity context row")
-
-
-def _market_context(args, qf: QuoteFile | None) -> tuple[float, float]:
-    spot = args.spot
-    rate = args.rate
-    if qf is not None:
-        if spot is None:
-            spot = qf.context.get("spot")
-        if rate is None:
-            rate = qf.context.get("rate")
-    return (1.0 if spot is None else spot), (0.0 if rate is None else rate)
-
-
-def _params_from_args(args) -> tuple[SmileParams | None, float | None]:
+def _params_from_args(args) -> SmileParams | None:
     """Smile parameters from --params G,CHI,N or a --params-file report."""
-    if getattr(args, "params", None):
+    if args.params:
         parts = args.params.split(",")
         if len(parts) != 3:
             raise QuoteFormatError("--params expects G,CHI,N")
@@ -305,37 +291,26 @@ def _params_from_args(args) -> tuple[SmileParams | None, float | None]:
             raise QuoteFormatError(f"--params: {exc}") from exc
         if args.maturity is None:
             raise QuoteFormatError("--params also requires --maturity")
-        return SmileParams(g=g, chi=chi, n=n, maturity=args.maturity), args.maturity
-    if getattr(args, "params_file", None):
+        return SmileParams(g=g, chi=chi, n=n, maturity=args.maturity)
+    if args.params_file:
         report = read_report(args.params_file)
         try:
-            params = SmileParams(
-                g=float(report["g"]),
-                chi=float(report["chi"]),
-                n=float(report["n"]),
-                maturity=float(report["maturity"]),
-            )
+            values = {key: float(report[key]) for key in ("g", "chi", "n", "maturity")}
         except KeyError as exc:
             raise QuoteFormatError(f"{args.params_file}: missing key {exc}") from exc
-        return params, params.maturity
-    return None, None
+        except ValueError as exc:
+            raise QuoteFormatError(f"{args.params_file}: {exc}") from exc
+        return SmileParams(**values)
+    return None
 
 
-def _fit_from_quote_args(args):
+def _fit_from_quote_args(args) -> tuple[float, list[VolQuote], SmileFitResult]:
     qf = parse_quote_file(args.quotefile)
-    maturity = _need_maturity(args, qf)
-    spot, rate = _market_context(args, qf)
-    quotes = quotes_from_file(qf, maturity, spot, rate)
-    result = fit_smile(quotes, maturity)
-    return qf, maturity, spot, rate, quotes, result
-
-
-def _density_verdict_exit(report: dens.DensityReport) -> int:
-    if report.negative_regions:
-        return EXIT_NEGATIVE_DENSITY
-    if report.minima:
-        return EXIT_NON_ADIABATIC
-    return EXIT_OK
+    maturity = qf.context.get("maturity") if args.maturity is None else args.maturity
+    if maturity is None:
+        raise QuoteFormatError("maturity required: pass --maturity or a maturity context row")
+    quotes = quotes_from_file(qf, maturity, *_market_context(args, qf))
+    return maturity, quotes, fit_smile(quotes, maturity)
 
 
 def _fit_report_items(result, label: str = "") -> list[tuple[str, object]]:
@@ -353,9 +328,31 @@ def _fit_report_items(result, label: str = "") -> list[tuple[str, object]]:
     ]
 
 
-def _print_report(items: list[tuple[str, object]]) -> None:
-    for key, value in items:
-        print(f"{key}={_fmt(value)}")
+def _density_report(
+    out: Path, cfg: RunConfig, params: SmileParams, name: str,
+    items: list[tuple[str, object]],
+) -> dens.DensityReport:
+    """Write ``density.csv``, the report ``name`` (``items``, then the
+    density's own keys) and, with ``--svg``, ``density.svg``."""
+    curve = dens.density_curve(params, points=cfg.grid, span=cfg.span)
+    report = dens.analyze(curve)
+    write_csv(out / "density.csv", ["x", "density"], [curve.xs, curve.ps])
+    write_report(out / name, items + [
+        ("total_mass", report.total_mass),
+        ("martingale_gap", report.martingale_gap),
+        ("n_minima", len(report.minima)),
+        ("n_negative_regions", len(report.negative_regions)),
+        ("unimodal", report.unimodal),
+    ])
+    if cfg.svg:
+        write_line_plot(
+            out / "density.svg",
+            [("density", curve.xs, curve.ps)],
+            title="smile-implied return density",
+            xlabel="x",
+            ylabel="p(x)",
+        )
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -363,16 +360,12 @@ def _print_report(items: list[tuple[str, object]]) -> None:
 # ----------------------------------------------------------------------
 
 
-def cmd_fit(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
-    qf, maturity, _, _, quotes, result = _fit_from_quote_args(args)
-
-    items = _fit_report_items(result)
-    write_report(out / "fit.txt", items)
+def cmd_fit(args, cfg: RunConfig, out: Path) -> int:
+    maturity, quotes, result = _fit_from_quote_args(args)
+    write_report(out / "fit.txt", _fit_report_items(result))
     xs = np.array([q.to_x(maturity) for q in quotes])
     vols = np.array([q.vol for q in quotes])
-    fitted = _smile_vols(result.params, xs)
+    fitted = sigma_of_x(result.params, xs)
     write_csv(
         out / "fit_residuals.csv",
         ["x", "vol_observed", "vol_fitted", "residual"],
@@ -384,87 +377,59 @@ def cmd_fit(args) -> int:
             out / "smile.svg",
             [
                 ("observed", xs, vols),
-                ("fitted", dense_x, _smile_vols(result.params, dense_x)),
+                ("fitted", dense_x, sigma_of_x(result.params, dense_x)),
             ],
             title="volatility smile fit",
             xlabel="x",
             ylabel="vol",
         )
-    _print_report(items)
     if not result.converged:
         print("fit did not converge", file=sys.stderr)
         return EXIT_CONVERGENCE
     return EXIT_OK
 
 
-def _smile_vols(params: SmileParams, xs: np.ndarray) -> np.ndarray:
-    return np.asarray(sigma_of_x(params, xs))
-
-
-def cmd_check(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
-
-    params, _ = _params_from_args(args)
+def cmd_check(args, cfg: RunConfig, out: Path) -> int:
+    params = _params_from_args(args)
     if params is None:
-        if not getattr(args, "quotefile", None):
+        if not args.quotefile:
             raise QuoteFormatError("check needs a quote file, --params or --params-file")
-        _, _, _, _, _, fit_result = _fit_from_quote_args(args)
+        _, _, fit_result = _fit_from_quote_args(args)
         if not fit_result.converged:
             print("fit did not converge", file=sys.stderr)
             return EXIT_CONVERGENCE
         params = fit_result.params
 
-    verdict = adiab.adiabatic_check(
-        params, mode=cfg.mode, settings=cfg.search_settings()
-    )
-    curve = dens.density_curve(params, points=cfg.grid_points, span=cfg.span)
-    report = dens.analyze(curve)
-
-    write_csv(out / "density.csv", ["x", "density"], [curve.xs, curve.ps])
-    items = [
+    verdict = adiab.adiabatic_check(params, mode=cfg.mode, settings=cfg.search_settings())
+    report = _density_report(out, cfg, params, "check.txt", [
         ("chi_opt", verdict.chi_opt),
         ("chi_c", verdict.chi_c),
         ("chi_c_source", verdict.source),
         ("adiabatic", verdict.adiabatic),
-        ("total_mass", report.total_mass),
-        ("martingale_gap", report.martingale_gap),
-        ("n_minima", len(report.minima)),
-        ("n_negative_regions", len(report.negative_regions)),
-        ("unimodal", report.unimodal),
-    ]
-    write_report(out / "check.txt", items)
-    _print_report(items)
+    ])
     for point in report.minima:
         print(f"minimum at x={_fmt(point.x)} density={_fmt(point.p)}")
     for lo, hi in report.negative_regions:
         print(f"negative density on [{_fmt(lo)}, {_fmt(hi)}]")
-    if cfg.svg:
-        write_line_plot(
-            out / "density.svg",
-            [("density", curve.xs, curve.ps)],
-            title="smile-implied return density",
-            xlabel="x",
-            ylabel="p(x)",
-        )
-    code = _density_verdict_exit(report)
-    label = {0: "adiabatic", 1: "non-adiabatic", 4: "negative-density"}[code]
+    if report.negative_regions:
+        code, label = EXIT_NEGATIVE_DENSITY, "negative-density"
+    elif report.minima:
+        code, label = EXIT_NON_ADIABATIC, "non-adiabatic"
+    else:
+        code, label = EXIT_OK, "adiabatic"
     print(f"verdict={label}")
     return code
 
 
-def cmd_refit(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
+def cmd_refit(args, cfg: RunConfig, out: Path) -> int:
     settings = cfg.search_settings()
-
-    _, maturity, _, _, quotes, free = _fit_from_quote_args(args)
+    maturity, quotes, free = _fit_from_quote_args(args)
     if not free.converged:
         print("fit did not converge", file=sys.stderr)
         return EXIT_CONVERGENCE
 
     verdict = adiab.adiabatic_check(free.params, mode=cfg.mode, settings=settings)
-    free_curve = dens.density_curve(free.params, points=cfg.grid_points, span=cfg.span)
+    free_curve = dens.density_curve(free.params, points=cfg.grid, span=cfg.span)
     free_report = dens.analyze(free_curve)
 
     final = free
@@ -474,7 +439,7 @@ def cmd_refit(args) -> int:
         bound = verdict.chi_c
         final = constrained_fit_smile(quotes, maturity, chi_max=bound)
         final_report = dens.analyze(
-            dens.density_curve(final.params, points=cfg.grid_points, span=cfg.span)
+            dens.density_curve(final.params, points=cfg.grid, span=cfg.span)
         )
         # The closed-form chi_c is approximate, and re-optimizing (g, n)
         # under the clamp moves the true critical ratio; fall back to the
@@ -488,7 +453,7 @@ def cmd_refit(args) -> int:
             bound = min(bound, numeric) * (1.0 - 1e-3) * (0.995**attempt)
             final = constrained_fit_smile(quotes, maturity, chi_max=bound)
             final_report = dens.analyze(
-                dens.density_curve(final.params, points=cfg.grid_points, span=cfg.span)
+                dens.density_curve(final.params, points=cfg.grid, span=cfg.span)
             )
             attempt += 1
 
@@ -505,8 +470,8 @@ def cmd_refit(args) -> int:
     write_report(out / "refit.txt", items)
 
     xs = free_curve.xs
-    vol_free = _smile_vols(free.params, xs)
-    vol_final = _smile_vols(final.params, xs)
+    vol_free = sigma_of_x(free.params, xs)
+    vol_final = sigma_of_x(final.params, xs)
     p_free = free_curve.ps
     p_final = dens.return_density(final.params, xs)
     write_csv(
@@ -529,39 +494,17 @@ def cmd_refit(args) -> int:
             xlabel="x",
             ylabel="vol",
         )
-    _print_report(items)
     if not final_report.unimodal:
         print("constrained refit still non-unimodal", file=sys.stderr)
         return EXIT_CONSTRAINED_FAILURE
     return EXIT_OK
 
 
-def cmd_density(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
-    params, _ = _params_from_args(args)
+def cmd_density(args, cfg: RunConfig, out: Path) -> int:
+    params = _params_from_args(args)
     if params is None:
         raise QuoteFormatError("density needs --params G,CHI,N with --maturity, or --params-file")
-    curve = dens.density_curve(params, points=cfg.grid_points, span=cfg.span)
-    report = dens.analyze(curve)
-    write_csv(out / "density.csv", ["x", "density"], [curve.xs, curve.ps])
-    items = [
-        ("total_mass", report.total_mass),
-        ("martingale_gap", report.martingale_gap),
-        ("n_minima", len(report.minima)),
-        ("n_negative_regions", len(report.negative_regions)),
-        ("unimodal", report.unimodal),
-    ]
-    write_report(out / "density.txt", items)
-    _print_report(items)
-    if cfg.svg:
-        write_line_plot(
-            out / "density.svg",
-            [("density", curve.xs, curve.ps)],
-            title="smile-implied return density",
-            xlabel="x",
-            ylabel="p(x)",
-        )
+    _density_report(out, cfg, params, "density.txt", [])
     return EXIT_OK
 
 
@@ -585,7 +528,7 @@ _SWEEP_HEADER = ["g", "T", "n", "rho", "chi_c", "status"]
 
 
 def read_sweep_csv(path: str) -> list[adiab.SweepRow]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path, "sweep file").splitlines()
     if not lines or [f.strip() for f in lines[0].split(",")] != _SWEEP_HEADER:
         raise QuoteFormatError(f"{path}: expected header {','.join(_SWEEP_HEADER)}")
     rows = []
@@ -615,9 +558,7 @@ def _row_key(g: float, rho: float, maturity: float) -> tuple[str, str, str]:
     return (format(g, ".12g"), format(rho, ".12g"), format(maturity, ".12g"))
 
 
-def cmd_sweep(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
+def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
     g_axis = _parse_axis(args.g_range, (*adiab.TABLE_RANGES["g"], 6))
     rho_axis = _parse_axis(args.rho_range, (*adiab.TABLE_RANGES["rho"], 6))
     t_axis = _parse_axis(args.t_range, (*adiab.TABLE_RANGES["t"], 6))
@@ -680,9 +621,7 @@ def _sweep_svg(out: Path, rows: list[adiab.SweepRow]) -> None:
         )
 
 
-def cmd_calibrate(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
+def cmd_calibrate(args, cfg: RunConfig, out: Path) -> int:
     rows = read_sweep_csv(args.sweepfile)
     try:
         result = adiab.calibrate_critical_fit(rows)
@@ -703,21 +642,17 @@ def cmd_calibrate(args) -> int:
         ("n_rows", result.n_rows),
     ]
     write_report(out / "calibration.txt", items)
-    _print_report(items)
     return EXIT_OK
 
 
-def cmd_bl_oracle(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
-    params, _ = _params_from_args(args)
+def cmd_bl_oracle(args, cfg: RunConfig, out: Path) -> int:
+    params = _params_from_args(args)
     if params is None:
         raise QuoteFormatError("bl-oracle needs --params G,CHI,N with --maturity, or --params-file")
-    spot = 1.0 if args.spot is None else args.spot
-    rate = 0.0 if args.rate is None else args.rate
+    spot, rate = _market_context(args)
     env = MarketEnv(spot=spot, rate=rate, maturity=params.maturity)
 
-    curve = dens.density_curve(params, points=cfg.grid_points, span=cfg.span)
+    curve = dens.density_curve(params, points=cfg.grid, span=cfg.span)
     strikes = spot * np.exp(curve.xs + rate * params.maturity)
     vol_fn = dens.smile_vol_of_strike(env, params)
     step = None if cfg.step_frac is None else strikes * cfg.step_frac
@@ -749,21 +684,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rate", type=float, default=None, help="risk-free rate (default 0)")
     p.add_argument("--grid", type=int, default=None, help="density grid points")
     p.add_argument("--span", type=float, default=None, help="grid half-width in smile scales")
-    p.add_argument("--chi-max", dest="chi_max", type=float, default=None,
-                   help="upper end of the chi search")
+    p.add_argument("--chi-max", type=float, default=None, help="upper end of the chi search")
     p.add_argument("--mode", choices=("formula", "numeric"), default=None,
                    help="how to evaluate the critical ratio")
-    p.add_argument("--step-frac", dest="step_frac", type=float, default=None,
+    p.add_argument("--step-frac", type=float, default=None,
                    help="oracle stencil step as a fraction of strike")
     p.add_argument("--workers", type=int, default=None, help="parallel sweep workers")
     p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--svg", action="store_true", help="also render SVG plots")
+    p.add_argument("--svg", action="store_true", default=None, help="also render SVG plots")
     p.add_argument("--config", type=str, default=None, help="key=value config file")
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params", type=str, default=None, help="smile parameters G,CHI,N")
-    p.add_argument("--params-file", dest="params_file", type=str, default=None,
+    p.add_argument("--params-file", type=str, default=None,
                    help="key=value file with g, chi, n, maturity")
 
 
@@ -793,11 +727,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("sweep", help="map the critical ratio over a parameter lattice")
-    p.add_argument("--g-range", dest="g_range", type=str, default="",
+    p.add_argument("--g-range", type=str, default="",
                    help="LO:HI:COUNT (default 0.03:0.5:6)")
-    p.add_argument("--rho-range", dest="rho_range", type=str, default="",
+    p.add_argument("--rho-range", type=str, default="",
                    help="LO:HI:COUNT (default 2.5:10:6)")
-    p.add_argument("--t-range", dest="t_range", type=str, default="",
+    p.add_argument("--t-range", type=str, default="",
                    help="LO:HI:COUNT (default 1/365:4:6)")
     _add_common(p)
 
@@ -817,7 +751,10 @@ def main(argv=None) -> int:
     # looked up on each call, so a later patch of a cmd_* name takes effect
     command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return command(args)
+        cfg = resolve_config(args)
+        out = Path(cfg.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return command(args, cfg, out)
     except (QuoteFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

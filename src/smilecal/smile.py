@@ -219,11 +219,7 @@ def _default_init(xs: np.ndarray, vols: np.ndarray, maturity: float) -> SmilePar
 
 
 def fit_smile(
-    quotes: list[VolQuote],
-    maturity: float,
-    init: SmileParams | None = None,
-    max_iter: int = 200,
-    rel_tol: float = 1e-10,
+    quotes: list[VolQuote], maturity: float, init: SmileParams | None = None
 ) -> SmileFitResult:
     """Least-squares fit of the smile to observed vol quotes.
 
@@ -237,8 +233,13 @@ def fit_smile(
     solution. Raises :class:`ConvergenceError` if the iteration diverges
     beyond the range of floats, by overflow or by underflow.
     """
-    xs, vols = _quotes_to_arrays(quotes, maturity)
+    return _fit_arrays(*_quotes_to_arrays(quotes, maturity), maturity, init)
 
+
+def _fit_arrays(
+    xs: np.ndarray, vols: np.ndarray, maturity: float, init: SmileParams | None = None
+) -> SmileFitResult:
+    """:func:`fit_smile` on quotes already converted by :func:`_quotes_to_arrays`."""
     if float(vols.max() - vols.min()) == 0.0:
         params = SmileParams(
             g=float(vols[0]),
@@ -257,10 +258,7 @@ def fit_smile(
         ]
     )
     result = levenberg_marquardt(
-        lambda th: _residuals_and_jacobian(th, xs, vols, maturity, None),
-        theta0,
-        max_iter=max_iter,
-        rel_tol=rel_tol,
+        lambda th: _residuals_and_jacobian(th, xs, vols, maturity, None), theta0
     )
     g, height, n = np.exp(result.theta)
     params = _fitted_params(g, 1.0 + height, n, maturity)
@@ -274,12 +272,7 @@ def fit_smile(
 
 
 def constrained_fit_smile(
-    quotes: list[VolQuote],
-    maturity: float,
-    chi_max: float,
-    init: SmileParams | None = None,
-    max_iter: int = 200,
-    rel_tol: float = 1e-10,
+    quotes: list[VolQuote], maturity: float, chi_max: float
 ) -> SmileFitResult:
     """Fit with the plateau ratio capped at ``chi_max``.
 
@@ -290,11 +283,11 @@ def constrained_fit_smile(
     """
     if chi_max < 1.0:
         raise DomainError(f"chi_max must be >= 1, got {chi_max}")
-    free = fit_smile(quotes, maturity, init=init, max_iter=max_iter, rel_tol=rel_tol)
+    xs, vols = _quotes_to_arrays(quotes, maturity)
+    free = _fit_arrays(xs, vols, maturity)
     if free.params.chi <= chi_max:
         return free
 
-    xs, vols = _quotes_to_arrays(quotes, maturity)
     if chi_max == 1.0:
         # degenerate cap: best flat curve is the plain mean of the vols
         g = float(vols.mean())
@@ -304,10 +297,7 @@ def constrained_fit_smile(
 
     theta0 = np.array([math.log(free.params.g), math.log(free.params.n)])
     result = levenberg_marquardt(
-        lambda th: _residuals_and_jacobian(th, xs, vols, maturity, chi_max),
-        theta0,
-        max_iter=max_iter,
-        rel_tol=rel_tol,
+        lambda th: _residuals_and_jacobian(th, xs, vols, maturity, chi_max), theta0
     )
     g, n = np.exp(result.theta)
     params = _fitted_params(g, chi_max, n, maturity)

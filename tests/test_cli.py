@@ -2,6 +2,8 @@
 file formats, resume behavior, config precedence, determinism.
 """
 
+import argparse
+import dataclasses
 import importlib.util
 import json
 import math
@@ -549,6 +551,90 @@ class TestConfigAndDeterminism:
         for name in ("check.txt", "density.csv", "density.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    # field: (config value, what it sets, flag argv or None, what the flag sets)
+    SETTINGS = {
+        "grid": ("501", 501, ["--grid", "301"], 301),
+        "span": ("8", 8.0, ["--span", "9"], 9.0),
+        "step_frac": ("0.002", 0.002, ["--step-frac", "0.001"], 0.001),
+        "chi_start": ("1.02", 1.02, None, None),
+        "chi_step": ("0.04", 0.04, None, None),
+        "chi_tol": ("1e-5", 1e-5, None, None),
+        "chi_max": ("15", 15.0, ["--chi-max", "12"], 12.0),
+        "mode": ("numeric", "numeric", ["--mode", "formula"], "formula"),
+        "out": ("from-config", "from-config", ["--out", "from-flag"], "from-flag"),
+        "svg": ("yes", True, ["--svg"], True),
+        "workers": ("3", 3, ["--workers", "2"], 2),
+    }
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(cli.RunConfig)])
+    def test_setting_is_config_key_and_flag(self, tmp_path, field):
+        config_value, config_sets, flag, flag_sets = self.SETTINGS[field]
+        key = field.replace("_", "-")
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key}={config_value}\n", encoding="utf-8")
+        argv = ["check", "--config", str(path)]
+
+        def resolved(*extra):
+            return getattr(cli.resolve_config(cli.build_parser().parse_args([*argv, *extra])),
+                           field)
+
+        assert config_sets != getattr(cli.RunConfig(), field)
+        assert resolved() == config_sets  # svg=yes survives a command line without --svg
+        has_flag = f"--{key}" in _subparsers()["check"]._option_string_actions
+        assert has_flag == (flag is not None)
+        assert flag is None or flag[0] == f"--{key}"
+        if flag is not None:
+            assert resolved(*flag) == flag_sets  # the flag overrides the config key
+
+    def test_svg_flag_overrides_config_no(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("svg=no\n", encoding="utf-8")
+        args = ["density", "--config", str(path)]
+        assert cli.resolve_config(cli.build_parser().parse_args(args)).svg is False
+        assert cli.resolve_config(cli.build_parser().parse_args([*args, "--svg"])).svg is True
+
+    def test_usage_names_grid_and_out(self):
+        for name, sub in _subparsers().items():
+            usage = sub.format_usage()
+            assert "[--grid GRID]" in usage and "[--out OUT]" in usage, name
+
+
+def _subparsers() -> dict:
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestUnreadableInputs:
+    """Every input file that cannot be read or decoded exits 2, not in a traceback."""
+
+    READERS = {
+        "quote": lambda path: ["fit", path, "--maturity", "0.5"],
+        "config": lambda path: ["density", "--params", "0.15,1.5,0.005", "--maturity", "0.5",
+                                "--config", path],
+        "params": lambda path: ["check", "--params-file", path],
+        "sweep": lambda path: ["calibrate", path],
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("fault", ["missing", "directory", "undecodable"])
+    def test_exit_2(self, tmp_path, capsys, reader, fault):
+        path = tmp_path / "input"
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "undecodable":
+            path.write_bytes(b"g=0.1\xff\n")
+        argv = self.READERS[reader](str(path))
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_params_file_value_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "p.txt"
+        path.write_text("g=0.1\nchi=2.7\nn=abc\nmaturity=0.5\n", encoding="utf-8")
+        assert main(["check", "--params-file", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 _COLD_START = """
 import json, sys
@@ -695,7 +781,7 @@ class TestParserCache:
         assert main([*self.DENSITY, "--out", str(tmp_path)]) == EXIT_OK
         seen = []
 
-        def patched(args):
+        def patched(args, cfg, out):
             seen.append(args.command)
             return 42
 
