@@ -3,8 +3,8 @@
 
 A fitted plateau ratio chi below the critical value chi_c(g, n, T)
 guarantees a clean density. When the unconstrained fit lands above it,
-refitting with chi clamped to the bound costs very little smile error
-and removes the spurious structure entirely.
+refitting with chi capped just below the bound costs very little smile
+error and removes the spurious structure entirely.
 """
 
 from pathlib import Path
@@ -15,8 +15,8 @@ from smilecal import (
     SmileParams,
     VolQuote,
     adiabatic_check,
+    adiabatic_refit,
     analyze,
-    constrained_fit_smile,
     density_curve,
     fit_smile,
     return_density,
@@ -38,29 +38,13 @@ print(f"unconstrained fit: chi = {free.params.chi:.4f}, rms = {free.residual_rms
 print(f"critical ratio:    chi_c = {verdict.chi_c:.4f} ({verdict.source})")
 print(f"adiabatic: {verdict.adiabatic}")
 
-# Clamp chi at the bound and let (g, n) re-optimize.
-capped = constrained_fit_smile(quotes, seed.maturity, chi_max=verdict.chi_c)
+# Cap chi and let (g, n) re-optimize. The re-optimized (g, n) move the true
+# critical ratio, so the fit capped at chi_c can keep a spurious minimum; then
+# adiabatic_refit bisects the cap on each capped fit's own density verdict
+# and keeps the largest clean cap less 0.1% (the refit CLI calls it too).
+capped = adiabatic_refit(quotes, seed.maturity, chi_max=verdict.chi_c)
 print(f"\nconstrained fit:   chi = {capped.params.chi:.4f}, rms = {capped.residual_rms:.2e}")
-clean = analyze(density_curve(capped.params)).unimodal
-print(f"density unimodal after constraint: {clean}")
-
-# The surface is a fast approximation, and clamping chi moves (g, n),
-# which moves the true critical ratio in turn. When the capped density
-# still shows structure, tighten to the numerically located bound and
-# repeat until the verdicts cross (the refit CLI runs this same loop).
-if not clean:
-    from smilecal import chi_critical_numeric
-
-    bound = verdict.chi_c
-    for attempt in range(5):
-        numeric = chi_critical_numeric(capped.params.g, capped.params.n, seed.maturity)
-        bound = min(bound, numeric) * (1.0 - 1e-3) * (0.995**attempt)
-        capped = constrained_fit_smile(quotes, seed.maturity, chi_max=bound)
-        clean = analyze(density_curve(capped.params)).unimodal
-        print(f"  retry {attempt}: numeric chi_c = {numeric:.4f} -> "
-              f"chi = {capped.params.chi:.4f}, unimodal = {clean}")
-        if clean:
-            break
+print(f"density unimodal after constraint: {analyze(density_curve(capped.params)).unimodal}")
 
 # The price of the constraint is a slightly worse smile fit; the reward
 # is a density without fake structure. Plot both.

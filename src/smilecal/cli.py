@@ -7,7 +7,7 @@ Exit codes are a stable contract:
     2  input could not be read or parsed, or is out of domain
     3  a fit or search failed to converge / calibration not identifiable
     4  density goes negative beyond round-off
-    5  even the constrained refit produced a non-unimodal density
+    5  the refit's final capped fit still has a non-unimodal density
 
 ``density`` and ``bl-oracle`` are report commands: they exit 0 once their
 report is written, whatever the density looks like, and put the verdict in
@@ -25,8 +25,11 @@ directory only) and built-in defaults. Each setting is one
 :class:`RunConfig` field, named by its config key with ``_`` for ``-``:
 config key ``chi-max`` is field ``chi_max`` and flag ``--chi-max``.
 ``chi-start``, ``chi-step`` and ``chi-tol`` are config-only. An input file
-that cannot be read or is not UTF-8 text exits 2, like one that cannot be
-parsed.
+that cannot be read or is not UTF-8 text, or an output directory that
+cannot be created, exits 2, like an input that cannot be parsed.
+
+``refit`` keeps a free fit that passes the check with a unimodal density,
+else caps chi by :func:`smilecal.adiabatic.adiabatic_refit` below ``chi_c``.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .smile import (
     SmileFitResult,
     SmileParams,
     VolQuote,
-    constrained_fit_smile,
+    constrained_fit_smile,  # unused here; bench/tracing.py wraps this name
     fit_smile,
     sigma_of_x,
 )
@@ -88,7 +91,7 @@ class RunConfig:
     chi_tol: float = 1e-4
     chi_max: float = 20.0
     mode: str = "formula"
-    out: str = "."
+    out: str | None = None  # None: SMILECAL_OUT if set, else "."
     svg: bool = False
     workers: int = 1
 
@@ -122,6 +125,7 @@ _PARSERS = {
     "float": float,
     "float | None": float,
     "str": str,
+    "str | None": str,
     "bool": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
 }
 _CONFIG_KEYS = {f.name.replace("_", "-"): f for f in fields(RunConfig)}
@@ -157,10 +161,9 @@ def load_config(path: str) -> RunConfig:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if cfg.out == "." and os.environ.get(ENV_OUT_DIR):
-        cfg = replace(cfg, out=os.environ[ENV_OUT_DIR])
     flags = {f.name: getattr(args, f.name, None) for f in fields(cfg)}
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    return cfg if cfg.out is not None else replace(cfg, out=os.environ.get(ENV_OUT_DIR) or ".")
 
 
 def _fmt(value) -> str:
@@ -261,7 +264,8 @@ def quotes_from_file(
     if qf.kind == "x":
         return [VolQuote(vol=v, x=c) for c, v in qf.rows]
     if qf.kind == "delta":
-        return [VolQuote(vol=v, delta=c) for c, v in qf.rows]
+        # each quote validates its delta, then converts to x once
+        return [VolQuote(vol=v, x=VolQuote(vol=v, delta=c).to_x(maturity)) for c, v in qf.rows]
     env = MarketEnv(spot=spot, rate=rate, maturity=maturity)
     return [VolQuote(vol=v, x=strike_to_x(env, c)) for c, v in qf.rows]
 
@@ -361,9 +365,9 @@ def _density_report(
 
 
 def cmd_fit(args, cfg: RunConfig, out: Path) -> int:
-    maturity, quotes, result = _fit_from_quote_args(args)
+    _, quotes, result = _fit_from_quote_args(args)
     write_report(out / "fit.txt", _fit_report_items(result))
-    xs = np.array([q.to_x(maturity) for q in quotes])
+    xs = np.array([q.x for q in quotes])
     vols = np.array([q.vol for q in quotes])
     fitted = sigma_of_x(result.params, xs)
     write_csv(
@@ -430,32 +434,12 @@ def cmd_refit(args, cfg: RunConfig, out: Path) -> int:
 
     verdict = adiab.adiabatic_check(free.params, mode=cfg.mode, settings=settings)
     free_curve = dens.density_curve(free.params, points=cfg.grid, span=cfg.span)
-    free_report = dens.analyze(free_curve)
-
-    final = free
-    if verdict.adiabatic and free_report.unimodal:
-        final_report = free_report
-    else:
-        bound = verdict.chi_c
-        final = constrained_fit_smile(quotes, maturity, chi_max=bound)
-        final_report = dens.analyze(
-            dens.density_curve(final.params, points=cfg.grid, span=cfg.span)
-        )
-        # The closed-form chi_c is approximate, and re-optimizing (g, n)
-        # under the clamp moves the true critical ratio; fall back to the
-        # numerical search at the constrained optimum, shaving the bound a
-        # little more on each retry until the verdicts cross.
-        attempt = 0
-        while not final_report.unimodal and attempt < 5:
-            numeric = adiab.chi_critical_numeric(
-                final.params.g, final.params.n, maturity, settings
-            )
-            bound = min(bound, numeric) * (1.0 - 1e-3) * (0.995**attempt)
-            final = constrained_fit_smile(quotes, maturity, chi_max=bound)
-            final_report = dens.analyze(
-                dens.density_curve(final.params, points=cfg.grid, span=cfg.span)
-            )
-            attempt += 1
+    final, final_report = free, dens.analyze(free_curve)
+    refit_applied = not (verdict.adiabatic and final_report.unimodal)
+    if refit_applied:
+        final = adiab.adiabatic_refit(quotes, maturity, verdict.chi_c, settings)
+        final_curve = dens.density_curve(final.params, points=cfg.grid, span=cfg.span)
+        final_report = dens.analyze(final_curve)
 
     items = (
         _fit_report_items(free, "unconstrained")
@@ -463,7 +447,7 @@ def cmd_refit(args, cfg: RunConfig, out: Path) -> int:
         + [
             ("chi_c", verdict.chi_c),
             ("chi_c_source", verdict.source),
-            ("refit_applied", final is not free),
+            ("refit_applied", refit_applied),
             ("final_unimodal", final_report.unimodal),
         ]
     )
@@ -753,7 +737,10 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise QuoteFormatError(f"cannot create output directory {out}: {exc}") from exc
         return command(args, cfg, out)
     except (QuoteFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

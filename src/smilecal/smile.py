@@ -200,22 +200,31 @@ def _residuals_and_jacobian(
     return r, jac
 
 
-def _fitted_params(g, chi, n, maturity: float) -> SmileParams:
-    """Smile at the solver's log-parameters. A g or n that underflowed to
-    zero raises :class:`ConvergenceError`: the fit has diverged, the input
-    need not be at fault."""
-    g, n = float(g), float(n)
+def _solve(
+    xs: np.ndarray, vols: np.ndarray, start: SmileParams, chi_fixed: float | None
+) -> SmileFitResult:
+    """LM fit from ``start`` of (g, chi, n), or of (g, n) with chi pinned at
+    ``chi_fixed``. A g or n that underflows to zero raises
+    :class:`ConvergenceError`: the fit diverged, the input need not be at fault."""
+    logs = [math.log(start.g), math.log(start.n)]
+    if chi_fixed is None:
+        logs.insert(1, math.log(max(start.chi - 1.0, 0.0) + _CHI_FLOOR_EPS))
+    maturity = start.maturity
+    result = levenberg_marquardt(
+        lambda th: _residuals_and_jacobian(th, xs, vols, maturity, chi_fixed), np.array(logs)
+    )
+    values = [float(v) for v in np.exp(result.theta)]
+    g, n = values[0], values[-1]
+    chi = 1.0 + values[1] if chi_fixed is None else chi_fixed
     if g == 0.0 or n == 0.0:
         raise ConvergenceError(f"smile fit diverged: g={g}, n={n} underflowed to zero")
-    return SmileParams(g=g, chi=float(chi), n=n, maturity=maturity)
-
-
-def _default_init(xs: np.ndarray, vols: np.ndarray, maturity: float) -> SmileParams:
-    g0 = float(vols.min())
-    chi0 = float(vols.max() / vols.min())
-    span = float(xs.max() - xs.min())
-    n0 = (span / 4.0) ** 2
-    return SmileParams(g=g0, chi=max(chi0, 1.0), n=max(n0, 1e-12), maturity=maturity)
+    return SmileFitResult(
+        SmileParams(g=g, chi=float(chi), n=n, maturity=maturity),
+        residual_rms=math.sqrt(2.0 * result.cost / xs.size),
+        converged=result.converged,
+        constrained=chi_fixed is not None,
+        iterations=result.iterations,
+    )
 
 
 def fit_smile(
@@ -239,36 +248,15 @@ def fit_smile(
 def _fit_arrays(
     xs: np.ndarray, vols: np.ndarray, maturity: float, init: SmileParams | None = None
 ) -> SmileFitResult:
-    """:func:`fit_smile` on quotes already converted by :func:`_quotes_to_arrays`."""
+    """:func:`fit_smile` on quotes already converted by :func:`_quotes_to_arrays`.
+    Without ``init`` it starts at the lowest vol, chi = highest / lowest vol
+    and a half-width of a quarter of the quoted span."""
+    n0 = max((float(xs.max() - xs.min()) / 4.0) ** 2, 1e-12)
     if float(vols.max() - vols.min()) == 0.0:
-        params = SmileParams(
-            g=float(vols[0]),
-            chi=1.0,
-            n=max((float(xs.max() - xs.min()) / 4.0) ** 2, 1e-12),
-            maturity=maturity,
-        )
+        params = SmileParams(g=float(vols[0]), chi=1.0, n=n0, maturity=maturity)
         return SmileFitResult(params, residual_rms=0.0, converged=True, iterations=0)
-
-    start = init if init is not None else _default_init(xs, vols, maturity)
-    theta0 = np.array(
-        [
-            math.log(start.g),
-            math.log(max(start.chi - 1.0, 0.0) + _CHI_FLOOR_EPS),
-            math.log(start.n),
-        ]
-    )
-    result = levenberg_marquardt(
-        lambda th: _residuals_and_jacobian(th, xs, vols, maturity, None), theta0
-    )
-    g, height, n = np.exp(result.theta)
-    params = _fitted_params(g, 1.0 + height, n, maturity)
-    rms = math.sqrt(2.0 * result.cost / xs.size)
-    return SmileFitResult(
-        params,
-        residual_rms=rms,
-        converged=result.converged,
-        iterations=result.iterations,
-    )
+    g0, chi0 = float(vols.min()), float(vols.max() / vols.min())
+    return _solve(xs, vols, init or SmileParams(g0, chi0, n0, maturity), None)
 
 
 def constrained_fit_smile(
@@ -281,34 +269,29 @@ def constrained_fit_smile(
     and (g, n) are re-optimized; for a single scalar bound this active-set
     treatment is exact.
     """
-    if chi_max < 1.0:
-        raise DomainError(f"chi_max must be >= 1, got {chi_max}")
     xs, vols = _quotes_to_arrays(quotes, maturity)
     free = _fit_arrays(xs, vols, maturity)
+    return _capped_fit(xs, vols, free, chi_max, free.params)
+
+
+def _capped_fit(
+    xs: np.ndarray, vols: np.ndarray, free: SmileFitResult, chi_max: float,
+    start: SmileParams,
+) -> SmileFitResult:
+    """:func:`constrained_fit_smile` on converted quotes whose free fit is
+    ``free``, re-optimizing the clamped (g, n) from ``start``."""
+    if not chi_max >= 1.0:
+        raise DomainError(f"chi_max must be >= 1, got {chi_max}")
     if free.params.chi <= chi_max:
         return free
-
     if chi_max == 1.0:
         # degenerate cap: best flat curve is the plain mean of the vols
         g = float(vols.mean())
-        params = SmileParams(g=g, chi=1.0, n=free.params.n, maturity=maturity)
+        params = SmileParams(g=g, chi=1.0, n=free.params.n, maturity=free.params.maturity)
         rms = math.sqrt(float(np.mean((vols - g) ** 2)))
         return SmileFitResult(params, residual_rms=rms, converged=True, constrained=True)
 
-    theta0 = np.array([math.log(free.params.g), math.log(free.params.n)])
-    result = levenberg_marquardt(
-        lambda th: _residuals_and_jacobian(th, xs, vols, maturity, chi_max), theta0
-    )
-    g, n = np.exp(result.theta)
-    params = _fitted_params(g, chi_max, n, maturity)
-    rms = math.sqrt(2.0 * result.cost / xs.size)
-    return SmileFitResult(
-        params,
-        residual_rms=rms,
-        converged=result.converged,
-        constrained=True,
-        iterations=result.iterations,
-    )
+    return _solve(xs, vols, start, chi_max)
 
 
 def scaling_fit(smiles: list[SmileParams]) -> ScalingFitResult:

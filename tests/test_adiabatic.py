@@ -19,14 +19,19 @@ from smilecal import (
     IdentifiabilityError,
     SmileParams,
     SweepRow,
+    VolQuote,
     adiabatic_check,
+    adiabatic_refit,
     analyze,
     calibrate_critical_fit,
     chi_critical_formula,
     chi_critical_numeric,
+    constrained_fit_smile,
     default_sweep_axes,
     density_curve,
+    fit_smile,
     gaussian_return_density,
+    sigma_of_x,
     sweep,
     sweep_points,
 )
@@ -256,6 +261,20 @@ class TestJumpedStart:
         monkeypatch.setattr(smilecal.adiabatic, "analyze", counting)
         chi_critical_numeric(**FIG1)
         assert len(calls) <= 13
+
+    def test_bisects_through_the_shared_helper(self, monkeypatch):
+        brackets = []
+        real = smilecal.adiabatic._bisect
+
+        def recording(non_unimodal, lo, hi, tol):
+            brackets.append(real(non_unimodal, lo, hi, tol))
+            return brackets[-1]
+
+        monkeypatch.setattr(smilecal.adiabatic, "_bisect", recording)
+        assert chi_critical_numeric(**FIG1) == _reference_chi_critical_numeric(**FIG1)
+        assert len(brackets) == 1
+        lo, hi = brackets[0]
+        assert 0.0 < hi - lo <= ChiSearchSettings().tol
 
 
 class TestChiSearchSettings:
@@ -491,3 +510,64 @@ class TestAdiabaticCheck:
     def test_bad_mode(self):
         with pytest.raises(DomainError):
             adiabatic_check(FIG2_PARAMS, mode="guess")
+
+
+# the five-attempt shaving loop's final chi on the Fig. 1 quotes, which the
+# bisected cap replaced
+SHAVED_FIG1_CHI = 2.3944401525124506
+
+
+def _unimodal(fit) -> bool:
+    return analyze(density_curve(fit.params)).unimodal
+
+
+def _quotes(truth: SmileParams) -> list[VolQuote]:
+    xs = truth.x_min + np.linspace(-0.45, 0.45, 15)
+    return [VolQuote(vol=float(sigma_of_x(truth, float(x))), x=float(x)) for x in xs]
+
+
+class TestAdiabaticRefit:
+    QUOTES = _quotes(SmileParams(chi=2.7, **FIG1))
+
+    @pytest.fixture(scope="class")
+    def fig1(self):
+        chi_max = adiabatic_check(fit_smile(self.QUOTES, 0.5).params).chi_c
+        return chi_max, adiabatic_refit(self.QUOTES, 0.5, chi_max)
+
+    def test_fig1_ends_at_the_largest_clean_cap(self, fig1):
+        chi_max, final = fig1
+        # the fit capped at the surface bound is not clean, so the cap moved
+        assert not _unimodal(constrained_fit_smile(self.QUOTES, 0.5, chi_max))
+        assert final.constrained and _unimodal(final)
+        assert SHAVED_FIG1_CHI < final.params.chi < chi_max
+        above = constrained_fit_smile(self.QUOTES, 0.5, 1.002 * final.params.chi)
+        assert not _unimodal(above)
+
+    def test_verdict_monotone_below_the_final_cap(self, fig1):
+        # the bisection assumes every cap below a clean one is clean: check
+        # it from the first midpoint up to the final cap
+        chi_max, final = fig1
+        for cap in np.linspace(0.5 * (1.0 + chi_max), final.params.chi, 12):
+            assert _unimodal(constrained_fit_smile(self.QUOTES, 0.5, float(cap))), cap
+
+    def test_clean_bound_returns_the_capped_fit(self):
+        capped = constrained_fit_smile(self.QUOTES, 0.5, 2.0)
+        assert _unimodal(capped)
+        assert adiabatic_refit(self.QUOTES, 0.5, 2.0) == capped
+
+    def test_bound_above_a_clean_free_fit_returns_it(self):
+        quotes = _quotes(SmileParams(g=0.15, chi=1.6, n=0.07875, maturity=0.5))
+        free = fit_smile(quotes, 0.5)
+        assert _unimodal(free)
+        assert adiabatic_refit(quotes, 0.5, 3.0) == free
+
+    def test_tolerance_sets_the_final_cap(self, fig1):
+        chi_max, final = fig1
+        coarse = adiabatic_refit(self.QUOTES, 0.5, chi_max, ChiSearchSettings(tol=0.05))
+        assert _unimodal(coarse)
+        assert final.params.chi - 0.06 < coarse.params.chi <= final.params.chi
+
+    @pytest.mark.parametrize("chi_max", [0.5, math.nan])
+    def test_bound_below_one_rejected(self, chi_max):
+        with pytest.raises(DomainError):
+            adiabatic_refit(self.QUOTES, 0.5, chi_max)

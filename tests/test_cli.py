@@ -48,6 +48,17 @@ def _write_quotes(path, params, n_points=11, halfspan=0.15, kind="x"):
     return path
 
 
+def _write_delta_quotes(path, params, n_points=9):
+    lines = ["delta,vol"]
+    for x in params.x_min + np.linspace(-0.1, 0.1, n_points):
+        vol = float(sigma_of_x(params, float(x)))
+        srt = vol * math.sqrt(params.maturity)
+        delta = std_normal_cdf((0.5 * vol * vol * params.maturity - float(x)) / srt)
+        lines.append(f"{delta!r},{vol!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 class TestQuoteParsing:
     def test_x_quotes_with_context(self, tmp_path):
         qfile = _write_quotes(tmp_path / "q.csv", TRUTH)
@@ -141,21 +152,46 @@ class TestFit:
         assert main(["fit", str(p)]) == EXIT_PARSE
 
     def test_delta_quotes(self, tmp_path):
-        from smilecal import std_normal_cdf
-
-        xs = TRUTH.x_min + np.linspace(-0.1, 0.1, 9)
-        lines = ["delta,vol"]
-        for x in xs:
-            vol = float(sigma_of_x(TRUTH, float(x)))
-            srt = vol * math.sqrt(TRUTH.maturity)
-            delta = std_normal_cdf((0.5 * vol * vol * TRUTH.maturity - float(x)) / srt)
-            lines.append(f"{delta!r},{vol!r}")
-        p = tmp_path / "d.csv"
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        p = _write_delta_quotes(tmp_path / "d.csv", TRUTH)
         out = tmp_path / "out"
         code = main(["fit", str(p), "--maturity", str(TRUTH.maturity), "--out", str(out)])
         assert code == EXIT_OK
         assert float(read_report(out / "fit.txt")["g"]) == pytest.approx(TRUTH.g, rel=1e-6)
+
+    def test_delta_quotes_convert_once(self, tmp_path, monkeypatch):
+        import smilecal.smile
+
+        p = _write_delta_quotes(tmp_path / "d.csv", TRUTH, n_points=15)
+        # reference: fit the delta quotes themselves, then convert each for
+        # the residual table, as the fit command did before converting once
+        t = TRUTH.maturity
+        quotes = [smilecal.VolQuote(vol=v, delta=d) for d, v in parse_quote_file(str(p)).rows]
+        fitted = smilecal.fit_smile(quotes, t).params
+        xs = np.array([q.to_x(t) for q in quotes])
+        vols = np.array([q.vol for q in quotes])
+        model = sigma_of_x(fitted, xs)
+        write_csv(tmp_path / "reference.csv", ["x", "vol_observed", "vol_fitted", "residual"],
+                  [xs, vols, model, model - vols])
+
+        calls = []
+        real = smilecal.smile.delta_to_x
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(smilecal.smile, "delta_to_x", counting)
+        out = tmp_path / "out"
+        assert main(["fit", str(p), "--maturity", repr(t), "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 15
+        assert (out / "fit_residuals.csv").read_bytes() == (
+            tmp_path / "reference.csv").read_bytes()
+
+    def test_bad_delta_message_unchanged(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        p.write_text("delta,vol\n0.2,0.1\n0.4,0.1\n1.5,0.1\n0.8,0.1\n", encoding="utf-8")
+        assert main(["fit", str(p), "--maturity", "0.5", "--out", str(tmp_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: delta must lie in (0, 1), got 1.5\n"
 
     def test_strike_quotes_with_context(self, tmp_path):
         spot, rate = 100.0, 0.02
@@ -253,6 +289,9 @@ class TestRefit:
         assert report["final_unimodal"] == "True"
         assert float(report["final_chi"]) <= float(report["chi_c"]) + 1e-12
         assert float(report["unconstrained_chi"]) == pytest.approx(2.7, rel=1e-4)
+        # above the final chi 2.3944401525124506 of the five-attempt
+        # shaving loop that the bisected cap replaced
+        assert float(report["final_chi"]) > 2.3944401525124506
         # comparison file carries both curves on one grid
         lines = (out / "refit_comparison.csv").read_text().splitlines()
         assert lines[0] == (
@@ -274,6 +313,16 @@ class TestRefit:
             maturity=float(report["final_maturity"]),
         )
         assert analyze(density_curve(params)).unimodal
+
+    def test_formula_refit_runs_no_numeric_search(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("chi_critical_numeric called")
+
+        monkeypatch.setattr(adiabatic, "chi_critical_numeric", refuse)
+        out = tmp_path / "out"
+        code = main(["refit", str(self._nonadiabatic_quotes(tmp_path)), "--out", str(out)])
+        assert code == EXIT_OK
+        assert read_report(out / "refit.txt")["final_unimodal"] == "True"
 
     def test_adiabatic_input_unchanged(self, tmp_path):
         qfile = _write_quotes(tmp_path / "q.csv", ADIABATIC, n_points=13, halfspan=0.6)
@@ -298,9 +347,6 @@ class TestRefit:
             )
 
         monkeypatch.setattr(cli_mod.dens, "analyze", always_bad)
-        monkeypatch.setattr(
-            cli_mod.adiab, "chi_critical_numeric", lambda g, n, t, s=None: 1.5
-        )
         qfile = self._nonadiabatic_quotes(tmp_path)
         out = tmp_path / "out"
         code = main(["refit", str(qfile), "--out", str(out)])
@@ -535,6 +581,29 @@ class TestConfigAndDeterminism:
         assert code == EXIT_PARSE
         assert capsys.readouterr().err == "error: a density curve needs at least 3 samples\n"
         assert not (out / "density.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n", encoding="utf-8")
+        argv = ["density", "--params", "0.15,1.5,0.005", "--maturity", "0.5"]
+        if source == "flag":
+            argv += ["--out", str(afile)]
+        else:
+            monkeypatch.setenv("SMILECAL_OUT", str(afile))
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot create output directory {afile}: ")
+
+    def test_config_out_dot_beats_env(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("out=.\n", encoding="utf-8")
+        monkeypatch.setenv("SMILECAL_OUT", str(tmp_path / "envdir"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["density", "--params", "0.15,1.5,0.005", "--maturity", "0.5",
+                     "--config", str(cfg)]) == EXIT_OK
+        assert (tmp_path / "density.csv").exists()
+        assert not (tmp_path / "envdir").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
