@@ -4,7 +4,8 @@
 A fitted plateau ratio chi below the critical value chi_c(g, n, T)
 guarantees a clean density. When the unconstrained fit lands above it,
 refitting with chi capped just below the bound costs very little smile
-error and removes the spurious structure entirely.
+error and removes the spurious structure entirely. adiabatic_refit makes
+that keep-or-cap decision and returns the final fit with its density report.
 """
 
 from pathlib import Path
@@ -16,7 +17,6 @@ from smilecal import (
     VolQuote,
     adiabatic_check,
     adiabatic_refit,
-    analyze,
     density_curve,
     fit_smile,
     return_density,
@@ -38,13 +38,14 @@ print(f"unconstrained fit: chi = {free.params.chi:.4f}, rms = {free.residual_rms
 print(f"critical ratio:    chi_c = {verdict.chi_c:.4f} ({verdict.source})")
 print(f"adiabatic: {verdict.adiabatic}")
 
-# Cap chi and let (g, n) re-optimize. The re-optimized (g, n) move the true
-# critical ratio, so the fit capped at chi_c can keep a spurious minimum; then
-# adiabatic_refit bisects the cap on each capped fit's own density verdict
-# and keeps the largest clean cap less 0.1% (the refit CLI calls it too).
-capped = adiabatic_refit(quotes, seed.maturity, chi_max=verdict.chi_c)
+# adiabatic_refit keeps a free fit below chi_c whose density is clean. Else it
+# caps chi and lets (g, n) re-optimize; that moves the true critical ratio, so
+# the fit capped at chi_c can keep a spurious minimum, and then it bisects the
+# cap on each capped fit's own density verdict and keeps the largest clean cap
+# less 0.1%. The refit CLI makes the same one call.
+capped, report = adiabatic_refit(quotes, free, chi_max=verdict.chi_c)
 print(f"\nconstrained fit:   chi = {capped.params.chi:.4f}, rms = {capped.residual_rms:.2e}")
-print(f"density unimodal after constraint: {analyze(density_curve(capped.params)).unimodal}")
+print(f"density unimodal after constraint: {report.unimodal}")
 
 # The price of the constraint is a slightly worse smile fit; the reward
 # is a density without fake structure. Plot both.

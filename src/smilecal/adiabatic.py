@@ -31,7 +31,8 @@ from itertools import product
 import numpy as np
 
 from ._lm import levenberg_marquardt
-from .density import STANDARD_GRID_POINTS, STANDARD_SPAN, analyze, density_curve
+from .density import STANDARD_GRID_POINTS, STANDARD_SPAN, DensityReport
+from .density import analyze, density_curve
 from .errors import (
     CriticalSearchError,
     DomainError,
@@ -39,7 +40,7 @@ from .errors import (
     SmilecalError,
 )
 from .smile import SmileFitResult, SmileParams, VolQuote
-from .smile import _capped_fit, _fit_arrays, _quotes_to_arrays
+from .smile import _capped_fit, _quotes_to_arrays
 
 __all__ = [
     "CriticalFitParams",
@@ -166,17 +167,20 @@ def square_well_critical_x(sigma1: float, chi: float, maturity: float) -> float:
     return base * math.sqrt(ratio)
 
 
-def _is_non_unimodal(params: SmileParams, settings: ChiSearchSettings) -> bool:
+def _verdict(params: SmileParams, settings: ChiSearchSettings) -> DensityReport:
+    """The density report of ``params`` on the ``settings`` grid."""
     curve = density_curve(params, points=settings.grid_points, span=settings.span)
-    return not analyze(curve).unimodal
+    return analyze(curve)
 
 
 # The box of (rho, s = g*sqrt(T)) that the Table-1 lattice covers, each
 # edge widened by a relative 1e-9 because rounding puts some lattice
 # points just outside the exact bounds. On it the verdict has been
 # checked unimodal below chi_c, and the surface is within 1% of chi_c.
-_BOX_RHO = (2.5 * (1.0 - 1e-9), 10.0 * (1.0 + 1e-9))
-_BOX_S = (0.03 / math.sqrt(365.0) * (1.0 - 1e-9), 1.0 + 1e-9)
+_S_EDGES = [g * math.sqrt(t) for g, t in zip(TABLE_RANGES["g"], TABLE_RANGES["t"])]
+_BOX_RHO, _BOX_S = (
+    (lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)) for lo, hi in (TABLE_RANGES["rho"], _S_EDGES)
+)
 
 
 def _in_calibrated_box(g: float, n: float, maturity: float) -> bool:
@@ -221,9 +225,7 @@ def chi_critical_numeric(
     opts = settings or ChiSearchSettings()
 
     def non_unimodal(chi: float) -> bool:
-        return _is_non_unimodal(
-            SmileParams(g=g, chi=chi, n=n, maturity=maturity), opts
-        )
+        return not _verdict(SmileParams(g=g, chi=chi, n=n, maturity=maturity), opts).unimodal
 
     def scan(chi: float) -> tuple[float, float]:
         lo = 1.0  # the chi -> 1 limit is Gaussian, hence unimodal
@@ -424,7 +426,6 @@ def calibrate_critical_fit(
 
 def adiabatic_check(
     params: SmileParams,
-    fit: CriticalFitParams | None = None,
     mode: str = "formula",
     settings: ChiSearchSettings | None = None,
 ) -> AdiabaticVerdict:
@@ -440,7 +441,7 @@ def adiabatic_check(
     the surface far outside its calibrated range.
     """
     if mode == "formula":
-        chi_c = chi_critical_formula(params.g, params.n, params.maturity, fit)
+        chi_c = chi_critical_formula(params.g, params.n, params.maturity)
     elif mode == "numeric":
         chi_c = chi_critical_numeric(params.g, params.n, params.maturity, settings)
     else:
@@ -455,31 +456,35 @@ def adiabatic_check(
 
 def adiabatic_refit(
     quotes: list[VolQuote],
-    maturity: float,
+    free: SmileFitResult,
     chi_max: float,
     settings: ChiSearchSettings | None = None,
-) -> SmileFitResult:
+) -> tuple[SmileFitResult, DensityReport]:
     """The fit with chi capped at ``chi_max`` if its density is unimodal,
-    else at the largest clean cap, to ``settings.tol``, less 0.1%.
+    else at the largest clean cap, to ``settings.tol``, less 0.1%; with the
+    final fit's density report on the ``settings`` grid.
 
-    The cap is bisected on ``[1, chi_max]`` on each capped fit's verdict
-    (on the ``settings`` grid), each fit starting from the one before; at
-    chi = 1 the density is Gaussian, so that end needs no verdict.
+    ``free`` is the quotes' unconstrained fit: capped at or above its chi it
+    is kept, and a flat one (chi = 1, Gaussian) is kept whatever ``chi_max``
+    is. The cap is bisected on ``[1, chi_max]`` on each capped fit's verdict,
+    each fit starting from the one before; at chi = 1 the density is
+    Gaussian, so that end needs no verdict.
     """
     opts = settings or ChiSearchSettings()
-    xs, vols = _quotes_to_arrays(quotes, maturity)
-    fit = free = _fit_arrays(xs, vols, maturity)
+    xs, vols = _quotes_to_arrays(quotes, free.params.maturity)
+    fit, report = free, None
 
     def non_unimodal(chi: float) -> bool:
-        nonlocal fit
+        nonlocal fit, report
         fit = _capped_fit(xs, vols, free, chi, fit.params)
-        return _is_non_unimodal(fit.params, opts)
+        report = _verdict(fit.params, opts)
+        return not report.unimodal
 
-    if not non_unimodal(chi_max):
-        return fit
-    lo, _ = _bisect(non_unimodal, 1.0, chi_max, opts.tol)
-    # Clearance below the last clean cap, which sits on the verdict's edge:
-    # without it, of 400 non-adiabatic benchmark desk refits, 22 re-solved to
-    # a fit the verdict rejects and one kept a minimum that a
-    # Breeden-Litzenberger density from call prices resolves.
-    return _capped_fit(xs, vols, free, max(1.0, lo * (1.0 - 1e-3)), fit.params)
+    if non_unimodal(chi_max if free.params.chi > 1.0 else 1.0):
+        lo, _ = _bisect(non_unimodal, 1.0, chi_max, opts.tol)
+        # Clearance below the last clean cap, which sits on the verdict's
+        # edge: without it, of 400 non-adiabatic benchmark desk refits, 22
+        # re-solved to a fit the verdict rejects and one kept a minimum that
+        # a Breeden-Litzenberger density from call prices resolves.
+        non_unimodal(max(1.0, lo * (1.0 - 1e-3)))
+    return fit, report

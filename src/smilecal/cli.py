@@ -28,8 +28,8 @@ config key ``chi-max`` is field ``chi_max`` and flag ``--chi-max``.
 that cannot be read or is not UTF-8 text, or an output directory that
 cannot be created, exits 2, like an input that cannot be parsed.
 
-``refit`` keeps a free fit that passes the check with a unimodal density,
-else caps chi by :func:`smilecal.adiabatic.adiabatic_refit` below ``chi_c``.
+``refit`` hands the free fit and the check's ``chi_c`` to
+:func:`smilecal.adiabatic.adiabatic_refit`, which keeps the fit or caps chi.
 """
 
 from __future__ import annotations
@@ -308,13 +308,13 @@ def _params_from_args(args) -> SmileParams | None:
     return None
 
 
-def _fit_from_quote_args(args) -> tuple[float, list[VolQuote], SmileFitResult]:
+def _fit_from_quote_args(args) -> tuple[list[VolQuote], SmileFitResult]:
     qf = parse_quote_file(args.quotefile)
     maturity = qf.context.get("maturity") if args.maturity is None else args.maturity
     if maturity is None:
         raise QuoteFormatError("maturity required: pass --maturity or a maturity context row")
     quotes = quotes_from_file(qf, maturity, *_market_context(args, qf))
-    return maturity, quotes, fit_smile(quotes, maturity)
+    return quotes, fit_smile(quotes, maturity)
 
 
 def _fit_report_items(result, label: str = "") -> list[tuple[str, object]]:
@@ -365,7 +365,7 @@ def _density_report(
 
 
 def cmd_fit(args, cfg: RunConfig, out: Path) -> int:
-    _, quotes, result = _fit_from_quote_args(args)
+    quotes, result = _fit_from_quote_args(args)
     write_report(out / "fit.txt", _fit_report_items(result))
     xs = np.array([q.x for q in quotes])
     vols = np.array([q.vol for q in quotes])
@@ -398,7 +398,7 @@ def cmd_check(args, cfg: RunConfig, out: Path) -> int:
     if params is None:
         if not args.quotefile:
             raise QuoteFormatError("check needs a quote file, --params or --params-file")
-        _, _, fit_result = _fit_from_quote_args(args)
+        _, fit_result = _fit_from_quote_args(args)
         if not fit_result.converged:
             print("fit did not converge", file=sys.stderr)
             return EXIT_CONVERGENCE
@@ -427,32 +427,26 @@ def cmd_check(args, cfg: RunConfig, out: Path) -> int:
 
 def cmd_refit(args, cfg: RunConfig, out: Path) -> int:
     settings = cfg.search_settings()
-    maturity, quotes, free = _fit_from_quote_args(args)
+    quotes, free = _fit_from_quote_args(args)
     if not free.converged:
         print("fit did not converge", file=sys.stderr)
         return EXIT_CONVERGENCE
 
     verdict = adiab.adiabatic_check(free.params, mode=cfg.mode, settings=settings)
-    free_curve = dens.density_curve(free.params, points=cfg.grid, span=cfg.span)
-    final, final_report = free, dens.analyze(free_curve)
-    refit_applied = not (verdict.adiabatic and final_report.unimodal)
-    if refit_applied:
-        final = adiab.adiabatic_refit(quotes, maturity, verdict.chi_c, settings)
-        final_curve = dens.density_curve(final.params, points=cfg.grid, span=cfg.span)
-        final_report = dens.analyze(final_curve)
-
+    final, final_report = adiab.adiabatic_refit(quotes, free, verdict.chi_c, settings)
     items = (
         _fit_report_items(free, "unconstrained")
         + _fit_report_items(final, "final")
         + [
             ("chi_c", verdict.chi_c),
             ("chi_c_source", verdict.source),
-            ("refit_applied", refit_applied),
+            ("refit_applied", final is not free),
             ("final_unimodal", final_report.unimodal),
         ]
     )
     write_report(out / "refit.txt", items)
 
+    free_curve = dens.density_curve(free.params, points=cfg.grid, span=cfg.span)
     xs = free_curve.xs
     vol_free = sigma_of_x(free.params, xs)
     vol_final = sigma_of_x(final.params, xs)
@@ -492,17 +486,16 @@ def cmd_density(args, cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _parse_axis(spec: str, default: tuple[float, float, int]) -> np.ndarray:
+def _parse_axis(spec: str, default: np.ndarray) -> np.ndarray:
     if not spec:
-        lo, hi, count = default
-    else:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise QuoteFormatError(f"axis spec must be LO:HI:COUNT, got {spec!r}")
-        try:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise QuoteFormatError(f"bad axis spec {spec!r}: {exc}") from exc
+        return default
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise QuoteFormatError(f"axis spec must be LO:HI:COUNT, got {spec!r}")
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise QuoteFormatError(f"bad axis spec {spec!r}: {exc}") from exc
     if not (0 < lo <= hi) or count < 1:
         raise QuoteFormatError(f"axis spec out of range: {spec!r}")
     return np.geomspace(lo, hi, count)
@@ -543,9 +536,8 @@ def _row_key(g: float, rho: float, maturity: float) -> tuple[str, str, str]:
 
 
 def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
-    g_axis = _parse_axis(args.g_range, (*adiab.TABLE_RANGES["g"], 6))
-    rho_axis = _parse_axis(args.rho_range, (*adiab.TABLE_RANGES["rho"], 6))
-    t_axis = _parse_axis(args.t_range, (*adiab.TABLE_RANGES["t"], 6))
+    specs = (args.g_range, args.rho_range, args.t_range)
+    g_axis, rho_axis, t_axis = map(_parse_axis, specs, adiab.default_sweep_axes())
     path = out / "sweep.csv"
 
     done: dict[tuple[str, str, str], adiab.SweepRow] = {}

@@ -528,11 +528,14 @@ def _quotes(truth: SmileParams) -> list[VolQuote]:
 
 class TestAdiabaticRefit:
     QUOTES = _quotes(SmileParams(chi=2.7, **FIG1))
+    FREE = fit_smile(QUOTES, 0.5)
 
     @pytest.fixture(scope="class")
     def fig1(self):
-        chi_max = adiabatic_check(fit_smile(self.QUOTES, 0.5).params).chi_c
-        return chi_max, adiabatic_refit(self.QUOTES, 0.5, chi_max)
+        chi_max = adiabatic_check(self.FREE.params).chi_c
+        final, report = adiabatic_refit(self.QUOTES, self.FREE, chi_max)
+        assert report == analyze(density_curve(final.params))
+        return chi_max, final
 
     def test_fig1_ends_at_the_largest_clean_cap(self, fig1):
         chi_max, final = fig1
@@ -553,21 +556,28 @@ class TestAdiabaticRefit:
     def test_clean_bound_returns_the_capped_fit(self):
         capped = constrained_fit_smile(self.QUOTES, 0.5, 2.0)
         assert _unimodal(capped)
-        assert adiabatic_refit(self.QUOTES, 0.5, 2.0) == capped
+        assert adiabatic_refit(self.QUOTES, self.FREE, 2.0)[0] == capped
 
     def test_bound_above_a_clean_free_fit_returns_it(self):
         quotes = _quotes(SmileParams(g=0.15, chi=1.6, n=0.07875, maturity=0.5))
         free = fit_smile(quotes, 0.5)
         assert _unimodal(free)
-        assert adiabatic_refit(quotes, 0.5, 3.0) == free
+        assert adiabatic_refit(quotes, free, 3.0)[0] is free
 
     def test_tolerance_sets_the_final_cap(self, fig1):
         chi_max, final = fig1
-        coarse = adiabatic_refit(self.QUOTES, 0.5, chi_max, ChiSearchSettings(tol=0.05))
+        coarse, _ = adiabatic_refit(self.QUOTES, self.FREE, chi_max, ChiSearchSettings(tol=0.05))
         assert _unimodal(coarse)
         assert final.params.chi - 0.06 < coarse.params.chi <= final.params.chi
 
     @pytest.mark.parametrize("chi_max", [0.5, math.nan])
+    def test_flat_free_fit_kept_whatever_the_bound(self, chi_max):
+        quotes = [VolQuote(vol=0.2, x=x) for x in (-0.1, -0.03, 0.02, 0.08)]
+        free = fit_smile(quotes, 0.5)
+        final, report = adiabatic_refit(quotes, free, chi_max)
+        assert final is free and report.unimodal
+
+    @pytest.mark.parametrize("chi_max", [0.5, math.nan])
     def test_bound_below_one_rejected(self, chi_max):
         with pytest.raises(DomainError):
-            adiabatic_refit(self.QUOTES, 0.5, chi_max)
+            adiabatic_refit(self.QUOTES, self.FREE, chi_max)

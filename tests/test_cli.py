@@ -334,8 +334,7 @@ class TestRefit:
         assert report["final_chi"] == report["unconstrained_chi"]
 
     def test_exit_5_when_no_bound_cleans_the_density(self, tmp_path, monkeypatch):
-        # force every density report to show a minimum so no clamp can win
-        import smilecal.cli as cli_mod
+        # force every density verdict to show a minimum so no clamp can win
         from smilecal.density import DensityReport, StationaryPoint
 
         def always_bad(curve):
@@ -346,12 +345,56 @@ class TestRefit:
                 unimodal=False,
             )
 
-        monkeypatch.setattr(cli_mod.dens, "analyze", always_bad)
+        monkeypatch.setattr(adiabatic, "analyze", always_bad)
         qfile = self._nonadiabatic_quotes(tmp_path)
+        # the bisection walks the cap down to 1 + chi-tol; at the default tol
+        # the capped fit at cap 1.0000936 overflows numpy in its LM steps
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text("chi-tol=0.05\n", encoding="utf-8")
         out = tmp_path / "out"
-        code = main(["refit", str(qfile), "--out", str(out)])
+        code = main(["refit", str(qfile), "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_CONSTRAINED_FAILURE
         assert read_report(out / "refit.txt")["final_unimodal"] == "False"
+
+    def test_flat_fit_kept_below_a_formula_bound_under_one(self, tmp_path):
+        # a narrow flat file: the surface gives chi_c = 0.2055 for its fit
+        qfile = tmp_path / "flat.csv"
+        qfile.write_text(
+            "maturity,2.0\nx,vol\n-0.05,0.5\n-0.02,0.5\n0.01,0.5\n0.04,0.5\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["refit", str(qfile), "--out", str(out)]) == EXIT_OK
+        report = read_report(out / "refit.txt")
+        assert float(report["chi_c"]) == pytest.approx(0.2055, abs=1e-4)
+        assert report["refit_applied"] == "False"
+        assert report["final_chi"] == report["unconstrained_chi"] == "1"
+        assert report["final_unimodal"] == "True"
+
+    def test_one_free_fit_and_one_verdict_per_capped_fit(self, tmp_path, monkeypatch):
+        from smilecal import density, smile
+
+        calls = {"free": 0, "capped": 0, "verdict": 0}
+
+        def counted(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                if key != "free" or args[3] is None:  # _solve(xs, vols, start, chi_fixed)
+                    calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(smile, "_solve", "free")
+        counted(adiabatic, "_capped_fit", "capped")
+        counted(adiabatic, "analyze", "verdict")
+        counted(density, "analyze", "verdict")
+        out = tmp_path / "out"
+        assert main(["refit", str(self._nonadiabatic_quotes(tmp_path)), "--out", str(out)]) == 0
+        assert read_report(out / "refit.txt")["refit_applied"] == "True"
+        assert calls["free"] == 1
+        assert calls["verdict"] == calls["capped"] > 1
 
 
 class TestDensityCommand:

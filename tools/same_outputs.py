@@ -1,0 +1,163 @@
+"""Check that two source trees of smilecal give byte-identical outputs.
+
+Usage::
+
+    python tools/same_outputs.py OLD_SRC NEW_SRC
+
+``OLD_SRC`` and ``NEW_SRC`` are the ``src`` directories of two checkouts;
+each tree's demos are read from the ``demos`` directory next to its
+``src``. One fresh interpreter per tree runs the same command set in its
+own scratch directory, with the same relative input and output paths:
+
+* the desk commands of ``bench/gen.py`` seeds 3 and 7, with and without
+  ``--svg``;
+* every ``refit`` of the desk rounds of seeds 1-40;
+* a 3x3x3 ``sweep`` with ``--workers`` 1 and 2, each followed by a
+  ``calibrate`` of its CSV, and the default 216-point Table-1 ``sweep``;
+* ``refit`` on a narrow flat quote file;
+* demos 01-05, each from its own working directory.
+
+Commands run in-process through ``smilecal.cli.main``. Every warning is
+shown, as ``Category: message`` without its source location, so that a
+command's stderr does not depend on the commands run before it or on
+where the warning's line sits.
+
+Prints each differing exit code, stdout, stderr and output file, and
+exits 1 if anything differs, else 0. Reads ``bench/`` of the checkout
+this script belongs to and writes nothing there.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+import traceback
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = "commands.json"
+RESULTS = "results.json"
+FLAT_QUOTES = "maturity,2.0\nx,vol\n-0.05,0.5\n-0.02,0.5\n0.01,0.5\n0.04,0.5\n"
+SMALL_AXES = ["--g-range", "0.03:0.5:3", "--rho-range", "2.5:10:3",
+              "--t-range", "0.0027397260273972603:4:3"]
+
+
+def command_set() -> tuple[list[dict], dict[str, str]]:
+    """The commands, as ``{"id", "argv"}`` or ``{"id", "demo"}``, and the
+    input files (relative path -> text) they read."""
+    sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
+    sys.path.insert(0, str(ROOT / "bench"))
+    import gen
+
+    commands: list[dict] = []
+    files: dict[str, str] = {"flat.csv": FLAT_QUOTES}
+
+    def add_round(seed: int, root: str, svg: bool, only: str | None = None) -> None:
+        _, ops, round_files = gen.desk_round(seed, Path(root))
+        files.update(round_files)
+        for op in ops:
+            if only is None or op.command == only:
+                argv = list(op.argv) + (["--svg"] if svg else [])
+                commands.append({"id": op.out, "argv": argv})
+
+    for seed in (3, 7):
+        add_round(seed, f"desk{seed}", svg=False)
+        add_round(seed, f"desk{seed}_svg", svg=True)
+    for seed in range(1, 41):
+        add_round(seed, f"refits{seed}", svg=False, only="refit")
+    for workers in ("1", "2"):
+        out = f"sweep_w{workers}"
+        commands.append({"id": out, "argv": ["sweep", *SMALL_AXES, "--workers", workers,
+                                             "--out", out]})
+        commands.append({"id": f"{out}/calibrate",
+                         "argv": ["calibrate", f"{out}/sweep.csv", "--out", out]})
+    commands.append({"id": "sweep_table1", "argv": ["sweep", "--out", "sweep_table1"]})
+    commands.append({"id": "flat", "argv": ["refit", "flat.csv", "--out", "flat"]})
+    for demo in sorted((ROOT / "demos").glob("0*.py")):
+        commands.append({"id": f"demo_{demo.stem[:2]}", "demo": demo.name})
+    return commands, files
+
+
+def run_tree(src: Path, work: Path) -> None:
+    """In a fresh interpreter: run every command of ``work`` on ``src``."""
+    sys.path.insert(0, str(src))
+    from smilecal import cli
+
+    warnings.simplefilter("always")
+    warnings.formatwarning = lambda msg, cat, *_: f"{cat.__name__}: {msg}\n"
+    results = {}
+    for cmd in json.loads((work / COMMANDS).read_text(encoding="utf-8")):
+        cwd = work / cmd["id"] if "demo" in cmd else work
+        cwd.mkdir(parents=True, exist_ok=True)
+        os.chdir(cwd)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                if "demo" in cmd:
+                    runpy.run_path(str(src.parent / "demos" / cmd["demo"]), run_name="__main__")
+                    code = 0
+                else:
+                    code = cli.main(cmd["argv"])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # an escaping exception is an outcome to compare
+                code = f"raised {type(exc).__name__}"
+                stderr.write("".join(traceback.format_exception_only(exc)))
+        results[cmd["id"]] = [code, stdout.getvalue(), stderr.getvalue()]
+    (work / RESULTS).write_text(json.dumps(results), encoding="utf-8")
+
+
+def tree_files(work: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(work)): p.read_bytes()
+        for p in sorted(work.rglob("*"))
+        if p.is_file() and p.name != RESULTS
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--run":
+        run_tree(Path(argv[1]).resolve(), Path(argv[2]))
+        return 0
+    if len(argv) != 2:
+        print("usage: python tools/same_outputs.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    commands, files = command_set()
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        works = []
+        for side, src in zip(("old", "new"), argv):
+            work = Path(tmp) / side
+            for rel, text in files.items():
+                (work / rel).parent.mkdir(parents=True, exist_ok=True)
+                (work / rel).write_text(text, encoding="utf-8")
+            (work / COMMANDS).write_text(json.dumps(commands), encoding="utf-8")
+            subprocess.run([sys.executable, __file__, "--run", src, str(work)], check=True)
+            works.append(work)
+
+        old, new = (json.loads((w / RESULTS).read_text(encoding="utf-8")) for w in works)
+        diffs = 0
+        for cmd in commands:
+            for what, a, b in zip(("exit code", "stdout", "stderr"), old[cmd["id"]], new[cmd["id"]]):
+                if a != b:
+                    diffs += 1
+                    print(f"{cmd['id']}: {what} differs:\n  old: {a!r}\n  new: {b!r}")
+        old_files, new_files = (tree_files(w) for w in works)
+        for rel in sorted(old_files.keys() | new_files.keys()):
+            if old_files.get(rel) != new_files.get(rel):
+                diffs += 1
+                state = ("only in old" if rel not in new_files
+                         else "only in new" if rel not in old_files else "differs")
+                print(f"file {rel}: {state}")
+    print(f"{len(commands)} commands, {len(old_files)} files: {diffs} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
