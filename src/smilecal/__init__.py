@@ -5,128 +5,22 @@ return/price density two independent ways (closed form and
 finite-difference second strike-derivative), detect density pathologies
 (interior relative minima, negative probability), and enforce the
 critical plateau-ratio bound chi <= chi_c that keeps the density unimodal.
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports them all.
 """
 
-from .adiabatic import (
-    DEFAULT_CRITICAL_FIT,
-    AdiabaticVerdict,
-    ChiSearchSettings,
-    CriticalFitParams,
-    CriticalFitResult,
-    SweepRow,
-    adiabatic_check,
-    adiabatic_refit,
-    calibrate_critical_fit,
-    chi_critical_formula,
-    chi_critical_numeric,
-    default_sweep_axes,
-    square_well_critical_x,
-    sweep,
-    sweep_points,
-)
-from .bs_core import (
-    MarketEnv,
-    bs_call_price,
-    bs_delta,
-    delta_to_x,
-    implied_vol,
-    std_normal_cdf,
-    std_normal_inv_cdf,
-    strike_to_x,
-    x_to_strike,
-)
-from .density import (
-    DensityCurve,
-    DensityReport,
-    StationaryPoint,
-    analyze,
-    bl_density_oracle,
-    density_curve,
-    gaussian_return_density,
-    perturbation_factor,
-    price_density,
-    return_density,
-    smile_vol_of_strike,
-    stationary_points,
-)
-from .errors import (
-    ConvergenceError,
-    CriticalSearchError,
-    DomainError,
-    GridError,
-    IdentifiabilityError,
-    NoArbitrageError,
-    OracleStepError,
-    QuoteFormatError,
-    SmilecalError,
-)
-from .smile import (
-    ScalingFitResult,
-    SmileFitResult,
-    SmileParams,
-    VolQuote,
-    constrained_fit_smile,
-    fit_smile,
-    scaling_fit,
-    sigma_derivatives,
-    sigma_of_x,
-)
+from . import adiabatic, bs_core, density, errors, smile
+from .adiabatic import *
+from .bs_core import *
+from .density import *
+from .errors import *
+from .smile import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdiabaticVerdict",
-    "ChiSearchSettings",
-    "ConvergenceError",
-    "CriticalFitParams",
-    "CriticalFitResult",
-    "CriticalSearchError",
-    "DEFAULT_CRITICAL_FIT",
-    "DensityCurve",
-    "DensityReport",
-    "DomainError",
-    "GridError",
-    "IdentifiabilityError",
-    "MarketEnv",
-    "NoArbitrageError",
-    "OracleStepError",
-    "QuoteFormatError",
-    "ScalingFitResult",
-    "SmileFitResult",
-    "SmileParams",
-    "SmilecalError",
-    "StationaryPoint",
-    "SweepRow",
-    "VolQuote",
-    "adiabatic_check",
-    "adiabatic_refit",
-    "analyze",
-    "bl_density_oracle",
-    "bs_call_price",
-    "bs_delta",
-    "calibrate_critical_fit",
-    "chi_critical_formula",
-    "chi_critical_numeric",
-    "constrained_fit_smile",
-    "default_sweep_axes",
-    "delta_to_x",
-    "density_curve",
-    "fit_smile",
-    "gaussian_return_density",
-    "implied_vol",
-    "perturbation_factor",
-    "price_density",
-    "return_density",
-    "scaling_fit",
-    "sigma_derivatives",
-    "sigma_of_x",
-    "smile_vol_of_strike",
-    "square_well_critical_x",
-    "stationary_points",
-    "std_normal_cdf",
-    "std_normal_inv_cdf",
-    "strike_to_x",
-    "sweep",
-    "sweep_points",
-    "x_to_strike",
+    name
+    for module in (adiabatic, bs_core, density, errors, smile)
+    for name in module.__all__
 ]

@@ -27,18 +27,18 @@ def levenberg_marquardt(
     theta0: np.ndarray,
     max_iter: int = 200,
     rel_tol: float = 1e-10,
-    lam0: float = 1e-3,
 ) -> LMResult:
     """Minimize 0.5*||r(theta)||^2 given residuals and their Jacobian.
 
-    Damping multiplies the diagonal of the normal matrix; it shrinks by 3x
-    on accepted steps and grows by 10x on rejected ones. Stops when the
-    relative cost improvement of an accepted step falls below ``rel_tol``;
-    only that stop sets ``converged``. Running out of iterations or damping
-    (beyond 1e14) returns the best point found with ``converged=False``.
+    Damping multiplies the diagonal of the normal matrix; it starts at 1e-3,
+    shrinks by 3x on accepted steps and grows by 10x on rejected ones. Stops
+    when the relative cost improvement of an accepted step falls below
+    ``rel_tol``; only that stop sets ``converged``. Running out of
+    iterations or damping (beyond 1e14) returns the best point found with
+    ``converged=False``.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    lam = lam0
+    lam = 1e-3
     r, jac = resid_jac(theta)
     cost = 0.5 * float(r @ r)
     converged = False

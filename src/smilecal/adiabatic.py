@@ -49,7 +49,6 @@ __all__ = [
     "AdiabaticVerdict",
     "ChiSearchSettings",
     "DEFAULT_CRITICAL_FIT",
-    "TABLE_RANGES",
     "square_well_critical_x",
     "chi_critical_numeric",
     "chi_critical_formula",
@@ -370,10 +369,7 @@ def _surface_resid_jac(theta: np.ndarray, rho, g_sqrt_t, target):
     return r, jac
 
 
-def calibrate_critical_fit(
-    rows: list[SweepRow],
-    init: CriticalFitParams | None = None,
-) -> CriticalFitResult:
+def calibrate_critical_fit(rows: list[SweepRow]) -> CriticalFitResult:
     """Least-squares fit of the critical-ratio surface to sweep rows.
 
     Rows whose status is not "ok" are dropped. Requires at least 20 valid
@@ -381,8 +377,8 @@ def calibrate_critical_fit(
     are unidentifiable unless g*sqrt(T) varies across rows, which is
     reported as :class:`IdentifiabilityError`.
 
-    Returns the fitted constants with asymptotic standard errors and the
-    residual mean squared error.
+    Starts from the packaged constants and returns the fitted ones with
+    asymptotic standard errors and the residual mean squared error.
     """
     good = [r for r in rows if r.status == "ok" and math.isfinite(r.chi_c)]
     if len(good) < 20:
@@ -398,7 +394,7 @@ def calibrate_critical_fit(
         )
     target = np.array([r.chi_c for r in good])
 
-    start = init or DEFAULT_CRITICAL_FIT
+    start = DEFAULT_CRITICAL_FIT
     theta0 = np.array([start.alpha, start.beta, start.gamma, start.delta])
     result = levenberg_marquardt(
         lambda th: _surface_resid_jac(th, rho, g_sqrt_t, target),
@@ -431,26 +427,30 @@ def adiabatic_check(
 ) -> AdiabaticVerdict:
     """Compare a fitted smile's plateau ratio against its critical value.
 
-    ``mode="formula"`` evaluates the calibrated surface; ``mode="numeric"``
-    runs the bisection search. The verdict is adiabatic iff
-    chi_opt < chi_c, in which case the implied density has no spurious
+    ``mode="formula"`` evaluates the calibrated surface inside its
+    calibrated (rho, s) box and runs the bisection search outside it, where
+    the surface can fall below 1; ``mode="numeric"`` always runs the
+    search. ``source`` says which gave ``chi_c``. The verdict is adiabatic
+    iff chi_opt < chi_c, in which case the implied density has no spurious
     minima.
 
     A flat smile (chi exactly 1) passes unconditionally: its density is
     exactly Gaussian, and its fitted width n is arbitrary, which can put
-    the surface far outside its calibrated range.
+    the surface far outside its calibrated range. In formula mode it keeps
+    the surface's value wherever it lies.
     """
-    if mode == "formula":
-        chi_c = chi_critical_formula(params.g, params.n, params.maturity)
-    elif mode == "numeric":
-        chi_c = chi_critical_numeric(params.g, params.n, params.maturity, settings)
-    else:
+    if mode not in ("formula", "numeric"):
         raise DomainError(f"mode must be 'formula' or 'numeric', got {mode!r}")
+    g, n, maturity = params.g, params.n, params.maturity
+    if mode == "formula" and (params.chi == 1.0 or _in_calibrated_box(g, n, maturity)):
+        chi_c, source = chi_critical_formula(g, n, maturity), "formula"
+    else:
+        chi_c, source = chi_critical_numeric(g, n, maturity, settings), "numeric"
     return AdiabaticVerdict(
         chi_opt=params.chi,
         chi_c=chi_c,
         adiabatic=params.chi == 1.0 or params.chi < chi_c,
-        source=mode,
+        source=source,
     )
 
 

@@ -23,10 +23,8 @@ from .errors import ConvergenceError, DomainError, NoArbitrageError
 __all__ = [
     "MarketEnv",
     "std_normal_cdf",
-    "std_normal_inv_cdf",
     "bs_call_price",
     "bs_delta",
-    "bs_vega",
     "implied_vol",
     "delta_to_x",
     "strike_to_x",
@@ -101,20 +99,6 @@ def std_normal_cdf(z: float | np.ndarray) -> float | np.ndarray:
     return _as_float_or_array(_ndtr(z), z)
 
 
-def std_normal_inv_cdf(p: float | np.ndarray) -> float | np.ndarray:
-    """Inverse standard normal CDF on the open interval (0, 1).
-
-    Raises
-    ------
-    DomainError
-        If any probability lies outside (0, 1).
-    """
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise DomainError("std_normal_inv_cdf requires 0 < p < 1")
-    return _as_float_or_array(_ndtri(p), p)
-
-
 def _d1_d2(env: MarketEnv, strike: np.ndarray, vol: np.ndarray):
     srt = vol * math.sqrt(env.maturity)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -167,8 +151,8 @@ def bs_delta(
     return _as_float_or_array(_ndtr(d1), strike_a, vol_a)
 
 
-def bs_vega(env: MarketEnv, strike: float, vol: float) -> float:
-    """dC/dvol; used internally by the implied-vol solver."""
+def _bs_vega(env: MarketEnv, strike: float, vol: float) -> float:
+    """dC/dvol, for the implied-vol solver."""
     d1, _, _ = _d1_d2(env, np.asarray(strike, float), np.asarray(vol, float))
     return float(
         env.spot
@@ -218,7 +202,7 @@ def implied_vol(env: MarketEnv, strike: float, price: float) -> float:
             hi = sigma
         else:
             lo = sigma
-        vega = bs_vega(env, strike, sigma)
+        vega = _bs_vega(env, strike, sigma)
         candidate = sigma - f / vega if vega > 1e-12 else math.nan
         sigma = candidate if lo < candidate < hi else 0.5 * (lo + hi)
         if hi - lo < 1e-14:

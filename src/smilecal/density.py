@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .bs_core import MarketEnv, _d1_d2, _ndtr
-from .errors import DomainError, GridError, OracleStepError
+from .errors import DomainError, GridError
 from .smile import SmileParams, sigma_derivatives
 
 __all__ = [
@@ -45,8 +45,6 @@ __all__ = [
     "density_curve",
     "stationary_points",
     "analyze",
-    "STANDARD_GRID_POINTS",
-    "STANDARD_SPAN",
 ]
 
 STANDARD_GRID_POINTS = 4001
@@ -92,10 +90,6 @@ class DensityCurve:
     @property
     def spacing(self) -> float:
         return float(self.xs[1] - self.xs[0])
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return float(self.xs[0]), float(self.xs[-1])
 
 
 @dataclass(frozen=True)
@@ -266,12 +260,11 @@ def bl_density_oracle(
     vol_fn: Callable,
     strike: float | np.ndarray,
     step: float | np.ndarray | None = None,
-    richardson: bool = True,
     with_error: bool = False,
-    max_disagreement: float | None = None,
 ) -> float | np.ndarray | tuple:
     """Finite-difference density: exp(rT) times the second strike-derivative
-    of the smile-priced option.
+    of the smile-priced option, Richardson-extrapolated from the h and h/2
+    stencils to O(h^4).
 
     Parameters
     ----------
@@ -285,15 +278,9 @@ def bl_density_oracle(
         ``K * min(1e-3, vol_fn(K) * sqrt(T) / 60)``, which keeps the
         truncation error far below the comparison tolerances over the
         whole parameter range this package sweeps.
-    richardson : bool
-        Combine the h and h/2 stencils into an O(h^4) estimate
-        (default); otherwise return the plain O(h^2) stencil at h.
     with_error : bool
         Also return the disagreement between the extrapolated and the
         finest plain stencil, an error proxy.
-    max_disagreement : float, optional
-        If given, raise :class:`OracleStepError` when the disagreement
-        exceeds ``max_disagreement`` relative to the result.
     """
     k = np.asarray(strike, dtype=float)
     scalar = np.ndim(strike) == 0
@@ -320,16 +307,8 @@ def bl_density_oracle(
     d_h2 = second_diff(h / 2.0)
     extrapolated = (4.0 * d_h2 - d_h) / 3.0
     growth = math.exp(env.rate * env.maturity)
-    value = growth * (extrapolated if richardson else d_h)
+    value = growth * extrapolated
     err = growth * np.abs(extrapolated - d_h2)
-
-    if max_disagreement is not None:
-        bad = err > max_disagreement * np.maximum(np.abs(value), 1e-300)
-        if np.any(bad):
-            worst = float(np.max(err / np.maximum(np.abs(value), 1e-300)))
-            raise OracleStepError(
-                f"stencil levels disagree by {worst:.2e} relative; step too large"
-            )
 
     if scalar:
         value = float(value)

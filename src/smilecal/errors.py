@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SmilecalError",
+    "DomainError",
+    "NoArbitrageError",
+    "ConvergenceError",
+    "GridError",
+    "CriticalSearchError",
+    "IdentifiabilityError",
+    "QuoteFormatError",
+]
+
 
 class SmilecalError(Exception):
     """Base class for all smilecal errors."""
@@ -19,10 +30,6 @@ class ConvergenceError(SmilecalError):
 
 class GridError(SmilecalError, ValueError):
     """A sampled curve is too coarse or too narrow for the requested analysis."""
-
-
-class OracleStepError(SmilecalError):
-    """Finite-difference step too large: extrapolation levels disagree."""
 
 
 class CriticalSearchError(SmilecalError):

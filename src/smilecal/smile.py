@@ -69,11 +69,6 @@ class SmileParams:
         """Limiting volatility far from the money."""
         return self.g * self.chi
 
-    @property
-    def rho(self) -> float:
-        """Width ratio n / (g^2 T), the natural scale-free shape parameter."""
-        return self.n / (self.g * self.g * self.maturity)
-
 
 @dataclass(frozen=True)
 class VolQuote:
@@ -204,22 +199,35 @@ def _solve(
     xs: np.ndarray, vols: np.ndarray, start: SmileParams, chi_fixed: float | None
 ) -> SmileFitResult:
     """LM fit from ``start`` of (g, chi, n), or of (g, n) with chi pinned at
-    ``chi_fixed``. A g or n that underflows to zero raises
-    :class:`ConvergenceError`: the fit diverged, the input need not be at fault."""
+    ``chi_fixed``. A g or n that underflows to zero, or a fitted smile whose
+    derivatives are not finite at its own minimum, raises
+    :class:`ConvergenceError`: the fit diverged, the input need not be at fault.
+
+    Trial steps may overflow or divide by zero in numpy; the LM core rejects
+    a step whose cost is not finite, so those floating-point warnings are
+    silenced rather than reported."""
     logs = [math.log(start.g), math.log(start.n)]
     if chi_fixed is None:
         logs.insert(1, math.log(max(start.chi - 1.0, 0.0) + _CHI_FLOOR_EPS))
     maturity = start.maturity
-    result = levenberg_marquardt(
-        lambda th: _residuals_and_jacobian(th, xs, vols, maturity, chi_fixed), np.array(logs)
-    )
-    values = [float(v) for v in np.exp(result.theta)]
-    g, n = values[0], values[-1]
-    chi = 1.0 + values[1] if chi_fixed is None else chi_fixed
-    if g == 0.0 or n == 0.0:
-        raise ConvergenceError(f"smile fit diverged: g={g}, n={n} underflowed to zero")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = levenberg_marquardt(
+            lambda th: _residuals_and_jacobian(th, xs, vols, maturity, chi_fixed),
+            np.array(logs),
+        )
+        values = [float(v) for v in np.exp(result.theta)]
+        g, n = values[0], values[-1]
+        chi = 1.0 + values[1] if chi_fixed is None else chi_fixed
+        if g == 0.0 or n == 0.0:
+            raise ConvergenceError(f"smile fit diverged: g={g}, n={n} underflowed to zero")
+        params = SmileParams(g=g, chi=float(chi), n=n, maturity=maturity)
+        if not all(map(math.isfinite, sigma_derivatives(params, params.x_min))):
+            raise ConvergenceError(
+                f"smile fit diverged: collapsed to g={g}, chi={chi}, n={n}, "
+                "whose derivatives are not finite"
+            )
     return SmileFitResult(
-        SmileParams(g=g, chi=float(chi), n=n, maturity=maturity),
+        params,
         residual_rms=math.sqrt(2.0 * result.cost / xs.size),
         converged=result.converged,
         constrained=chi_fixed is not None,
@@ -227,9 +235,7 @@ def _solve(
     )
 
 
-def fit_smile(
-    quotes: list[VolQuote], maturity: float, init: SmileParams | None = None
-) -> SmileFitResult:
+def fit_smile(quotes: list[VolQuote], maturity: float) -> SmileFitResult:
     """Least-squares fit of the smile to observed vol quotes.
 
     Minimizes the unweighted sum of squared volatility residuals over
@@ -240,23 +246,22 @@ def fit_smile(
 
     A flat quote set (all vols equal) short-circuits to the exact chi = 1
     solution. Raises :class:`ConvergenceError` if the iteration diverges
-    beyond the range of floats, by overflow or by underflow.
+    beyond the range of floats, by overflow or by underflow, or collapses
+    to a smile whose derivatives are not finite.
     """
-    return _fit_arrays(*_quotes_to_arrays(quotes, maturity), maturity, init)
+    return _fit_arrays(*_quotes_to_arrays(quotes, maturity), maturity)
 
 
-def _fit_arrays(
-    xs: np.ndarray, vols: np.ndarray, maturity: float, init: SmileParams | None = None
-) -> SmileFitResult:
-    """:func:`fit_smile` on quotes already converted by :func:`_quotes_to_arrays`.
-    Without ``init`` it starts at the lowest vol, chi = highest / lowest vol
-    and a half-width of a quarter of the quoted span."""
+def _fit_arrays(xs: np.ndarray, vols: np.ndarray, maturity: float) -> SmileFitResult:
+    """:func:`fit_smile` on quotes already converted by :func:`_quotes_to_arrays`,
+    started at the lowest vol, chi = highest / lowest vol and a half-width of
+    a quarter of the quoted span."""
     n0 = max((float(xs.max() - xs.min()) / 4.0) ** 2, 1e-12)
     if float(vols.max() - vols.min()) == 0.0:
         params = SmileParams(g=float(vols[0]), chi=1.0, n=n0, maturity=maturity)
         return SmileFitResult(params, residual_rms=0.0, converged=True, iterations=0)
     g0, chi0 = float(vols.min()), float(vols.max() / vols.min())
-    return _solve(xs, vols, init or SmileParams(g0, chi0, n0, maturity), None)
+    return _solve(xs, vols, SmileParams(g0, chi0, n0, maturity), None)
 
 
 def constrained_fit_smile(

@@ -428,13 +428,14 @@ def _synthetic_rows(fit: CriticalFitParams, jitter: float = 0.0, seed: int = 0):
 
 class TestCalibrate:
     def test_exact_generative_round_trip(self):
-        rows = _synthetic_rows(DEFAULT_CRITICAL_FIT)
-        start = CriticalFitParams(alpha=1.3, beta=0.25, gamma=-0.1, delta=0.52)
-        result = calibrate_critical_fit(rows, init=start)
-        assert result.params.alpha == pytest.approx(DEFAULT_CRITICAL_FIT.alpha, abs=1e-8)
-        assert result.params.beta == pytest.approx(DEFAULT_CRITICAL_FIT.beta, abs=1e-8)
-        assert result.params.gamma == pytest.approx(DEFAULT_CRITICAL_FIT.gamma, abs=1e-8)
-        assert result.params.delta == pytest.approx(DEFAULT_CRITICAL_FIT.delta, abs=1e-8)
+        # rows from another surface, so the fit must move off its start,
+        # the packaged constants
+        truth = CriticalFitParams(alpha=1.3, beta=0.25, gamma=-0.1, delta=0.52)
+        result = calibrate_critical_fit(_synthetic_rows(truth))
+        assert result.params.alpha == pytest.approx(truth.alpha, abs=1e-8)
+        assert result.params.beta == pytest.approx(truth.beta, abs=1e-8)
+        assert result.params.gamma == pytest.approx(truth.gamma, abs=1e-8)
+        assert result.params.delta == pytest.approx(truth.delta, abs=1e-8)
         assert result.mse < 1e-16
 
     def test_stderr_scales_with_noise(self):
@@ -510,6 +511,15 @@ class TestAdiabaticCheck:
     def test_bad_mode(self):
         with pytest.raises(DomainError):
             adiabatic_check(FIG2_PARAMS, mode="guess")
+
+    def test_formula_mode_searches_outside_the_box(self):
+        # rho = 0.08, far below the box, where the surface gives about 0.7
+        params = SmileParams(g=0.1, chi=2.0, n=0.0004, maturity=0.5)
+        assert chi_critical_formula(params.g, params.n, params.maturity) < 1.0
+        verdict = adiabatic_check(params, mode="formula")
+        assert verdict.source == "numeric"
+        assert verdict.chi_c == chi_critical_numeric(params.g, params.n, params.maturity)
+        assert verdict == adiabatic_check(params, mode="numeric")
 
 
 # the five-attempt shaving loop's final chi on the Fig. 1 quotes, which the

@@ -347,8 +347,9 @@ class TestRefit:
 
         monkeypatch.setattr(adiabatic, "analyze", always_bad)
         qfile = self._nonadiabatic_quotes(tmp_path)
-        # the bisection walks the cap down to 1 + chi-tol; at the default tol
-        # the capped fit at cap 1.0000936 overflows numpy in its LM steps
+        # the bisection walks the cap down to 1 + chi-tol; the default tol ends
+        # the same way after more capped fits, whose overflowing LM trial
+        # steps near cap 1 are rejected without a warning
         cfg = tmp_path / "coarse.cfg"
         cfg.write_text("chi-tol=0.05\n", encoding="utf-8")
         out = tmp_path / "out"
@@ -395,6 +396,40 @@ class TestRefit:
         assert read_report(out / "refit.txt")["refit_applied"] == "True"
         assert calls["free"] == 1
         assert calls["verdict"] == calls["capped"] > 1
+
+
+# four x quotes whose fit capped at the numeric chi_c collapses to
+# n = 6.5e-250; the free fit lies far outside the surface's calibrated box,
+# where the surface gives chi_c = 0.575
+COLLAPSING_QUOTES = (
+    "maturity,4.0\nx,vol\n"
+    "0.49772525820941405,1.5189508395823534\n"
+    "4.54313625062083e-234,0.6565408442132676\n"
+    "0.29490456440431667,1.4910045167370825\n"
+    "1.1125369292536007e-308,2.109561358793571\n"
+)
+
+
+@pytest.mark.parametrize("mode", ["formula", "numeric"])
+class TestCollapsingFit:
+    def test_refit_exits_3(self, tmp_path, capsys, recwarn, mode):
+        qfile = tmp_path / "q.csv"
+        qfile.write_text(COLLAPSING_QUOTES, encoding="utf-8")
+        args = ["refit", str(qfile), "--mode", mode, "--out", str(tmp_path / "out")]
+        assert main(args) == EXIT_CONVERGENCE
+        assert "smile fit diverged" in capsys.readouterr().err
+        assert not recwarn.list
+
+    def test_check_exits_4_on_the_searched_bound(self, tmp_path, recwarn, mode):
+        qfile = tmp_path / "q.csv"
+        qfile.write_text(COLLAPSING_QUOTES, encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["check", str(qfile), "--mode", mode, "--out", str(out)]
+        assert main(args) == EXIT_NEGATIVE_DENSITY
+        report = read_report(out / "check.txt")
+        assert report["chi_c_source"] == "numeric"
+        assert float(report["chi_c"]) == 1.0053515625
+        assert not recwarn.list
 
 
 class TestDensityCommand:

@@ -21,6 +21,7 @@ from smilecal import (
     sigma_of_x,
     std_normal_cdf,
 )
+from smilecal import smile
 from smilecal._lm import levenberg_marquardt
 
 FIG1 = SmileParams(g=0.1, chi=2.7, n=0.04, maturity=0.5)
@@ -139,7 +140,7 @@ class TestFitSmile:
     def test_recovery_from_any_nearby_init(self):
         truth = SmileParams(g=0.12, chi=1.8, n=0.002, maturity=0.25)
         xs = truth.x_min + np.linspace(-0.15, 0.15, 11)
-        quotes = _quotes_from(truth, xs)
+        xs, vols = smile._quotes_to_arrays(_quotes_from(truth, xs), truth.maturity)
         rng = np.random.default_rng(3)
         for _ in range(20):
             f = rng.uniform(0.5, 1.5, size=3)
@@ -149,7 +150,7 @@ class TestFitSmile:
                 n=truth.n * f[2],
                 maturity=truth.maturity,
             )
-            result = fit_smile(quotes, truth.maturity, init=init)
+            result = smile._solve(xs, vols, init, None)
             assert result.params.g == pytest.approx(truth.g, rel=1e-6)
             assert result.params.chi == pytest.approx(truth.chi, rel=1e-6)
             assert result.params.n == pytest.approx(truth.n, rel=1e-6)

@@ -15,6 +15,8 @@ own scratch directory, with the same relative input and output paths:
 * a 3x3x3 ``sweep`` with ``--workers`` 1 and 2, each followed by a
   ``calibrate`` of its CSV, and the default 216-point Table-1 ``sweep``;
 * ``refit`` on a narrow flat quote file;
+* ``refit`` and ``check``, in formula and numeric mode, on a 4-row quote
+  file whose capped fit collapses (exit 3 from ``refit``);
 * demos 01-05, each from its own working directory.
 
 Commands run in-process through ``smilecal.cli.main``. Every warning is
@@ -39,12 +41,18 @@ import sys
 import tempfile
 import traceback
 import warnings
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = "commands.json"
 RESULTS = "results.json"
 FLAT_QUOTES = "maturity,2.0\nx,vol\n-0.05,0.5\n-0.02,0.5\n0.01,0.5\n0.04,0.5\n"
+COLLAPSING_QUOTES = (
+    "maturity,4.0\nx,vol\n0.49772525820941405,1.5189508395823534\n"
+    "4.54313625062083e-234,0.6565408442132676\n0.29490456440431667,1.4910045167370825\n"
+    "1.1125369292536007e-308,2.109561358793571\n"
+)
 SMALL_AXES = ["--g-range", "0.03:0.5:3", "--rho-range", "2.5:10:3",
               "--t-range", "0.0027397260273972603:4:3"]
 
@@ -57,7 +65,7 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     import gen
 
     commands: list[dict] = []
-    files: dict[str, str] = {"flat.csv": FLAT_QUOTES}
+    files: dict[str, str] = {"flat.csv": FLAT_QUOTES, "collapsing.csv": COLLAPSING_QUOTES}
 
     def add_round(seed: int, root: str, svg: bool, only: str | None = None) -> None:
         _, ops, round_files = gen.desk_round(seed, Path(root))
@@ -80,6 +88,10 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
                          "argv": ["calibrate", f"{out}/sweep.csv", "--out", out]})
     commands.append({"id": "sweep_table1", "argv": ["sweep", "--out", "sweep_table1"]})
     commands.append({"id": "flat", "argv": ["refit", "flat.csv", "--out", "flat"]})
+    for command, mode in product(("refit", "check"), ("formula", "numeric")):
+        out = f"collapsing_{command}_{mode}"
+        commands.append({"id": out, "argv": [command, "collapsing.csv", "--mode", mode,
+                                             "--out", out]})
     for demo in sorted((ROOT / "demos").glob("0*.py")):
         commands.append({"id": f"demo_{demo.stem[:2]}", "demo": demo.name})
     return commands, files
