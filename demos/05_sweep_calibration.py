@@ -30,8 +30,7 @@ formula = chi_critical_formula(g, n, t)
 print(f"chi_c at (g={g}, n={n}, T={t}): numeric {numeric:.4f}, "
       f"surface {formula:.4f} ({abs(formula / numeric - 1):.2%} apart)")
 
-# Now the lattice. Rows are independent; workers > 1 spreads them over
-# a process pool with identical results.
+# Now the lattice: one search per point, in lattice order.
 axes = default_sweep_axes(4, 4, 4)
 rows = sweep(*axes)
 ok = [r for r in rows if r.status == "ok"]

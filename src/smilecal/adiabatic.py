@@ -118,29 +118,25 @@ class AdiabaticVerdict:
     source: str  # "formula" | "numeric"
 
 
+# the upward chi_c scan: its first plateau ratio and its step
+SCAN_START = 1.01
+SCAN_STEP = 0.05
+
+
 @dataclass(frozen=True)
 class ChiSearchSettings:
     """Grid and bracket settings for the numerical chi_c search."""
 
-    chi_start: float = 1.01
-    step: float = 0.05
     tol: float = 1e-4
     chi_max: float = 20.0
     grid_points: int = STANDARD_GRID_POINTS
     span: float = STANDARD_SPAN
 
     def __post_init__(self) -> None:
-        # a step or tol that is zero, negative or not finite either stalls
-        # the scan or the bisection, or ends it before its first verdict
-        for name in ("step", "tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be finite and positive, got {value}")
-        # every scan point is a plateau ratio, so the scan starts at chi >= 1
-        if not (math.isfinite(self.chi_start) and self.chi_start >= 1.0):
-            raise DomainError(f"chi_start must be finite and >= 1, got {self.chi_start}")
-        if not self.chi_start + self.step > self.chi_start:
-            raise DomainError(f"step {self.step} does not advance chi from chi_start")
+        # a tol that is zero, negative or not finite either stalls the
+        # bisection or ends it before its first verdict
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError(f"tol must be finite and positive, got {self.tol}")
         if not math.isfinite(self.chi_max):
             raise DomainError(f"chi_max must be finite, got {self.chi_max}")
 
@@ -200,10 +196,10 @@ def chi_critical_numeric(
 ) -> float:
     """Smallest plateau ratio whose density loses unimodality.
 
-    An upward scan in chi, from ``settings.chi_start`` in steps of
-    ``settings.step``, brackets the transition between its last unimodal
-    and first non-unimodal point; bisection on the unimodality verdict
-    then narrows the bracket to ``settings.tol``.
+    An upward scan in chi, from ``SCAN_START`` in steps of ``SCAN_STEP``,
+    brackets the transition between its last unimodal and first
+    non-unimodal point; bisection on the unimodality verdict then narrows
+    the bracket to ``settings.tol``.
 
     Inside the calibrated (rho, s) box the scan makes no verdicts below
     0.97 times :func:`chi_critical_formula`: it steps through those scan
@@ -232,20 +228,20 @@ def chi_critical_numeric(
             if non_unimodal(chi):
                 return lo, chi
             lo = chi
-            chi += opts.step
+            chi += SCAN_STEP
         raise CriticalSearchError(
             f"density stays unimodal for chi in (1, {opts.chi_max}] "
             f"at g={g}, n={n}, T={maturity}"
         )
 
-    start = opts.chi_start
+    start = SCAN_START
     if _in_calibrated_box(g, n, maturity):
         target = min(0.97 * chi_critical_formula(g, n, maturity), opts.chi_max)
-        while start + opts.step < target:
-            start += opts.step
+        while start + SCAN_STEP < target:
+            start += SCAN_STEP
     lo, hi = scan(start)
-    if hi == start and start != opts.chi_start:
-        lo, hi = scan(opts.chi_start)
+    if hi == start and start != SCAN_START:
+        lo, hi = scan(SCAN_START)
 
     lo, hi = _bisect(non_unimodal, lo, hi, opts.tol)
     return 0.5 * (lo + hi)
@@ -299,8 +295,7 @@ def default_sweep_axes(
     )
 
 
-def _sweep_one(task: tuple) -> SweepRow:
-    g, rho, maturity, settings = task
+def _sweep_one(g: float, rho: float, maturity: float, settings: ChiSearchSettings) -> SweepRow:
     n = rho * g * g * maturity
     try:
         chi_c = chi_critical_numeric(g, n, maturity, settings)
@@ -314,29 +309,18 @@ def _sweep_one(task: tuple) -> SweepRow:
         )
 
 
-def sweep_points(
-    points,
-    settings: ChiSearchSettings | None = None,
-    workers: int = 1,
-) -> Iterator[SweepRow]:
+def sweep_points(points, settings: ChiSearchSettings | None = None) -> Iterator[SweepRow]:
     """Yield the row of each (g, rho, T) point, in input order.
 
-    Rows are independent pure computations; with ``workers > 1`` they are
-    distributed over a process pool. Each row is yielded as soon as it and
-    every row before it are done, so a caller can persist rows while the
-    rest are still running. A row whose search raises a
-    :class:`SmilecalError` or an ``ArithmeticError`` records it in its
-    status rather than aborting the sweep; any other exception propagates.
+    Each row is computed when the caller asks for it, so a caller can
+    persist rows one by one and keep them if the sweep is interrupted. A
+    row whose search raises a :class:`SmilecalError` or an
+    ``ArithmeticError`` records it in its status rather than aborting the
+    sweep; any other exception propagates.
     """
     opts = settings or ChiSearchSettings()
-    tasks = ((float(g), float(rho), float(t), opts) for g, rho, t in points)
-    if workers <= 1:
-        yield from map(_sweep_one, tasks)
-        return
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_sweep_one, tasks, chunksize=4)
+    for g, rho, t in points:
+        yield _sweep_one(float(g), float(rho), float(t), opts)
 
 
 def sweep(
@@ -344,15 +328,13 @@ def sweep(
     rho_values,
     t_values,
     settings: ChiSearchSettings | None = None,
-    workers: int = 1,
 ) -> list[SweepRow]:
     """Locate chi_c on the (g, rho, T) lattice, one row per point.
 
     Row order follows the input lattice order (g outermost, T innermost);
-    see :func:`sweep_points` for workers and failed rows.
+    see :func:`sweep_points` for failed rows.
     """
-    points = product(g_values, rho_values, t_values)
-    return list(sweep_points(points, settings, workers))
+    return list(sweep_points(product(g_values, rho_values, t_values), settings))
 
 
 def _surface_resid_jac(theta: np.ndarray, rho, g_sqrt_t, target):

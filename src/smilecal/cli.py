@@ -24,9 +24,9 @@ Settings come, in order of precedence, from flags, a ``--config`` file of
 directory only) and built-in defaults. Each setting is one
 :class:`RunConfig` field, named by its config key with ``_`` for ``-``:
 config key ``chi-max`` is field ``chi_max`` and flag ``--chi-max``.
-``chi-start``, ``chi-step`` and ``chi-tol`` are config-only. An input file
-that cannot be read or is not UTF-8 text, or an output directory that
-cannot be created, exits 2, like an input that cannot be parsed.
+``chi-tol`` is config-only. An input file that cannot be read or is not
+UTF-8 text, or an output directory that cannot be created, exits 2, like
+an input that cannot be parsed.
 
 ``refit`` hands the free fit and the check's ``chi_c`` to
 :func:`smilecal.adiabatic.adiabatic_refit`, which keeps the fit or caps chi.
@@ -86,19 +86,14 @@ class RunConfig:
     grid: int = dens.STANDARD_GRID_POINTS
     span: float = dens.STANDARD_SPAN
     step_frac: float | None = None  # oracle step / strike; None -> adaptive
-    chi_start: float = 1.01
-    chi_step: float = 0.05
     chi_tol: float = 1e-4
     chi_max: float = 20.0
     mode: str = "formula"
     out: str | None = None  # None: SMILECAL_OUT if set, else "."
     svg: bool = False
-    workers: int = 1
 
     def search_settings(self) -> adiab.ChiSearchSettings:
         return adiab.ChiSearchSettings(
-            chi_start=self.chi_start,
-            step=self.chi_step,
             tol=self.chi_tol,
             chi_max=self.chi_max,
             grid_points=self.grid,
@@ -496,7 +491,7 @@ def _parse_axis(spec: str, default: np.ndarray) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise QuoteFormatError(f"bad axis spec {spec!r}: {exc}") from exc
-    if not (0 < lo <= hi) or count < 1:
+    if not (0 < lo <= hi < np.inf) or count < 1:
         raise QuoteFormatError(f"axis spec out of range: {spec!r}")
     return np.geomspace(lo, hi, count)
 
@@ -558,7 +553,7 @@ def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
     # from what it finished; the final rewrite restores lattice order
     write_csv(path, _SWEEP_HEADER, zip(*map(_sweep_fields, done.values())))
     with path.open("a", encoding="utf-8") as fh:
-        for row in adiab.sweep_points(missing, cfg.search_settings(), cfg.workers):
+        for row in adiab.sweep_points(missing, cfg.search_settings()):
             fh.write(_csv_line(_sweep_fields(row)))
             fh.flush()
             done[_row_key(row.g, row.rho, row.maturity)] = row
@@ -665,7 +660,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="how to evaluate the critical ratio")
     p.add_argument("--step-frac", type=float, default=None,
                    help="oracle stencil step as a fraction of strike")
-    p.add_argument("--workers", type=int, default=None, help="parallel sweep workers")
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--svg", action="store_true", default=None, help="also render SVG plots")
     p.add_argument("--config", type=str, default=None, help="key=value config file")

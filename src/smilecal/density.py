@@ -274,7 +274,7 @@ def bl_density_oracle(
     strike : float or ndarray
         Evaluation strike(s); interpreted as the terminal price.
     step : float or ndarray, optional
-        Stencil half-width h. Defaults to
+        Stencil half-width h, finite and positive. Defaults to
         ``K * min(1e-3, vol_fn(K) * sqrt(T) / 60)``, which keeps the
         truncation error far below the comparison tolerances over the
         whole parameter range this package sweeps.
@@ -291,6 +291,8 @@ def bl_density_oracle(
         h = k * np.minimum(1e-3, vol_k * math.sqrt(env.maturity) / 60.0)
     else:
         h = np.broadcast_to(np.asarray(step, dtype=float), k.shape).copy()
+        if not np.all(np.isfinite(h) & (h > 0.0)):
+            raise DomainError("step must be finite and positive")
     if np.any(k - h <= 0.0):
         raise DomainError("stencil leaves the positive strike axis; reduce step")
 

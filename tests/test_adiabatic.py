@@ -141,11 +141,11 @@ class TestChiCriticalNumeric:
                 assert analyze(density_curve(params)).unimodal, (g, rho, t, chi)
 
 
-def _reference_chi_critical_numeric(g, n, maturity, settings=None):
-    # the full upward scan from chi_start that the search ran before it
+def _reference_chi_critical_numeric(g, n, maturity):
+    # the full upward scan from SCAN_START that the search ran before it
     # started next to the calibrated surface, kept as the oracle for the
     # jumped start
-    opts = settings or ChiSearchSettings()
+    opts = ChiSearchSettings()
 
     def non_unimodal(chi):
         params = SmileParams(g=g, chi=chi, n=n, maturity=maturity)
@@ -153,14 +153,14 @@ def _reference_chi_critical_numeric(g, n, maturity, settings=None):
         return not analyze(curve).unimodal
 
     lo = 1.0
-    chi = opts.chi_start
+    chi = smilecal.adiabatic.SCAN_START
     hi = None
     while chi <= opts.chi_max:
         if non_unimodal(chi):
             hi = chi
             break
         lo = chi
-        chi += opts.step
+        chi += smilecal.adiabatic.SCAN_STEP
     assert hi is not None
     while hi - lo > opts.tol:
         mid = 0.5 * (lo + hi)
@@ -226,7 +226,7 @@ class TestJumpedStart:
         chis = _record_search_chis(monkeypatch)
         assert chi_critical_numeric(**FIG1) == expected
         assert chis[0] > expected  # the jumped start is past the transition
-        assert chis[1] == ChiSearchSettings().chi_start
+        assert chis[1] == smilecal.adiabatic.SCAN_START
 
     def test_low_surface_still_matches(self, monkeypatch):
         expected = _reference_chi_critical_numeric(**FIG1)
@@ -243,12 +243,7 @@ class TestJumpedStart:
         expected = _reference_chi_critical_numeric(g, n, t)
         chis = _record_search_chis(monkeypatch)
         assert chi_critical_numeric(g, n, t) == expected
-        assert chis[0] == ChiSearchSettings().chi_start
-
-    def test_custom_scan_settings(self):
-        opts = ChiSearchSettings(chi_start=1.2, step=0.03)
-        expected = _reference_chi_critical_numeric(**FIG1, settings=opts)
-        assert chi_critical_numeric(**FIG1, settings=opts) == expected
+        assert chis[0] == smilecal.adiabatic.SCAN_START
 
     def test_fig1_verdict_count(self, monkeypatch):
         calls = []
@@ -281,15 +276,8 @@ class TestChiSearchSettings:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(step=0.0),
-            dict(step=-0.05),
-            dict(step=math.nan),
-            dict(step=math.inf),
             dict(tol=0.0),
             dict(tol=math.nan),
-            dict(step=1e-300),  # below the float resolution at chi_start
-            dict(chi_start=math.nan),
-            dict(chi_start=0.5),  # below the Gaussian limit chi = 1
             dict(chi_max=math.inf),
         ],
     )
@@ -361,18 +349,11 @@ class TestSweep:
         chi_cs = [chi_critical_numeric(g, n, t) for t in (0.5, 1.0, 2.0)]
         assert all(a > b for a, b in zip(chi_cs, chi_cs[1:]))
 
-    def test_parallel_matches_serial(self):
-        axes = ([0.08, 0.3], [4.0], [0.5, 2.0])
-        serial = sweep(*axes, workers=1)
-        parallel = sweep(*axes, workers=2)
-        assert serial == parallel
-
     def test_point_generator_keeps_input_order(self):
         # not a lattice: repeated g, unsorted rho and T
         points = [(0.2, 8.0, 1.0), (0.05, 3.0, 0.25), (0.2, 3.0, 0.25), (0.05, 8.0, 1.0)]
-        serial = list(sweep_points(points, workers=1))
-        assert [(r.g, r.rho, r.maturity) for r in serial] == points
-        assert list(sweep_points(iter(points), workers=2)) == serial
+        rows = list(sweep_points(iter(points)))
+        assert [(r.g, r.rho, r.maturity) for r in rows] == points
         axes = ([0.05, 0.2], [3.0, 8.0], [0.25, 1.0])
         assert sweep(*axes) == list(sweep_points(product(*axes)))
 

@@ -507,11 +507,11 @@ class TestSweepAndCalibrate:
         real = adiabatic._sweep_one
         calls = []
 
-        def interrupted(task):
+        def interrupted(*point):
             if len(calls) == k:
                 raise KeyboardInterrupt
-            calls.append(task)
-            return real(task)
+            calls.append(point)
+            return real(*point)
 
         monkeypatch.setattr(adiabatic, "_sweep_one", interrupted)
         with pytest.raises(KeyboardInterrupt):
@@ -524,14 +524,14 @@ class TestSweepAndCalibrate:
         assert f"{k} reused, {8 - k} to compute" in capsys.readouterr().out
         assert (out / "sweep.csv").read_bytes() == finished
 
-    def test_parallel_sweep_writes_serial_bytes(self, tmp_path):
-        args = ["sweep", "--g-range", "0.05:0.3:2", "--rho-range", "3:9:2",
-                "--t-range", "0.2:1.5:2"]
-        assert main([*args, "--out", str(tmp_path / "serial")]) == EXIT_OK
-        assert main([*args, "--workers", "2", "--out", str(tmp_path / "pool")]) == EXIT_OK
-        assert (tmp_path / "pool" / "sweep.csv").read_bytes() == (
-            tmp_path / "serial" / "sweep.csv"
-        ).read_bytes()
+    @pytest.mark.parametrize("spec", ["0.1:inf:2", "nan:0.2:2"])
+    def test_axis_bound_not_finite_exits_2(self, tmp_path, capsys, spec):
+        out = tmp_path / "out"
+        code = main(["sweep", "--g-range", spec, "--rho-range", "3:3:1",
+                     "--t-range", "1:1:1", "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: axis spec out of range: {spec!r}\n"
+        assert not (out / "sweep.csv").exists()
 
     def test_calibrate_near_packaged_constants(self, tmp_path):
         # synthesize a sweep CSV from the packaged surface plus tiny noise
@@ -604,6 +604,14 @@ class TestBlOracleCommand:
         max_rel = float(stdout.split("max rel diff where density > 1e-3 of peak: ")[1].split()[0])
         assert max_rel < 1e-4
 
+    def test_zero_step_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "0.5",
+                     "--step-frac", "0", "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == "error: step must be finite and positive\n"
+        assert not (out / "bl_oracle.csv").exists()
+
 
 class TestConfigAndDeterminism:
     def test_config_file_and_flag_precedence(self, tmp_path):
@@ -627,10 +635,8 @@ class TestConfigAndDeterminism:
     @pytest.mark.parametrize(
         "line, expected",
         [
-            ("chi-step=0", EXIT_PARSE),  # the scan cannot advance
             ("chi-tol=0", EXIT_PARSE),  # the bisection cannot end
             ("chi-tol=nan", EXIT_PARSE),  # the bisection would not start
-            ("chi-step=nan", EXIT_PARSE),  # the scan would end at once
             ("chi-tol=1e-300", EXIT_OK),  # the bisection stops at float resolution
         ],
     )
@@ -643,6 +649,26 @@ class TestConfigAndDeterminism:
         assert code == expected
         if expected == EXIT_PARSE:
             assert "must be finite and positive" in capsys.readouterr().err
+
+    # the scan's start and step are fixed, and sweeps run serially
+    @pytest.mark.parametrize(
+        "line",
+        ["workers=2", "chi-start=1.02", "chi-step=0.04", "chi-step=0", "chi-step=nan"],
+    )
+    def test_removed_config_keys_exit_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code = main(["check", "--params", "0.1,2.0,0.04", "--maturity", "0.5",
+                     "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_PARSE
+        key = line.partition("=")[0]
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key {key!r}\n"
+
+    def test_workers_flag_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--workers", "2", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["check", "density"])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -703,14 +729,11 @@ class TestConfigAndDeterminism:
         "grid": ("501", 501, ["--grid", "301"], 301),
         "span": ("8", 8.0, ["--span", "9"], 9.0),
         "step_frac": ("0.002", 0.002, ["--step-frac", "0.001"], 0.001),
-        "chi_start": ("1.02", 1.02, None, None),
-        "chi_step": ("0.04", 0.04, None, None),
         "chi_tol": ("1e-5", 1e-5, None, None),
         "chi_max": ("15", 15.0, ["--chi-max", "12"], 12.0),
         "mode": ("numeric", "numeric", ["--mode", "formula"], "formula"),
         "out": ("from-config", "from-config", ["--out", "from-flag"], "from-flag"),
         "svg": ("yes", True, ["--svg"], True),
-        "workers": ("3", 3, ["--workers", "2"], 2),
     }
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(cli.RunConfig)])
@@ -802,8 +825,8 @@ with open(report, "w") as fh:
 
 class TestColdStart:
     def test_scipy_and_process_pool_load_only_when_used(self, tmp_path):
-        # one fresh interpreter: commands that evaluate no normal CDF and
-        # start no pool must leave scipy and the process pool unimported
+        # one fresh interpreter: commands that evaluate no normal CDF must
+        # leave scipy unimported, and no command imports the process pool
         xfile = _write_quotes(tmp_path / "x.csv", NON_ADIABATIC, n_points=15, halfspan=0.45)
         lines = [f"maturity,{TRUTH.maturity!r}", "delta,vol"]
         for x in TRUTH.x_min + np.linspace(-0.1, 0.1, 9):

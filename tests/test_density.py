@@ -226,8 +226,9 @@ class TestBlOracle:
 
     def test_stencil_must_stay_positive(self):
         env = MarketEnv(spot=100.0, rate=0.0, maturity=1.0)
-        with pytest.raises(DomainError):
-            bl_density_oracle(env, lambda k: 0.2, 1.0, step=2.0)
+        for step in (2.0, 0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                bl_density_oracle(env, lambda k: 0.2, 1.0, step=step)
 
     def test_centre_vol_evaluated_once(self):
         # the centre strike's vol serves the default step and both stencils

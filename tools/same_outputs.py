@@ -12,11 +12,13 @@ own scratch directory, with the same relative input and output paths:
 * the desk commands of ``bench/gen.py`` seeds 3 and 7, with and without
   ``--svg``;
 * every ``refit`` of the desk rounds of seeds 1-40;
-* a 3x3x3 ``sweep`` with ``--workers`` 1 and 2, each followed by a
-  ``calibrate`` of its CSV, and the default 216-point Table-1 ``sweep``;
+* a 3x3x3 ``sweep`` followed by a ``calibrate`` of its CSV, and the
+  default 216-point Table-1 ``sweep``;
 * ``refit`` on a narrow flat quote file;
 * ``refit`` and ``check``, in formula and numeric mode, on a 4-row quote
   file whose capped fit collapses (exit 3 from ``refit``);
+* hostile inputs that must end in exit 2: ``bl-oracle --step-frac 0`` and
+  a ``sweep`` whose g axis has an infinite bound;
 * demos 01-05, each from its own working directory.
 
 Commands run in-process through ``smilecal.cli.main``. Every warning is
@@ -80,18 +82,22 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
         add_round(seed, f"desk{seed}_svg", svg=True)
     for seed in range(1, 41):
         add_round(seed, f"refits{seed}", svg=False, only="refit")
-    for workers in ("1", "2"):
-        out = f"sweep_w{workers}"
-        commands.append({"id": out, "argv": ["sweep", *SMALL_AXES, "--workers", workers,
-                                             "--out", out]})
-        commands.append({"id": f"{out}/calibrate",
-                         "argv": ["calibrate", f"{out}/sweep.csv", "--out", out]})
+    commands.append({"id": "sweep_small",
+                     "argv": ["sweep", *SMALL_AXES, "--out", "sweep_small"]})
+    commands.append({"id": "sweep_small/calibrate",
+                     "argv": ["calibrate", "sweep_small/sweep.csv", "--out", "sweep_small"]})
     commands.append({"id": "sweep_table1", "argv": ["sweep", "--out", "sweep_table1"]})
     commands.append({"id": "flat", "argv": ["refit", "flat.csv", "--out", "flat"]})
     for command, mode in product(("refit", "check"), ("formula", "numeric")):
         out = f"collapsing_{command}_{mode}"
         commands.append({"id": out, "argv": [command, "collapsing.csv", "--mode", mode,
                                              "--out", out]})
+    commands.append({"id": "oracle_step_zero",
+                     "argv": ["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "0.5",
+                              "--step-frac", "0", "--out", "oracle_step_zero"]})
+    commands.append({"id": "sweep_inf_axis",
+                     "argv": ["sweep", "--g-range", "0.1:inf:2", "--rho-range", "3:3:1",
+                              "--t-range", "1:1:1", "--out", "sweep_inf_axis"]})
     for demo in sorted((ROOT / "demos").glob("0*.py")):
         commands.append({"id": f"demo_{demo.stem[:2]}", "demo": demo.name})
     return commands, files
