@@ -1,7 +1,7 @@
 """smilecal: volatility smile calibration with risk-neutral density validation.
 
 Fit a three-parameter smile to market vol quotes, extract the implied
-return/price density two independent ways (closed form and
+return density two independent ways (closed form and
 finite-difference second strike-derivative), detect density pathologies
 (interior relative minima, negative probability), and enforce the
 critical plateau-ratio bound chi <= chi_c that keeps the density unimodal.

@@ -107,6 +107,15 @@ def _d1_d2(env: MarketEnv, strike: np.ndarray, vol: np.ndarray):
     return d1, d2, srt
 
 
+def _bs_value(env: MarketEnv, strike: np.ndarray, vol: np.ndarray, put=False) -> np.ndarray:
+    # the one Black-Scholes kernel, sign * (S0 N(sign d1) - K e^-rT N(sign d2))
+    # with sign = -1 where ``put``: flipping a sign and negating a difference
+    # are exact, so each branch is its textbook formula (a zero put is -0.0)
+    d1, d2, _ = _d1_d2(env, strike, vol)
+    sign = np.where(put, -1.0, 1.0)
+    return sign * (env.spot * _ndtr(sign * d1) - strike * env.discount * _ndtr(sign * d2))
+
+
 def bs_call_price(
     env: MarketEnv, strike: float | np.ndarray, vol: float | np.ndarray
 ) -> float | np.ndarray:
@@ -130,10 +139,9 @@ def bs_call_price(
         raise DomainError("strike must be positive")
     if np.any(vol_a < 0.0):
         raise DomainError("vol must be nonnegative")
-    d1, d2, srt = _d1_d2(env, strike_a, vol_a)
-    value = env.spot * _ndtr(d1) - strike_a * env.discount * _ndtr(d2)
+    value = _bs_value(env, strike_a, vol_a)
     intrinsic = np.maximum(env.spot - strike_a * env.discount, 0.0)
-    out = np.where(srt > 0.0, value, intrinsic)
+    out = np.where(vol_a * math.sqrt(env.maturity) > 0.0, value, intrinsic)
     return _as_float_or_array(out, strike_a, vol_a)
 
 

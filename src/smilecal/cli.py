@@ -47,7 +47,7 @@ import numpy as np
 from . import adiabatic as adiab
 from . import density as dens
 from ._svg import write_line_plot
-from .bs_core import MarketEnv, strike_to_x
+from .bs_core import MarketEnv, strike_to_x, x_to_strike
 from .errors import (
     ConvergenceError,
     CriticalSearchError,
@@ -624,7 +624,7 @@ def cmd_bl_oracle(args, cfg: RunConfig, out: Path) -> int:
     env = MarketEnv(spot=spot, rate=rate, maturity=params.maturity)
 
     curve = dens.density_curve(params, points=cfg.grid, span=cfg.span)
-    strikes = spot * np.exp(curve.xs + rate * params.maturity)
+    strikes = x_to_strike(env, curve.xs)
     vol_fn = dens.smile_vol_of_strike(env, params)
     step = None if cfg.step_frac is None else strikes * cfg.step_frac
     oracle, err = dens.bl_density_oracle(env, vol_fn, strikes, step=step, with_error=True)

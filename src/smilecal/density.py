@@ -4,7 +4,8 @@ Two independent routes to the same density:
 
 * closed form: the log-normal kernel evaluated with the local smile vol,
   multiplied by a curvature factor built from the smile's first two
-  x-derivatives (:func:`return_density`, :func:`price_density`);
+  x-derivatives (:func:`return_density`; the density of the terminal
+  price ``S`` is ``return_density(params, x) / S``);
 * finite differences: the discounted second strike-derivative of the call
   price (:func:`bl_density_oracle`), which never sees the closed form and
   serves as its oracle.
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bs_core import MarketEnv, _d1_d2, _ndtr
+from .bs_core import MarketEnv, _bs_value, strike_to_x
 from .errors import DomainError, GridError
 from .smile import SmileParams, sigma_derivatives
 
@@ -39,7 +40,6 @@ __all__ = [
     "gaussian_return_density",
     "perturbation_factor",
     "return_density",
-    "price_density",
     "bl_density_oracle",
     "smile_vol_of_strike",
     "density_curve",
@@ -49,6 +49,7 @@ __all__ = [
 
 STANDARD_GRID_POINTS = 4001
 STANDARD_SPAN = 10.0  # half-width of the x-grid in units of g*chi*sqrt(T)
+MAX_GRID_POINTS = 10**6  # a curve of this size holds about 200 MB of work arrays
 
 NEGATIVE_EPS_REL = 1e-12  # negativity threshold relative to the curve peak
 
@@ -196,63 +197,14 @@ def return_density(
     return float(out) if np.ndim(x) == 0 else out
 
 
-def price_density(
-    env: MarketEnv, params: SmileParams, s_t: float | np.ndarray
-) -> float | np.ndarray:
-    """Smile-implied density of the terminal price, in 1/price units.
-
-    Written directly in strike space: the smile's strike-derivatives enter
-    through the chain rule ``dsig/dK = sig'/K`` and
-    ``d2sig/dK2 = (sig'' - sig')/K^2``. Consistent with
-    :func:`return_density` through the Jacobian ``P(S) = p(x(S)) / S``.
-    """
-    s_arr = np.asarray(s_t, dtype=float)
-    if np.any(s_arr <= 0.0):
-        raise DomainError("terminal price must be positive")
-    t = params.maturity
-    rt = env.rate * t
-    log_m = np.log(s_arr / env.spot)
-    x = log_m - rt
-    sig, d1, d2 = sigma_derivatives(params, x)
-
-    sig_k = d1 / s_arr
-    sig_kk = (d2 - d1) / (s_arr * s_arr)
-    factor = (
-        (1.0 + s_arr * (sig_k / sig) * (rt - log_m)) ** 2
-        - (sig_k * sig * t * s_arr) ** 2 / 4.0
-        + sig_k * sig * t * s_arr
-        + s_arr * s_arr * sig * sig_kk * t
-    )
-    var = sig * sig * t
-    shift = 0.5 * var
-    kernel = np.exp(-((log_m - (rt - shift)) ** 2) / (2.0 * var)) / (
-        np.sqrt(2.0 * np.pi * var) * s_arr
-    )
-    out = kernel * factor
-    return float(out) if np.ndim(s_t) == 0 else out
-
-
 def smile_vol_of_strike(env: MarketEnv, params: SmileParams) -> Callable:
     """Smile as a function of strike, for feeding the strike-space oracle."""
 
     def vol_fn(strike):
-        k = np.asarray(strike, dtype=float)
-        x = np.log(k / env.spot) - env.rate * env.maturity
-        sig, _, _ = sigma_derivatives(params, x)
+        sig, _, _ = sigma_derivatives(params, strike_to_x(env, strike))
         return sig
 
     return vol_fn
-
-
-def _otm_value(env: MarketEnv, strike: np.ndarray, vol: np.ndarray, use_put: np.ndarray):
-    # Difference the out-of-the-money side: the in-the-money call is
-    # forward value plus a tiny remainder, and differencing it loses the
-    # remainder to cancellation. Calls and puts share the same second
-    # strike-derivative, so the switch is exact.
-    d1, d2, _ = _d1_d2(env, strike, vol)
-    call = env.spot * _ndtr(d1) - strike * env.discount * _ndtr(d2)
-    put = strike * env.discount * _ndtr(-d2) - env.spot * _ndtr(-d1)
-    return np.where(use_put, put, call)
 
 
 def bl_density_oracle(
@@ -277,7 +229,8 @@ def bl_density_oracle(
         Stencil half-width h, finite and positive. Defaults to
         ``K * min(1e-3, vol_fn(K) * sqrt(T) / 60)``, which keeps the
         truncation error far below the comparison tolerances over the
-        whole parameter range this package sweeps.
+        whole parameter range this package sweeps. Raises
+        :class:`DomainError` if ``K + h/2 == K``, ``(h/2)**2 == 0`` or ``h**2 == inf``.
     with_error : bool
         Also return the disagreement between the extrapolated and the
         finest plain stencil, an error proxy.
@@ -295,18 +248,27 @@ def bl_density_oracle(
             raise DomainError("step must be finite and positive")
     if np.any(k - h <= 0.0):
         raise DomainError("stencil leaves the positive strike axis; reduce step")
+    half = h / 2.0
+    with np.errstate(over="ignore"):
+        resolvable = (k + half != k) & (half * half > 0.0) & np.isfinite(h * h)
+    if not np.all(resolvable):
+        raise DomainError("stencil step not resolvable in floating point")
 
+    # Difference the out-of-the-money side: the in-the-money call is
+    # forward value plus a tiny remainder, and differencing it loses the
+    # remainder to cancellation. Calls and puts share the same second
+    # strike-derivative, so the switch is exact.
     use_put = k < env.forward
     # the centre of both stencils: one vol and one price serve them both
-    mid = _otm_value(env, k, vol_k, use_put)
+    mid = _bs_value(env, k, vol_k, use_put)
 
     def second_diff(hh):
-        lo = _otm_value(env, k - hh, np.asarray(vol_fn(k - hh), float), use_put)
-        hi = _otm_value(env, k + hh, np.asarray(vol_fn(k + hh), float), use_put)
+        lo = _bs_value(env, k - hh, np.asarray(vol_fn(k - hh), float), use_put)
+        hi = _bs_value(env, k + hh, np.asarray(vol_fn(k + hh), float), use_put)
         return (lo - 2.0 * mid + hi) / (hh * hh)
 
     d_h = second_diff(h)
-    d_h2 = second_diff(h / 2.0)
+    d_h2 = second_diff(half)
     extrapolated = (4.0 * d_h2 - d_h) / 3.0
     growth = math.exp(env.rate * env.maturity)
     value = growth * extrapolated
@@ -327,10 +289,13 @@ def density_curve(
 
     The grid is uniform over ``x_min +- span * g * chi * sqrt(T)``, wide
     enough to resolve both the floor-vol core and the plateau-vol wings.
-    Fewer than 3 points raise :class:`DomainError` before any grid is built.
+    Fewer than 3 or more than ``MAX_GRID_POINTS`` points raise
+    :class:`DomainError` before any grid is built.
     """
     if points < 3:
         raise DomainError("a density curve needs at least 3 samples")
+    if points > MAX_GRID_POINTS:
+        raise DomainError(f"a density curve takes at most {MAX_GRID_POINTS} samples")
     scale = params.sigma_plateau * math.sqrt(params.maturity)
     xs = np.linspace(params.x_min - span * scale, params.x_min + span * scale, points)
     ps = return_density(params, xs)

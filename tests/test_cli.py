@@ -612,6 +612,15 @@ class TestBlOracleCommand:
         assert capsys.readouterr().err == "error: step must be finite and positive\n"
         assert not (out / "bl_oracle.csv").exists()
 
+    def test_unresolvable_step_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "0.5",
+                     "--step-frac", "1e-300", "--out", str(out)])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "error: stencil step not resolvable in floating point\n"
+        assert not (out / "bl_oracle.csv").exists()
+
 
 class TestConfigAndDeterminism:
     def test_config_file_and_flag_precedence(self, tmp_path):
@@ -673,18 +682,24 @@ class TestConfigAndDeterminism:
     @pytest.mark.parametrize("command", ["check", "density"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_grid_exit_2(self, tmp_path, capsys, command, source):
-        if source == "flag":
-            extra = ["--grid", "-5"]
-        else:
-            cfg = tmp_path / "c.cfg"
-            cfg.write_text("grid=-5\n", encoding="utf-8")
-            extra = ["--config", str(cfg)]
-        out = tmp_path / "out"
-        code = main([command, "--params", "0.1,2.7,0.04", "--maturity", "0.5",
-                     "--out", str(out), *extra])
-        assert code == EXIT_PARSE
-        assert capsys.readouterr().err == "error: a density curve needs at least 3 samples\n"
-        assert not (out / "density.csv").exists()
+        cases = [
+            ("-5", "a density curve needs at least 3 samples"),
+            # refused before the grid, about 0.8 TB of it, is allocated
+            ("100000000000", "a density curve takes at most 1000000 samples"),
+        ]
+        for grid, message in cases:
+            if source == "flag":
+                extra = ["--grid", grid]
+            else:
+                cfg = tmp_path / "c.cfg"
+                cfg.write_text(f"grid={grid}\n", encoding="utf-8")
+                extra = ["--config", str(cfg)]
+            out = tmp_path / "out"
+            code = main([command, "--params", "0.1,2.7,0.04", "--maturity", "0.5",
+                         "--out", str(out), *extra])
+            assert code == EXIT_PARSE
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (out / "density.csv").exists()
 
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch, source):

@@ -1,9 +1,10 @@
 """Densities: flat-vol reduction, curvature factor, closed form vs the
-finite-difference strike-space oracle, price/return Jacobian consistency,
-normalization, and the shape analysis that flags bad densities.
+finite-difference strike-space oracle, the put branch of the pricing
+kernel, normalization, and the shape analysis that flags bad densities.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,17 +21,16 @@ from smilecal import (
     StationaryPoint,
     analyze,
     bl_density_oracle,
-    bs_call_price,
     chi_critical_numeric,
     density_curve,
     gaussian_return_density,
     perturbation_factor,
-    price_density,
     return_density,
     smile_vol_of_strike,
     stationary_points,
 )
 from smilecal.adiabatic import TABLE_RANGES
+from smilecal.bs_core import _bs_value
 
 FIG1 = SmileParams(g=0.1, chi=2.7, n=0.04, maturity=0.5)
 
@@ -116,45 +116,6 @@ class TestReturnDensity:
         assert curve.ps.min() < 0.0
 
 
-class TestPriceDensity:
-    env = MarketEnv(spot=100.0, rate=0.03, maturity=0.5)
-
-    def test_flat_smile_is_lognormal(self):
-        p = SmileParams(g=0.2, chi=1.0, n=0.01, maturity=self.env.maturity)
-        s = np.linspace(60.0, 160.0, 31)
-        sig, t = 0.2, self.env.maturity
-        mean = (self.env.rate - 0.5 * sig * sig) * t
-        expected = np.exp(-((np.log(s / self.env.spot) - mean) ** 2) / (2 * sig * sig * t)) / (
-            s * sig * math.sqrt(2 * math.pi * t)
-        )
-        got = price_density(self.env, p, s)
-        assert np.max(np.abs(got / expected - 1.0)) < 1e-12
-
-    def test_jacobian_consistency_with_return_density(self):
-        # the two are coded from different printed forms of the same
-        # second derivative, so this is a real cross-check
-        p = SmileParams(g=0.15, chi=2.2, n=0.005, maturity=self.env.maturity)
-        rng = np.random.default_rng(9)
-        s = self.env.spot * np.exp(rng.uniform(-0.6, 0.6, size=100))
-        x = np.log(s / self.env.spot) - self.env.rate * self.env.maturity
-        via_return = return_density(p, x) / s
-        direct = price_density(self.env, p, s)
-        assert np.max(np.abs(direct / via_return - 1.0)) < 1e-10
-
-    def test_martingale(self):
-        p = SmileParams(g=0.15, chi=1.4, n=0.005, maturity=self.env.maturity)
-        x = density_curve(p).xs
-        s = self.env.spot * np.exp(x + self.env.rate * self.env.maturity)
-        dens = price_density(self.env, p, s)
-        forward = np.trapezoid(s * dens, s)
-        assert abs(forward / self.env.forward - 1.0) < 1e-4
-
-    def test_domain(self):
-        p = SmileParams(g=0.2, chi=1.5, n=0.01, maturity=self.env.maturity)
-        with pytest.raises(DomainError):
-            price_density(self.env, p, -5.0)
-
-
 class TestBlOracle:
     def test_constant_vol_matches_lognormal(self):
         env = MarketEnv(spot=100.0, rate=0.0, maturity=1.0)
@@ -217,18 +178,35 @@ class TestBlOracle:
         value, err = bl_density_oracle(env, vol_fn, 100.0, with_error=True)
         assert err < 1e-3 * abs(value)
 
-    def test_otm_call_is_the_call_price(self):
-        env = MarketEnv(spot=100.0, rate=0.03, maturity=0.75)
-        strikes = np.linspace(60.0, 160.0, 41)
-        vols = 0.15 + 0.1 * ((strikes - 100.0) / 60.0) ** 2
-        calls = smilecal.density._otm_value(env, strikes, vols, use_put=False)
-        assert np.array_equal(calls, bs_call_price(env, strikes, vols))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        spot=st.floats(0.01, 1e4),
+        rate=st.floats(-0.1, 0.2),
+        maturity=st.floats(1e-3, 10.0),
+        strike=st.floats(0.01, 1e4),
+        vol=st.floats(1e-3, 3.0),
+    )
+    def test_put_branch_obeys_put_call_parity(self, spot, rate, maturity, strike, vol):
+        # the oracle differences the put below the forward: call - put must
+        # be the forward contract's value S0 - K exp(-rT)
+        env = MarketEnv(spot=spot, rate=rate, maturity=maturity)
+        put, call = _bs_value(env, np.full(2, strike), vol, np.array([True, False]))
+        parity = spot - strike * env.discount
+        assert abs(call - put - parity) <= 1e-12 * max(spot, strike)
 
     def test_stencil_must_stay_positive(self):
         env = MarketEnv(spot=100.0, rate=0.0, maturity=1.0)
         for step in (2.0, 0.0, -1.0, math.nan):
             with pytest.raises(DomainError):
                 bl_density_oracle(env, lambda k: 0.2, 1.0, step=step)
+        # a half step that leaves the strike unmoved, or a squared step that
+        # underflows or overflows, ends in DomainError without a warning
+        for spot, step in ((1.0, 1e-300), (1.0, 1e-150), (1e-200, None), (1e200, None)):
+            env = MarketEnv(spot=spot, rate=0.0, maturity=1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="not resolvable"):
+                    bl_density_oracle(env, lambda k: 0.2, spot, step=step)
 
     def test_centre_vol_evaluated_once(self):
         # the centre strike's vol serves the default step and both stencils
@@ -264,7 +242,7 @@ class TestBlOracle:
 def _reference_bl_density_oracle(env, vol_fn, strike, step=None, with_error=False):
     # the stencils as first written, each evaluating the centre vol and price
     # itself; kept as the oracle for the shared-centre version
-    otm = smilecal.density._otm_value
+    otm = _bs_value
     k = np.asarray(strike, dtype=float)
     if step is None:
         local_width = np.asarray(vol_fn(k), dtype=float) * math.sqrt(env.maturity)

@@ -17,8 +17,10 @@ own scratch directory, with the same relative input and output paths:
 * ``refit`` on a narrow flat quote file;
 * ``refit`` and ``check``, in formula and numeric mode, on a 4-row quote
   file whose capped fit collapses (exit 3 from ``refit``);
-* hostile inputs that must end in exit 2: ``bl-oracle --step-frac 0`` and
-  a ``sweep`` whose g axis has an infinite bound;
+* hostile inputs that must end in exit 2: ``bl-oracle --step-frac 0``,
+  a ``sweep`` whose g axis has an infinite bound, and ``bl-oracle`` with
+  a stencil that floats cannot resolve (``--step-frac 1e-300`` and
+  ``1e-150``, ``--spot 1e-200`` and ``1e200``);
 * demos 01-05, each from its own working directory.
 
 Commands run in-process through ``smilecal.cli.main``. Every warning is
@@ -95,6 +97,12 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     commands.append({"id": "oracle_step_zero",
                      "argv": ["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "0.5",
                               "--step-frac", "0", "--out", "oracle_step_zero"]})
+    for flag, value in (("--step-frac", "1e-300"), ("--step-frac", "1e-150"),
+                        ("--spot", "1e-200"), ("--spot", "1e200")):
+        out = f"oracle_unresolvable{flag[1:]}_{value}"
+        commands.append({"id": out,
+                         "argv": ["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "0.5",
+                                  flag, value, "--out", out]})
     commands.append({"id": "sweep_inf_axis",
                      "argv": ["sweep", "--g-range", "0.1:inf:2", "--rho-range", "3:3:1",
                               "--t-range", "1:1:1", "--out", "sweep_inf_axis"]})
