@@ -32,7 +32,7 @@ import numpy as np
 
 from ._lm import levenberg_marquardt
 from .density import STANDARD_GRID_POINTS, STANDARD_SPAN, DensityReport
-from .density import analyze, density_curve
+from .density import _check_grid, analyze, density_curve
 from .errors import (
     CriticalSearchError,
     DomainError,
@@ -125,7 +125,7 @@ SCAN_STEP = 0.05
 
 @dataclass(frozen=True)
 class ChiSearchSettings:
-    """Grid and bracket settings for the numerical chi_c search."""
+    """Grid and bracket settings for the numerical chi_c search, checked when built."""
 
     tol: float = 1e-4
     chi_max: float = 20.0
@@ -139,6 +139,7 @@ class ChiSearchSettings:
             raise DomainError(f"tol must be finite and positive, got {self.tol}")
         if not math.isfinite(self.chi_max):
             raise DomainError(f"chi_max must be finite, got {self.chi_max}")
+        _check_grid(self.grid_points, self.span)
 
 
 def square_well_critical_x(sigma1: float, chi: float, maturity: float) -> float:

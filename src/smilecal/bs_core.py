@@ -135,9 +135,10 @@ def bs_call_price(
     """
     strike_a = np.asarray(strike, dtype=float)
     vol_a = np.asarray(vol, dtype=float)
-    if np.any(strike_a <= 0.0):
+    # each guard is written so that NaN fails it
+    if not np.all(strike_a > 0.0):
         raise DomainError("strike must be positive")
-    if np.any(vol_a < 0.0):
+    if not np.all(vol_a >= 0.0):
         raise DomainError("vol must be nonnegative")
     value = _bs_value(env, strike_a, vol_a)
     intrinsic = np.maximum(env.spot - strike_a * env.discount, 0.0)
@@ -151,9 +152,9 @@ def bs_delta(
     """Spot sensitivity of the call, N(d1); equals dC/dS0."""
     strike_a = np.asarray(strike, dtype=float)
     vol_a = np.asarray(vol, dtype=float)
-    if np.any(strike_a <= 0.0):
+    if not np.all(strike_a > 0.0):
         raise DomainError("strike must be positive")
-    if np.any(vol_a <= 0.0):
+    if not np.all(vol_a > 0.0):
         raise DomainError("vol must be positive")
     d1, _, _ = _d1_d2(env, strike_a, vol_a)
     return _as_float_or_array(_ndtr(d1), strike_a, vol_a)
@@ -184,7 +185,7 @@ def implied_vol(env: MarketEnv, strike: float, price: float) -> float:
     NoArbitrageError
         If ``price`` is outside ``(max(S0 - K*exp(-rT), 0), S0)``.
     """
-    if strike <= 0.0:
+    if not strike > 0.0:
         raise DomainError("strike must be positive")
     lower = max(env.spot - strike * env.discount, 0.0)
     if not lower < price < env.spot:
@@ -228,11 +229,11 @@ def delta_to_x(
     """
     delta_a = np.asarray(delta, dtype=float)
     vol_a = np.asarray(vol, dtype=float)
-    if np.any(delta_a <= 0.0) or np.any(delta_a >= 1.0):
+    if not np.all((delta_a > 0.0) & (delta_a < 1.0)):
         raise DomainError("delta must lie strictly inside (0, 1)")
-    if np.any(vol_a <= 0.0):
+    if not np.all(vol_a > 0.0):
         raise DomainError("vol must be positive")
-    if maturity <= 0.0:
+    if not maturity > 0.0:
         raise DomainError("maturity must be positive")
     out = 0.5 * vol_a * vol_a * maturity - vol_a * math.sqrt(maturity) * _ndtri(delta_a)
     return _as_float_or_array(out, delta_a, vol_a)
@@ -241,7 +242,7 @@ def delta_to_x(
 def strike_to_x(env: MarketEnv, strike: float | np.ndarray) -> float | np.ndarray:
     """Map strike to x = ln(K/S0) - r*T."""
     strike_a = np.asarray(strike, dtype=float)
-    if np.any(strike_a <= 0.0):
+    if not np.all(strike_a > 0.0):
         raise DomainError("strike must be positive")
     out = np.log(strike_a / env.spot) - env.rate * env.maturity
     return _as_float_or_array(out, strike_a)

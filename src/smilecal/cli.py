@@ -531,6 +531,7 @@ def _row_key(g: float, rho: float, maturity: float) -> tuple[str, str, str]:
 
 
 def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
+    settings = cfg.search_settings()  # bad settings exit 2 before the CSV is touched
     specs = (args.g_range, args.rho_range, args.t_range)
     g_axis, rho_axis, t_axis = map(_parse_axis, specs, adiab.default_sweep_axes())
     path = out / "sweep.csv"
@@ -553,7 +554,7 @@ def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
     # from what it finished; the final rewrite restores lattice order
     write_csv(path, _SWEEP_HEADER, zip(*map(_sweep_fields, done.values())))
     with path.open("a", encoding="utf-8") as fh:
-        for row in adiab.sweep_points(missing, cfg.search_settings()):
+        for row in adiab.sweep_points(missing, settings):
             fh.write(_csv_line(_sweep_fields(row)))
             fh.flush()
             done[_row_key(row.g, row.rho, row.maturity)] = row

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bs_core import MarketEnv, _bs_value, strike_to_x
+from .bs_core import MarketEnv, _as_float_or_array, _bs_value, strike_to_x
 from .errors import DomainError, GridError
 from .smile import SmileParams, sigma_derivatives
 
@@ -58,17 +58,10 @@ _KINDS = ("minimum", "maximum", "inflection-plateau")
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """A return density sampled on a strictly increasing x-grid.
-
-    ``scale`` carries the smile's natural width g*chi*sqrt(T) when the
-    curve was built from smile parameters; :func:`analyze` uses it to
-    validate grid adequacy. ``mass`` is the trapezoidal integral over the
-    grid, computed on first read.
-    """
+    """A return density sampled on a strictly increasing x-grid."""
 
     xs: np.ndarray
     ps: np.ndarray
-    scale: float | None = None
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
@@ -83,14 +76,6 @@ class DensityCurve:
             raise DomainError("ps must be finite")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ps", ps)
-
-    @cached_property
-    def mass(self) -> float:
-        return float(np.trapezoid(self.ps, self.xs))
-
-    @property
-    def spacing(self) -> float:
-        return float(self.xs[1] - self.xs[0])
 
 
 @dataclass(frozen=True)
@@ -115,9 +100,9 @@ class DensityReport:
     negative_regions: tuple[tuple[float, float], ...]
     unimodal: bool
 
-    @property
+    @cached_property
     def total_mass(self) -> float:
-        return self.curve.mass
+        return float(np.trapezoid(self.curve.ps, self.curve.xs))
 
     @cached_property
     def martingale_gap(self) -> float:
@@ -146,11 +131,10 @@ def gaussian_return_density(
     sits below zero by half the variance so that the forward is priced
     correctly.
     """
-    if vol <= 0.0 or maturity <= 0.0:
+    if not (vol > 0.0 and maturity > 0.0):
         raise DomainError("vol and maturity must be positive")
     x_arr = np.asarray(x, dtype=float)
-    out = _gaussian_kernel(float(vol), maturity, x_arr)
-    return float(out) if np.ndim(x) == 0 else out
+    return _as_float_or_array(_gaussian_kernel(float(vol), maturity, x_arr), x)
 
 
 def perturbation_factor(
@@ -175,9 +159,7 @@ def perturbation_factor(
         - (sigma_x * sigma_a * maturity) ** 2 / 4.0
         + sigma_a * sigma_xx * maturity
     )
-    if np.ndim(x) == 0 and np.ndim(sigma) == 0:
-        return float(out)
-    return out
+    return _as_float_or_array(out, x, sigma)
 
 
 def return_density(
@@ -193,8 +175,7 @@ def return_density(
     sig, d1, d2 = sigma_derivatives(params, x_arr)
     kernel = _gaussian_kernel(sig, params.maturity, x_arr)
     factor = perturbation_factor(sig, d1, d2, x_arr, params.maturity)
-    out = kernel * factor
-    return float(out) if np.ndim(x) == 0 else out
+    return _as_float_or_array(kernel * factor, x)
 
 
 def smile_vol_of_strike(env: MarketEnv, params: SmileParams) -> Callable:
@@ -236,8 +217,7 @@ def bl_density_oracle(
         finest plain stencil, an error proxy.
     """
     k = np.asarray(strike, dtype=float)
-    scalar = np.ndim(strike) == 0
-    if np.any(k <= 0.0):
+    if not np.all(k > 0.0):
         raise DomainError("strike must be positive")
     vol_k = np.asarray(vol_fn(k), dtype=float)
     if step is None:
@@ -273,11 +253,21 @@ def bl_density_oracle(
     growth = math.exp(env.rate * env.maturity)
     value = growth * extrapolated
     err = growth * np.abs(extrapolated - d_h2)
-
-    if scalar:
-        value = float(value)
-        err = float(err)
+    value, err = (_as_float_or_array(v, strike) for v in (value, err))
     return (value, err) if with_error else value
+
+
+def _check_grid(points: int, span: float) -> None:
+    """The grid rule of :func:`density_curve`, decided from the settings alone."""
+    if points > MAX_GRID_POINTS:
+        raise DomainError(f"a density curve takes at most {MAX_GRID_POINTS} samples")
+    if not (math.isfinite(span) and span >= 4.0):
+        raise GridError(f"span must be finite and at least 4, got {span}")
+    # capped, as 20 * span can overflow; no grid takes more points anyway
+    need = max(101, math.ceil(min(20.0 * span, MAX_GRID_POINTS)) + 1)
+    if points < need:
+        raise GridError(f"a density curve of span {span} needs at least {need} samples, "
+                        f"got {points}")
 
 
 def density_curve(
@@ -289,17 +279,18 @@ def density_curve(
 
     The grid is uniform over ``x_min +- span * g * chi * sqrt(T)``, wide
     enough to resolve both the floor-vol core and the plateau-vol wings.
-    Fewer than 3 or more than ``MAX_GRID_POINTS`` points raise
-    :class:`DomainError` before any grid is built.
+    Its rule depends on the settings alone, whatever the smile: ``span``
+    must be finite and at least 4, so the grid covers 8 smile scales, and
+    ``points`` at least ``max(101, 20 * span + 1)``, so the spacing is at
+    most a tenth of a scale; else :class:`GridError`. More than
+    ``MAX_GRID_POINTS`` points raise :class:`DomainError`. Both are raised
+    before any grid is built, and :func:`analyze` accepts every curve built
+    here.
     """
-    if points < 3:
-        raise DomainError("a density curve needs at least 3 samples")
-    if points > MAX_GRID_POINTS:
-        raise DomainError(f"a density curve takes at most {MAX_GRID_POINTS} samples")
+    _check_grid(points, span)
     scale = params.sigma_plateau * math.sqrt(params.maturity)
     xs = np.linspace(params.x_min - span * scale, params.x_min + span * scale, points)
-    ps = return_density(params, xs)
-    return DensityCurve(xs=xs, ps=ps, scale=scale)
+    return DensityCurve(xs=xs, ps=return_density(params, xs))
 
 
 def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:
@@ -354,21 +345,11 @@ def analyze(curve: DensityCurve) -> DensityReport:
     Raises
     ------
     GridError
-        If the curve has fewer than 101 points or, when the smile scale is
-        known, spans less than 8 scale units or is sampled coarser than a
-        tenth of the scale.
+        If the curve has fewer than 101 points. The width and spacing of a
+        :func:`density_curve` grid are checked when it is built.
     """
     if curve.xs.size < 101:
         raise GridError(f"need at least 101 samples, got {curve.xs.size}")
-    if curve.scale is not None:
-        if curve.spacing > curve.scale / 10.0:
-            raise GridError(
-                f"grid spacing {curve.spacing:.3g} too coarse for smile scale "
-                f"{curve.scale:.3g}"
-            )
-        if curve.xs[-1] - curve.xs[0] < 8.0 * curve.scale:
-            raise GridError("grid must span at least 8 smile scales around the mode")
-
     points = stationary_points(curve)
     minima = tuple(p for p in points if p.kind == "minimum")
 

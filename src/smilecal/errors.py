@@ -29,7 +29,7 @@ class ConvergenceError(SmilecalError):
 
 
 class GridError(SmilecalError, ValueError):
-    """A sampled curve is too coarse or too narrow for the requested analysis."""
+    """A density grid, or a sampled curve, is too coarse or too narrow for analysis."""
 
 
 class CriticalSearchError(SmilecalError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lm import levenberg_marquardt
-from .bs_core import delta_to_x
+from .bs_core import _as_float_or_array, delta_to_x
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -86,6 +86,8 @@ class VolQuote:
             raise DomainError(f"quoted vol must be positive, got {self.vol}")
         if (self.x is None) == (self.delta is None):
             raise DomainError("exactly one of x and delta must be set")
+        if self.x is not None and not math.isfinite(self.x):
+            raise DomainError(f"quote x must be finite, got {self.x}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
 
@@ -139,9 +141,7 @@ def sigma_derivatives(
     sig = g * (1.0 + height * (u * u) / den)
     d1 = g * height * 2.0 * n * u / (den * den)
     d2 = g * height * 2.0 * n * (n - 3.0 * u * u) / (den * den * den)
-    if np.ndim(x) == 0:
-        return float(sig), float(d1), float(d2)
-    return sig, d1, d2
+    return tuple(_as_float_or_array(v, x) for v in (sig, d1, d2))
 
 
 def _quotes_to_arrays(
@@ -255,12 +255,14 @@ def fit_smile(quotes: list[VolQuote], maturity: float) -> SmileFitResult:
 def _fit_arrays(xs: np.ndarray, vols: np.ndarray, maturity: float) -> SmileFitResult:
     """:func:`fit_smile` on quotes already converted by :func:`_quotes_to_arrays`,
     started at the lowest vol, chi = highest / lowest vol and a half-width of
-    a quarter of the quoted span."""
+    a quarter of the quoted span; a start chi that overflows has diverged."""
     n0 = max((float(xs.max() - xs.min()) / 4.0) ** 2, 1e-12)
     if float(vols.max() - vols.min()) == 0.0:
         params = SmileParams(g=float(vols[0]), chi=1.0, n=n0, maturity=maturity)
         return SmileFitResult(params, residual_rms=0.0, converged=True, iterations=0)
-    g0, chi0 = float(vols.min()), float(vols.max() / vols.min())
+    g0, chi0 = float(vols.min()), float(vols.max()) / float(vols.min())  # inf, no warning
+    if chi0 == math.inf:
+        raise ConvergenceError(f"smile fit diverged: start chi {float(vols.max())} / {g0} overflows")
     return _solve(xs, vols, SmileParams(g0, chi0, n0, maturity), None)
 
 

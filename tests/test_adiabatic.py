@@ -16,6 +16,7 @@ from smilecal import (
     CriticalFitParams,
     CriticalSearchError,
     DomainError,
+    GridError,
     IdentifiabilityError,
     SmileParams,
     SweepRow,
@@ -284,6 +285,20 @@ class TestChiSearchSettings:
     def test_settings_that_cannot_terminate_rejected(self, kwargs):
         with pytest.raises(DomainError):
             ChiSearchSettings(**kwargs)
+
+    @pytest.mark.parametrize(
+        "grid_points, span, error",
+        [
+            (200, 10.0, GridError),  # spacing above a tenth of a smile scale
+            (4001, 3.0, GridError),  # narrower than 8 smile scales
+            (4001, math.nan, GridError),
+            (100, 4.0, GridError),  # below the 101-sample floor
+            (10**6 + 1, 10.0, DomainError),
+        ],
+    )
+    def test_grid_that_breaks_the_rule_rejected(self, grid_points, span, error):
+        with pytest.raises(error):
+            ChiSearchSettings(grid_points=grid_points, span=span)
 
     def test_tol_below_float_resolution_ends(self):
         tiny = chi_critical_numeric(**FIG1, settings=ChiSearchSettings(tol=1e-300))

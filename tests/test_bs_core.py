@@ -179,6 +179,16 @@ class TestCallPrice:
         with pytest.raises(DomainError):
             MarketEnv(spot=100.0, rate=0.0, maturity=0.0)
 
+    @pytest.mark.parametrize("strike, vol", [(90.0, math.nan), (100.0, math.nan),
+                                             (math.nan, 0.2), ([90.0, math.nan], 0.2)])
+    def test_nan_rejected(self, strike, vol):
+        # a NaN vol was priced as the zero-vol limit, 10.0 at strike 90
+        env = MarketEnv(spot=100.0, rate=0.0, maturity=1.0)
+        with pytest.raises(DomainError):
+            bs_call_price(env, strike, vol)
+        with pytest.raises(DomainError):
+            bs_delta(env, strike, vol)
+
 
 class TestDelta:
     def test_deep_itm(self):
@@ -230,6 +240,11 @@ class TestImpliedVol:
         # ATM lower bound is 0; a vanishing price forces a vanishing vol
         assert implied_vol(env, 100.0, 1e-6) < 1e-6
 
+    def test_nan_strike_rejected(self):
+        env = MarketEnv(spot=100.0, rate=0.0, maturity=1.0)
+        with pytest.raises(DomainError, match="strike must be positive"):
+            implied_vol(env, math.nan, 10.0)
+
     def test_no_arbitrage_bounds(self):
         env = MarketEnv(spot=100.0, rate=0.0, maturity=1.0)
         with pytest.raises(NoArbitrageError):
@@ -272,6 +287,12 @@ class TestCoordinates:
             with pytest.raises(DomainError):
                 delta_to_x(bad, 0.2, 1.0)
 
+    @pytest.mark.parametrize("delta, vol, maturity", [(math.nan, 0.2, 1.0), (0.5, math.nan, 1.0),
+                                                      (0.5, 0.2, math.nan)])
+    def test_delta_nan_rejected(self, delta, vol, maturity):
+        with pytest.raises(DomainError):
+            delta_to_x(delta, vol, maturity)
+
     def test_forward_strike_maps_to_zero(self):
         env = MarketEnv(spot=100.0, rate=0.03, maturity=2.0)
         assert strike_to_x(env, env.forward) == pytest.approx(0.0, abs=1e-15)
@@ -290,3 +311,5 @@ class TestCoordinates:
         env = MarketEnv(spot=100.0, rate=0.0, maturity=1.0)
         with pytest.raises(DomainError):
             strike_to_x(env, 0.0)
+        with pytest.raises(DomainError):
+            strike_to_x(env, math.nan)

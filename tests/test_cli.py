@@ -187,6 +187,34 @@ class TestFit:
         assert (out / "fit_residuals.csv").read_bytes() == (
             tmp_path / "reference.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "kind, coord, message",
+        [
+            ("x", "nan", "quote x must be finite, got nan"),
+            ("x", "inf", "quote x must be finite, got inf"),
+            ("strike", "nan", "strike must be positive"),
+            ("strike", "inf", "quote x must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_coordinate_exit_2(self, tmp_path, capsys, kind, coord, message):
+        # the fault is named where it enters, not as a fit parameter
+        p = tmp_path / "q.csv"
+        p.write_text(f"maturity,0.5\n{kind},vol\n0.9,0.2\n1.0,0.18\n{coord},0.2\n1.1,0.21\n",
+                     encoding="utf-8")
+        for command in ("fit", "check", "refit"):
+            assert main([command, str(p), "--out", str(tmp_path / command)]) == EXIT_PARSE
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_subnormal_vol_exit_3(self, tmp_path, capsys, recwarn):
+        p = tmp_path / "q.csv"
+        p.write_text("maturity,0.5\nx,vol\n-0.1,0.2\n0.0,5e-324\n0.1,0.21\n0.2,0.25\n",
+                     encoding="utf-8")
+        for command in ("fit", "check", "refit"):
+            assert main([command, str(p), "--out", str(tmp_path / command)]) == EXIT_CONVERGENCE
+            err = capsys.readouterr().err
+            assert err == "error: smile fit diverged: start chi 0.25 / 5e-324 overflows\n"
+        assert not recwarn.list
+
     def test_bad_delta_message_unchanged(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
         p.write_text("delta,vol\n0.2,0.1\n0.4,0.1\n1.5,0.1\n0.8,0.1\n", encoding="utf-8")
@@ -533,6 +561,15 @@ class TestSweepAndCalibrate:
         assert capsys.readouterr().err == f"error: axis spec out of range: {spec!r}\n"
         assert not (out / "sweep.csv").exists()
 
+    def test_coarse_grid_exits_2_without_rows(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["sweep", "--g-range", "0.1:0.1:1", "--rho-range", "3:3:1",
+                     "--t-range", "1:1:1", "--grid", "150", "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: a density curve of span 10.0 needs at least 201 samples, got 150\n")
+        assert not (out / "sweep.csv").exists()
+
     def test_calibrate_near_packaged_constants(self, tmp_path):
         # synthesize a sweep CSV from the packaged surface plus tiny noise
         rng = np.random.default_rng(2)
@@ -612,6 +649,15 @@ class TestBlOracleCommand:
         assert capsys.readouterr().err == "error: step must be finite and positive\n"
         assert not (out / "bl_oracle.csv").exists()
 
+    def test_coarse_grid_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "0.5",
+                     "--grid", "150", "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: a density curve of span 10.0 needs at least 201 samples, got 150\n")
+        assert not (out / "bl_oracle.csv").exists()
+
     def test_unresolvable_step_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "0.5",
@@ -683,7 +729,7 @@ class TestConfigAndDeterminism:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_grid_exit_2(self, tmp_path, capsys, command, source):
         cases = [
-            ("-5", "a density curve needs at least 3 samples"),
+            ("-5", "a density curve of span 10.0 needs at least 201 samples, got -5"),
             # refused before the grid, about 0.8 TB of it, is allocated
             ("100000000000", "a density curve takes at most 1000000 samples"),
         ]
@@ -700,6 +746,17 @@ class TestConfigAndDeterminism:
             assert code == EXIT_PARSE
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not (out / "density.csv").exists()
+
+    @pytest.mark.parametrize("command", ["density", "bl-oracle"])
+    @pytest.mark.parametrize("span", ["nan", "-5", "3"])
+    def test_bad_span_exit_2(self, tmp_path, capsys, command, span):
+        out = tmp_path / "out"
+        code = main([command, "--params", "0.1,2.7,0.04", "--maturity", "0.5",
+                     "--span", span, "--out", str(out)])
+        assert code == EXIT_PARSE
+        message = f"span must be finite and at least 4, got {float(span)}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch, source):

@@ -3,8 +3,10 @@ finite-difference strike-space oracle, the put branch of the pricing
 kernel, normalization, and the shape analysis that flags bad densities.
 """
 
+import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +70,8 @@ class TestGaussianDensity:
     def test_domain(self):
         with pytest.raises(DomainError):
             gaussian_return_density(0.0, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            gaussian_return_density(math.nan, 1.0, 0.0)
 
 
 class TestPerturbationFactor:
@@ -311,8 +315,11 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("points", [-5, 0, 2])
     def test_curve_needs_three_points(self, points):
-        with pytest.raises(DomainError, match="at least 3 samples"):
+        # the grid rule's floor covers these with every other coarse grid
+        message = f"a density curve of span 10.0 needs at least 201 samples, got {points}"
+        with pytest.raises(GridError) as exc:
             density_curve(FIG1, points=points)
+        assert str(exc.value) == message
 
     def test_deterministic(self):
         a = analyze(density_curve(FIG1))
@@ -330,26 +337,71 @@ class TestDensityCurveType:
     def test_mass_recorded(self):
         xs = np.linspace(-5.0, 5.0, 1001)
         ps = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
-        curve = DensityCurve(xs=xs, ps=ps)
-        assert curve.mass == pytest.approx(1.0, abs=1e-6)
-        assert curve.spacing == pytest.approx(0.01)
+        report = analyze(DensityCurve(xs=xs, ps=ps))
+        assert report.total_mass == pytest.approx(1.0, abs=1e-6)
 
     def test_mass_and_gap_integrated_on_first_read(self):
         curve = density_curve(FIG1)
         report = analyze(curve)
-        assert "mass" not in vars(curve)
+        assert "total_mass" not in vars(report)
         assert "martingale_gap" not in vars(report)
         xs, ps = curve.xs, curve.ps
         assert report.total_mass == np.trapezoid(ps, xs)
         assert report.martingale_gap == float(
             abs(np.trapezoid(np.exp(xs) * ps, xs) - 1.0)
         )
-        assert vars(curve)["mass"] == report.total_mass
+        assert vars(report)["total_mass"] == report.total_mass
 
     def test_mass_is_not_an_argument(self):
         xs = np.linspace(-1.0, 1.0, 5)
         with pytest.raises(TypeError):
             DensityCurve(xs=xs, ps=np.ones(5), mass=2.0)
+
+    def test_holds_only_its_samples(self):
+        assert [f.name for f in dataclasses.fields(DensityCurve)] == ["xs", "ps"]
+        curve = density_curve(FIG1)
+        assert not hasattr(curve, "scale")
+        assert not hasattr(curve, "spacing")
+        assert not hasattr(curve, "mass")
+
+
+class TestGridRule:
+    """``density_curve`` decides the grid from ``(points, span)`` alone: a
+    span of at least 4 (8 smile scales) and at least 101 points spaced at
+    most a tenth of a scale apart, whatever the smile."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        g=st.floats(0.03, 0.5),
+        chi=st.floats(1.0, 4.0),
+        n=st.floats(1e-3, 0.1),
+        t=st.floats(0.01, 4.0),
+        span=st.one_of(st.sampled_from([4.0, 5.0, 10.0, 12.5]), st.floats(3.9, 12.0)),
+        offset=st.integers(-2, 2),
+    )
+    def test_rejected_exactly_when_the_rule_says(self, g, chi, n, t, span, offset):
+        points = max(101, math.ceil(20.0 * span) + 1) + offset
+        # spacing 2 span / (points - 1) scales, in exact arithmetic
+        ok = span >= 4.0 and points >= 101 and points - 1 >= 20 * Fraction(span)
+        params = SmileParams(g=g, chi=chi, n=n, maturity=t)
+        if ok:
+            report = analyze(density_curve(params, points=points, span=span))
+            assert report.curve.xs.size == points
+        else:
+            with pytest.raises(GridError):
+                density_curve(params, points=points, span=span)
+
+    @pytest.mark.parametrize("span", [math.nan, math.inf, -5.0, 3.0])
+    def test_span_must_be_finite_and_at_least_4(self, span):
+        with pytest.raises(GridError) as exc:
+            density_curve(FIG1, span=span)
+        assert str(exc.value) == f"span must be finite and at least 4, got {span}"
+
+    @pytest.mark.parametrize("span", [5e4, 1e308])
+    def test_span_too_wide_for_any_grid(self, span):
+        # 20 * 1e308 overflows to inf
+        with pytest.raises(GridError, match="needs at least 1000001 samples, got 4001$"):
+            density_curve(FIG1, span=span)
 
 
 class TestStationaryPoints:

@@ -197,6 +197,17 @@ class TestFitSmile:
             VolQuote(vol=0.2, x=0.1, delta=0.5)  # both
         with pytest.raises(DomainError):
             VolQuote(vol=-0.2, x=0.1)
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="quote x must be finite"):
+                VolQuote(vol=0.2, x=x)
+
+    def test_subnormal_vol_diverges_without_a_warning(self, recwarn):
+        # the start's chi, highest over lowest vol, overflows
+        quotes = [VolQuote(vol=v, x=x) for x, v in zip((-0.1, 0.0, 0.1, 0.2),
+                                                       (0.2, 5e-324, 0.21, 0.25))]
+        with pytest.raises(ConvergenceError, match="smile fit diverged"):
+            fit_smile(quotes, 0.5)
+        assert not recwarn.list
 
 
 class TestConstrainedFit:

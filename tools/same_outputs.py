@@ -21,6 +21,13 @@ own scratch directory, with the same relative input and output paths:
   a ``sweep`` whose g axis has an infinite bound, and ``bl-oracle`` with
   a stencil that floats cannot resolve (``--step-frac 1e-300`` and
   ``1e-150``, ``--spot 1e-200`` and ``1e200``);
+* grids that break the density grid rule, which must end in exit 2:
+  ``density`` and ``bl-oracle`` with ``--span`` ``nan``, ``-5``, ``3``
+  and ``1e308``, ``bl-oracle --grid 150`` and a 1-point
+  ``sweep --grid 150``;
+* ``fit``, ``check`` and ``refit`` on 4-row quote files with a ``nan``
+  or ``inf`` coordinate (``x`` or ``strike``), which must exit 2, and
+  with one subnormal vol, ``5e-324``, which must exit 3;
 * demos 01-05, each from its own working directory.
 
 Commands run in-process through ``smilecal.cli.main``. Every warning is
@@ -57,6 +64,14 @@ COLLAPSING_QUOTES = (
     "4.54313625062083e-234,0.6565408442132676\n0.29490456440431667,1.4910045167370825\n"
     "1.1125369292536007e-308,2.109561358793571\n"
 )
+HOSTILE_QUOTES = {
+    "x_nan.csv": "maturity,0.5\nx,vol\n-0.1,0.2\nnan,0.18\n0.1,0.21\n0.2,0.25\n",
+    "x_inf.csv": "maturity,0.5\nx,vol\n-0.1,0.2\ninf,0.18\n0.1,0.21\n0.2,0.25\n",
+    "strike_nan.csv": "maturity,0.5\nstrike,vol\n0.9,0.2\nnan,0.18\n1.0,0.21\n1.1,0.25\n",
+    "strike_inf.csv": "maturity,0.5\nstrike,vol\n0.9,0.2\ninf,0.18\n1.0,0.21\n1.1,0.25\n",
+    "subnormal_vol.csv": "maturity,0.5\nx,vol\n-0.1,0.2\n0.0,5e-324\n0.1,0.21\n0.2,0.25\n",
+}
+FIG1_ARGS = ["--params", "0.1,2.7,0.04", "--maturity", "0.5"]
 SMALL_AXES = ["--g-range", "0.03:0.5:3", "--rho-range", "2.5:10:3",
               "--t-range", "0.0027397260273972603:4:3"]
 
@@ -69,7 +84,8 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     import gen
 
     commands: list[dict] = []
-    files: dict[str, str] = {"flat.csv": FLAT_QUOTES, "collapsing.csv": COLLAPSING_QUOTES}
+    files: dict[str, str] = {"flat.csv": FLAT_QUOTES, "collapsing.csv": COLLAPSING_QUOTES,
+                             **HOSTILE_QUOTES}
 
     def add_round(seed: int, root: str, svg: bool, only: str | None = None) -> None:
         _, ops, round_files = gen.desk_round(seed, Path(root))
@@ -106,6 +122,19 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     commands.append({"id": "sweep_inf_axis",
                      "argv": ["sweep", "--g-range", "0.1:inf:2", "--rho-range", "3:3:1",
                               "--t-range", "1:1:1", "--out", "sweep_inf_axis"]})
+    for command, span in product(("density", "bl-oracle"), ("nan", "-5", "3", "1e308")):
+        out = f"{command}_span_{span}"
+        commands.append({"id": out, "argv": [command, *FIG1_ARGS, "--span", span,
+                                             "--out", out]})
+    commands.append({"id": "oracle_grid_150",
+                     "argv": ["bl-oracle", *FIG1_ARGS, "--grid", "150",
+                              "--out", "oracle_grid_150"]})
+    commands.append({"id": "sweep_grid_150",
+                     "argv": ["sweep", "--g-range", "0.1:0.1:1", "--rho-range", "3:3:1",
+                              "--t-range", "1:1:1", "--grid", "150", "--out", "sweep_grid_150"]})
+    for name, command in product(HOSTILE_QUOTES, ("fit", "check", "refit")):
+        out = f"{name.removesuffix('.csv')}_{command}"
+        commands.append({"id": out, "argv": [command, name, "--out", out]})
     for demo in sorted((ROOT / "demos").glob("0*.py")):
         commands.append({"id": f"demo_{demo.stem[:2]}", "demo": demo.name})
     return commands, files
