@@ -8,7 +8,10 @@ ways:
 * a closed form for the square-well caricature of the smile
   (:func:`square_well_critical_x`),
 * a numerical continuation in chi driven by the density module's
-  unimodality verdict (:func:`chi_critical_numeric`),
+  unimodality verdict (:func:`chi_critical_numeric`); inside the
+  calibrated box a closed-form fold of the density's log-slope
+  (:func:`_fold_chi`) predicts the transition, and only the verdicts next
+  to the prediction are made, with the full scan as the fallback,
 * an empirical power-law surface in rho = n/(g^2 T) and g*sqrt(T)
   calibrated against sweeps of the numerical search
   (:func:`chi_critical_formula`, :func:`calibrate_critical_fit`).
@@ -189,6 +192,176 @@ def _in_calibrated_box(g: float, n: float, maturity: float) -> bool:
     return _BOX_RHO[0] <= rho <= _BOX_RHO[1] and _BOX_S[0] <= s <= _BOX_S[1]
 
 
+def _well_derivatives(u: float, n: float) -> tuple[float, float, float, float, float, float]:
+    """``n / (u^2 + n)`` and its first five derivatives in ``u``, in closed form.
+
+    The smile is ``g * (1 + (chi - 1) * (1 - n / (u^2 + n)))``, so its k-th
+    x-derivative, k >= 1, is ``-g * (chi - 1)`` times the k-th entry.
+    """
+    u2 = u * u
+    inv = 1.0 / (u2 + n)
+    h = n * inv
+    h2 = h * inv
+    h3 = h2 * inv
+    h4 = h3 * inv
+    h5 = h4 * inv
+    h6 = h5 * inv
+    return (
+        h,
+        -2.0 * u * h2,
+        2.0 * (3.0 * u2 - n) * h3,
+        24.0 * u * (n - u2) * h4,
+        24.0 * (5.0 * u2 * u2 - 10.0 * n * u2 + n * n) * h5,
+        -240.0 * u * (3.0 * u2 * u2 - 10.0 * n * u2 + 3.0 * n * n) * h6,
+    )
+
+
+class _Jet:
+    """A function of y as its Taylor coefficients ``(f, f', f''/2, f'''/6)``
+    at one point, with the chi-derivatives ``dc`` of the first three.
+
+    Sums, products, quotients and logarithms of jets are exact, so the
+    fold's Newton step gets ``q``, ``q_y``, ``q_yy`` and the chi column of
+    its Jacobian in closed form from the smile's derivatives.
+    """
+
+    __slots__ = ("c", "dc")
+
+    def __init__(self, c: tuple, dc: tuple) -> None:
+        self.c, self.dc = c, dc
+
+    def __add__(self, other: _Jet) -> _Jet:
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = other.c
+        (e0, e1, e2), (f0, f1, f2) = self.dc, other.dc
+        return _Jet((a0 + b0, a1 + b1, a2 + b2, a3 + b3), (e0 + f0, e1 + f1, e2 + f2))
+
+    def __sub__(self, other: _Jet) -> _Jet:
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = other.c
+        (e0, e1, e2), (f0, f1, f2) = self.dc, other.dc
+        return _Jet((a0 - b0, a1 - b1, a2 - b2, a3 - b3), (e0 - f0, e1 - f1, e2 - f2))
+
+    def __rsub__(self, other: float) -> _Jet:
+        a0, a1, a2, a3 = self.c
+        e0, e1, e2 = self.dc
+        return _Jet((other - a0, -a1, -a2, -a3), (-e0, -e1, -e2))
+
+    def __mul__(self, other: _Jet | float) -> _Jet:
+        a0, a1, a2, a3 = self.c
+        e0, e1, e2 = self.dc
+        if not isinstance(other, _Jet):
+            return _Jet((a0 * other, a1 * other, a2 * other, a3 * other),
+                        (e0 * other, e1 * other, e2 * other))
+        b0, b1, b2, b3 = other.c
+        f0, f1, f2 = other.dc
+        return _Jet(
+            (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0),
+            (e0 * b0 + a0 * f0, e0 * b1 + e1 * b0 + a0 * f1 + a1 * f0,
+             e0 * b2 + e1 * b1 + e2 * b0 + a0 * f2 + a1 * f1 + a2 * f0),
+        )
+
+    def __truediv__(self, other: _Jet) -> _Jet:
+        a0, a1, a2, a3 = self.c
+        e0, e1, e2 = self.dc
+        b0, b1, b2, b3 = other.c
+        f0, f1, f2 = other.dc
+        c0 = a0 / b0
+        c1 = (a1 - c0 * b1) / b0
+        c2 = (a2 - c1 * b1 - c0 * b2) / b0
+        c3 = (a3 - c2 * b1 - c1 * b2 - c0 * b3) / b0
+        # d(a/b) = (da - (a/b) db) / b
+        g0 = (e0 - c0 * f0) / b0
+        g1 = (e1 - c0 * f1 - c1 * f0 - g0 * b1) / b0
+        g2 = (e2 - c0 * f2 - c1 * f1 - c2 * f0 - g1 * b1 - g0 * b2) / b0
+        return _Jet((c0, c1, c2, c3), (g0, g1, g2))
+
+    def log(self) -> _Jet:
+        a0, a1, a2, a3 = self.c
+        e0, e1, e2 = self.dc
+        l1 = a1 / a0
+        l2 = (a2 - 0.5 * l1 * a1) / a0
+        l3 = (a3 - (l1 * a2 + 2.0 * l2 * a1) / 3.0) / a0
+        g0 = e0 / a0  # d(log a) = da / a
+        g1 = (e1 - g0 * a1) / a0
+        g2 = (e2 - g1 * a1 - g0 * a2) / a0
+        return _Jet((math.log(a0), l1, l2, l3), (g0, g1, g2))
+
+
+def _fold_terms(y: float, chi: float, rho: float, s: float) -> tuple[float, ...]:
+    """``(q, q_y, q_yy, q_chi, q_ychi)`` of ``q = d log p / dy`` at ``(y, chi)``.
+
+    In the reduced coordinate ``y = x / (g sqrt(T))`` the smile is
+    ``g * sig(y)``, ``sig = 1 + (chi - 1) * (1 - rho / (v^2 + rho))`` with
+    ``v = y + s/2``, and the log-density is, up to a constant,
+    ``-y^2 / (2 sig^2) - s y / 2 - s^2 sig^2 / 8 - log sig + log F``, with
+    the curvature factor ``F = (1 - y sig'/sig)^2 - s^2 (sig' sig)^2 / 4 +
+    sig sig''``. It depends on ``(y, chi, rho, s)`` only, and ``q`` vanishes
+    where ``d log p / dx`` does.
+    """
+    h = _well_derivatives(y + 0.5 * s, rho)
+    c = chi - 1.0
+    w = (1.0 - h[0], -h[1], -h[2], -h[3], -h[4], -h[5])  # sig = 1 + c * w
+
+    def jet(k: int) -> _Jet:  # of the k-th derivative of sig
+        return _Jet((float(k == 0) + c * w[k], c * w[k + 1], c * w[k + 2] / 2.0,
+                     c * w[k + 3] / 6.0), (w[k], w[k + 1], w[k + 2] / 2.0))
+
+    sig, sig1, sig2 = jet(0), jet(1), jet(2)
+    yj = _Jet((y, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    slope = 1.0 - yj * (sig1 / sig)
+    prod = sig1 * sig * (0.5 * s)
+    factor = slope * slope - prod * prod + sig * sig2
+    z = yj / sig
+    sig_s = sig * (0.5 * s)
+    # all but the linear term -s y / 2, whose slope is added to q
+    log_p = factor.log() - sig.log() - (z * z + sig_s * sig_s) * 0.5
+    (_, l1, l2, l3), (_, m1, m2) = log_p.c, log_p.dc
+    return l1 - 0.5 * s, 2.0 * l2, 6.0 * l3, m1, 2.0 * m2
+
+
+_FOLD_MAX_STEPS = 20
+
+
+def _fold_chi(rho: float, s: float) -> float | None:
+    """The fold ``q = q_y = 0`` of :func:`_fold_terms`: the plateau ratio at
+    which the density's left wing first gets a stationary inflection.
+
+    2-D Newton in ``(y, chi)`` starts from the calibrated surface's chi and
+    ``y = -s/2 - 1.2 chi``, 1.2 smile scales left of the smile minimum, and
+    stops once a step moves neither by more than 1e-6; Newton converges
+    quadratically, so the error left is of order that step squared, far
+    below ``_FOLD_BAND``. Returns ``None``, no prediction, if it takes more
+    than ``_FOLD_MAX_STEPS`` steps, meets a value that is not finite or
+    raises an ``ArithmeticError`` or ``ValueError``, or ends outside the
+    left wing ``y < -s/2``.
+    """
+    chi = chi_critical_formula(s, rho * s * s, 1.0)  # the smile g = s, T = 1
+    y = -0.5 * s - 1.2 * chi
+    try:
+        for _ in range(_FOLD_MAX_STEPS):
+            q, q_y, q_yy, q_c, q_yc = _fold_terms(y, chi, rho, s)
+            det = q_y * q_yc - q_c * q_yy
+            dy = (q_c * q_y - q * q_yc) / det
+            dchi = (q * q_yy - q_y * q_y) / det
+            y += dy
+            chi += dchi
+            if not (math.isfinite(y) and math.isfinite(chi)):
+                return None
+            if abs(dy) <= 1e-6 and abs(dchi) <= 1e-6:
+                return chi if y < -0.5 * s and chi > 1.0 else None
+    except (ArithmeticError, ValueError):
+        return None
+    return None
+
+
+# Fold-guided verdicts are declared this far (plus the bisection tol) from
+# the fold's chi; on the Table-1 lattice the fold lies within 6.9e-5 of the
+# grid search's chi_c.
+_FOLD_BAND = 5e-4
+
+
 def chi_critical_numeric(
     g: float,
     n: float,
@@ -202,16 +375,17 @@ def chi_critical_numeric(
     non-unimodal point; bisection on the unimodality verdict then narrows
     the bracket to ``settings.tol``.
 
-    Inside the calibrated (rho, s) box the scan makes no verdicts below
-    0.97 times :func:`chi_critical_formula`: it steps through those scan
-    points by the same float additions and starts its verdicts at the
-    last one, so it reaches the bracket, and the result, of the full
-    scan. This rests on the verdict being unimodal below chi_c there,
-    which the tests check on a sub-lattice of the box, and on the
-    surface lying within 1% of chi_c on every Table-1 point, which the
-    tests check by comparing all of them with the full scan. If the
-    first verdict is already non-unimodal, the full scan runs instead;
-    outside the box it always does.
+    Inside the calibrated (rho, s) box, the fold of the density's log-slope
+    (:func:`_fold_chi`) predicts the transition at ``chi_f``, and the same
+    scan and bisection run with a verdict only for a chi within
+    ``_FOLD_BAND + settings.tol`` of ``chi_f``: a chi below that band is
+    declared unimodal and one above it non-unimodal. The result is kept
+    only if both ends of the final bracket carry real verdicts (``lo = 1``,
+    the Gaussian limit, counts as one). As the verdict is monotone in chi,
+    every declared verdict then agrees with the real one, so the result is
+    the full scan's, whatever the fold's error. Otherwise, with no
+    prediction, or outside the box, the full scan runs with every verdict
+    real.
 
     Raises
     ------
@@ -223,11 +397,11 @@ def chi_critical_numeric(
     def non_unimodal(chi: float) -> bool:
         return not _verdict(SmileParams(g=g, chi=chi, n=n, maturity=maturity), opts).unimodal
 
-    def scan(chi: float) -> tuple[float, float]:
-        lo = 1.0  # the chi -> 1 limit is Gaussian, hence unimodal
+    def search(verdict) -> tuple[float, float]:
+        lo, chi = 1.0, SCAN_START  # the chi -> 1 limit is Gaussian, hence unimodal
         while chi <= opts.chi_max:
-            if non_unimodal(chi):
-                return lo, chi
+            if verdict(chi):
+                return _bisect(verdict, lo, chi, opts.tol)
             lo = chi
             chi += SCAN_STEP
         raise CriticalSearchError(
@@ -235,16 +409,29 @@ def chi_critical_numeric(
             f"at g={g}, n={n}, T={maturity}"
         )
 
-    start = SCAN_START
     if _in_calibrated_box(g, n, maturity):
-        target = min(0.97 * chi_critical_formula(g, n, maturity), opts.chi_max)
-        while start + SCAN_STEP < target:
-            start += SCAN_STEP
-    lo, hi = scan(start)
-    if hi == start and start != SCAN_START:
-        lo, hi = scan(SCAN_START)
+        chi_f = _fold_chi(n / (g * g * maturity), g * math.sqrt(maturity))
+    else:
+        chi_f = None
+    if chi_f is not None:
+        band = _FOLD_BAND + opts.tol
+        real = {1.0}
 
-    lo, hi = _bisect(non_unimodal, lo, hi, opts.tol)
+        def guided(chi: float) -> bool:
+            if abs(chi - chi_f) > band:
+                return chi > chi_f
+            real.add(chi)
+            return non_unimodal(chi)
+
+        try:
+            lo, hi = search(guided)
+        except CriticalSearchError:
+            pass
+        else:
+            if lo in real and hi in real:
+                return 0.5 * (lo + hi)
+
+    lo, hi = search(non_unimodal)
     return 0.5 * (lo + hi)
 
 

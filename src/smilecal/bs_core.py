@@ -235,7 +235,8 @@ def delta_to_x(
         raise DomainError("vol must be positive")
     if not maturity > 0.0:
         raise DomainError("maturity must be positive")
-    out = 0.5 * vol_a * vol_a * maturity - vol_a * math.sqrt(maturity) * _ndtri(delta_a)
+    with np.errstate(over="ignore"):  # an infinite x is the caller's to reject
+        out = 0.5 * vol_a * vol_a * maturity - vol_a * math.sqrt(maturity) * _ndtri(delta_a)
     return _as_float_or_array(out, delta_a, vol_a)
 
 

@@ -255,8 +255,16 @@ def fit_smile(quotes: list[VolQuote], maturity: float) -> SmileFitResult:
 def _fit_arrays(xs: np.ndarray, vols: np.ndarray, maturity: float) -> SmileFitResult:
     """:func:`fit_smile` on quotes already converted by :func:`_quotes_to_arrays`,
     started at the lowest vol, chi = highest / lowest vol and a half-width of
-    a quarter of the quoted span; a start chi that overflows has diverged."""
-    n0 = max((float(xs.max() - xs.min()) / 4.0) ** 2, 1e-12)
+    a quarter of the quoted span; a start chi or half-width that overflows has
+    diverged."""
+    with np.errstate(over="ignore"):
+        quarter = float(xs.max() - xs.min()) / 4.0  # inf, no warning
+    try:
+        n0 = max(quarter**2, 1e-12)
+    except OverflowError:
+        n0 = math.inf
+    if n0 == math.inf:
+        raise ConvergenceError(f"smile fit diverged: start n = {quarter}^2 overflows")
     if float(vols.max() - vols.min()) == 0.0:
         params = SmileParams(g=float(vols[0]), chi=1.0, n=n0, maturity=maturity)
         return SmileFitResult(params, residual_rms=0.0, converged=True, iterations=0)

@@ -8,6 +8,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smilecal.adiabatic
 from smilecal import (
@@ -32,6 +34,7 @@ from smilecal import (
     density_curve,
     fit_smile,
     gaussian_return_density,
+    return_density,
     sigma_of_x,
     sweep,
     sweep_points,
@@ -142,11 +145,10 @@ class TestChiCriticalNumeric:
                 assert analyze(density_curve(params)).unimodal, (g, rho, t, chi)
 
 
-def _reference_chi_critical_numeric(g, n, maturity):
-    # the full upward scan from SCAN_START that the search ran before it
-    # started next to the calibrated surface, kept as the oracle for the
-    # jumped start
-    opts = ChiSearchSettings()
+def _reference_chi_critical_numeric(g, n, maturity, opts=None):
+    # the full upward scan from SCAN_START with a verdict at every scan
+    # and bisection point, kept as the oracle for the fold-guided search
+    opts = opts or ChiSearchSettings()
 
     def non_unimodal(chi):
         params = SmileParams(g=g, chi=chi, n=n, maturity=maturity)
@@ -191,6 +193,7 @@ def _table1_points():
 
 
 class TestJumpedStart:
+    # the fold-guided search, which starts its verdicts next to the fold
     def test_table1_identical_to_full_scan(self):
         points = _table1_points()
         fast = [repr(chi_critical_numeric(*p)) for p in points]
@@ -218,25 +221,22 @@ class TestJumpedStart:
         assert not smilecal.adiabatic._in_calibrated_box(g, n, t)
 
     def test_fallback_when_first_verdict_is_non_unimodal(self, monkeypatch):
+        # a fold past the transition declares unimodal verdicts where the
+        # real ones are not, so the bracket's lower end is declared
         expected = _reference_chi_critical_numeric(**FIG1)
-        formula = smilecal.adiabatic.chi_critical_formula
-        monkeypatch.setattr(
-            smilecal.adiabatic, "chi_critical_formula",
-            lambda *args: 1.5 * formula(*args),
-        )
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_chi", lambda rho, s: expected + 0.01)
         chis = _record_search_chis(monkeypatch)
         assert chi_critical_numeric(**FIG1) == expected
-        assert chis[0] > expected  # the jumped start is past the transition
-        assert chis[1] == smilecal.adiabatic.SCAN_START
+        full = chis.index(smilecal.adiabatic.SCAN_START)
+        assert full > 0 and all(chi > expected for chi in chis[:full])
 
     def test_low_surface_still_matches(self, monkeypatch):
         expected = _reference_chi_critical_numeric(**FIG1)
-        formula = smilecal.adiabatic.chi_critical_formula
-        monkeypatch.setattr(
-            smilecal.adiabatic, "chi_critical_formula",
-            lambda *args: 0.5 * formula(*args),
-        )
+        fold = smilecal.adiabatic._fold_chi
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_chi", lambda rho, s: 0.5 * fold(rho, s))
+        chis = _record_search_chis(monkeypatch)
         assert chi_critical_numeric(**FIG1) == expected
+        assert smilecal.adiabatic.SCAN_START in chis  # the full scan ran
 
     def test_outside_the_box_scans_from_chi_start(self, monkeypatch):
         g, t = 0.1, 0.5
@@ -256,7 +256,7 @@ class TestJumpedStart:
 
         monkeypatch.setattr(smilecal.adiabatic, "analyze", counting)
         chi_critical_numeric(**FIG1)
-        assert len(calls) <= 13
+        assert len(calls) <= 6
 
     def test_bisects_through_the_shared_helper(self, monkeypatch):
         brackets = []
@@ -271,6 +271,162 @@ class TestJumpedStart:
         assert len(brackets) == 1
         lo, hi = brackets[0]
         assert 0.0 < hi - lo <= ChiSearchSettings().tol
+
+
+def _fake_fold_terms(y_root):
+    # q = (y - y_root)^2 + chi - 2, whose fold is at (y_root, 2)
+    return lambda y, chi, rho, s: ((y - y_root) ** 2 + chi - 2.0, 2.0 * (y - y_root),
+                                   2.0, 1.0, 0.0)
+
+
+class TestFold:
+    SMILE = SmileParams(g=0.2, chi=2.1, n=0.05, maturity=0.7)
+
+    def _sigma(self, k, x):
+        # the k-th x-derivative of the smile, in closed form
+        p = self.SMILE
+        h = smilecal.adiabatic._well_derivatives(x + 0.5 * p.g * p.g * p.maturity, p.n)
+        if k == 0:
+            return p.g * (1.0 + (p.chi - 1.0) * (1.0 - h[0]))
+        return -p.g * (p.chi - 1.0) * h[k]
+
+    @pytest.mark.parametrize("x", [-0.6, -0.25, -0.014, 0.0, 0.3])
+    def test_sigma_derivatives_match_central_differences(self, x):
+        p = self.SMILE
+        assert self._sigma(0, x) == pytest.approx(sigma_of_x(p, x), rel=1e-14)
+        step = 1e-4 * math.sqrt(p.n)
+        for k in range(1, 6):
+            central = (self._sigma(k - 1, x + step) - self._sigma(k - 1, x - step)) / (2 * step)
+            scale = p.g * (p.chi - 1.0) * math.factorial(k) * p.n ** (-k / 2)
+            assert abs(self._sigma(k, x) - central) <= 1e-7 * scale, k
+
+    @pytest.mark.parametrize("y", [-3.0, -2.2, -1.0, 0.5])
+    def test_q_terms_match_central_differences(self, y):
+        rho, s, chi = 5.0, 0.3, 2.0
+
+        def terms(y, chi):
+            return smilecal.adiabatic._fold_terms(y, chi, rho, s)
+
+        def log_p(y):  # the smile g = s, T = 1 has these (rho, s), and x = s y
+            params = SmileParams(g=s, chi=chi, n=rho * s * s, maturity=1.0)
+            return math.log(return_density(params, s * y))
+
+        step = 1e-5
+        q, q_y, q_yy, q_c, q_yc = terms(y, chi)
+        by_y = [(a - b) / (2 * step) for a, b in zip(terms(y + step, chi), terms(y - step, chi))]
+        by_c = [(a - b) / (2 * step) for a, b in zip(terms(y, chi + step), terms(y, chi - step))]
+        assert q == pytest.approx((log_p(y + step) - log_p(y - step)) / (2 * step), abs=1e-7)
+        assert q_y == pytest.approx(by_y[0], abs=1e-7)
+        assert q_yy == pytest.approx(by_y[1], abs=1e-7)
+        assert q_c == pytest.approx(by_c[0], abs=1e-7)
+        assert q_yc == pytest.approx(by_c[1], abs=1e-7)
+
+    def test_newton_finds_a_left_wing_fold(self, monkeypatch):
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_terms", _fake_fold_terms(-3.0))
+        assert smilecal.adiabatic._fold_chi(8.0, 0.07) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            _fake_fold_terms(1.0),  # right of the smile minimum
+            lambda *args: (math.nan,) * 5,
+            lambda *args: (1.0, 0.0, 0.0, 0.0, 0.0),  # singular Jacobian
+            lambda *args: math.log(-1.0),
+        ],
+        ids=["right-wing", "nan", "singular", "value-error"],
+    )
+    def test_no_prediction(self, monkeypatch, terms):
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_terms", terms)
+        assert smilecal.adiabatic._fold_chi(8.0, 0.07) is None
+
+    def test_no_prediction_past_the_step_limit(self, monkeypatch):
+        monkeypatch.setattr(smilecal.adiabatic, "_FOLD_MAX_STEPS", 2)
+        assert smilecal.adiabatic._fold_chi(8.0, 0.07) is None
+
+    def test_table1_guidance(self, monkeypatch):
+        # the fold is close to the grid chi_c, Newton is short, no search
+        # falls back to the full scan and few verdicts are real
+        steps = []
+        terms = smilecal.adiabatic._fold_terms
+
+        def counting(*args):
+            steps[-1] += 1
+            return terms(*args)
+
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_terms", counting)
+        fold = smilecal.adiabatic._fold_chi
+
+        def recording(rho, s):
+            steps.append(0)
+            folds.append(fold(rho, s))
+            return folds[-1]
+
+        folds = []
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_chi", recording)
+        chis = _record_search_chis(monkeypatch)
+        points = _table1_points()
+        found = [chi_critical_numeric(*p) for p in points]
+        assert len(folds) == len(points)
+        assert max(abs(f - c) for f, c in zip(folds, found)) <= 2e-4
+        assert max(steps) <= 10
+        assert smilecal.adiabatic.SCAN_START not in chis
+        assert len(chis) <= 5 * len(points)
+
+    @pytest.mark.parametrize(
+        "fold",
+        [lambda chi_c: chi_c + 0.01, lambda chi_c: chi_c - 0.01, lambda chi_c: math.nan],
+        ids=["above", "below", "nan"],
+    )
+    def test_wrong_fold_still_matches(self, monkeypatch, fold):
+        for g, rho, t in [(0.1, 8.0, 0.5), (0.03, 2.5, 4.0), (0.5, 10.0, 1 / 365)]:
+            n = rho * g * g * t
+            expected = _reference_chi_critical_numeric(g, n, t)
+            monkeypatch.setattr(smilecal.adiabatic, "_fold_chi", lambda rho, s: fold(expected))
+            assert chi_critical_numeric(g, n, t) == expected
+
+    def test_failing_fold_still_matches(self, monkeypatch):
+        def failing(*args):
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_terms", failing)
+        chis = _record_search_chis(monkeypatch)
+        assert chi_critical_numeric(**FIG1) == _reference_chi_critical_numeric(**FIG1)
+        assert chis[0] == smilecal.adiabatic.SCAN_START
+
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            ChiSearchSettings(grid_points=8001),
+            ChiSearchSettings(span=20.0),
+            ChiSearchSettings(tol=1e-2),
+            ChiSearchSettings(tol=1e-6),
+        ],
+        ids=["grid-8001", "span-20", "tol-1e-2", "tol-1e-6"],
+    )
+    def test_settings_match_full_scan(self, monkeypatch, opts):
+        chis = _record_search_chis(monkeypatch)
+        for g, rho, t in product(*default_sweep_axes(3, 3, 3)):
+            n = rho * g * g * t
+            expected = _reference_chi_critical_numeric(g, n, t, opts)
+            del chis[:]
+            assert chi_critical_numeric(g, n, t, opts) == expected
+            assert smilecal.adiabatic.SCAN_START not in chis  # no fallback
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        rho=st.floats(2.5, 10.0),
+        s=st.floats(0.0016, 1.0),
+        t1=st.floats(1.0 / 365.0, 4.0),
+        t2=st.floats(1.0 / 365.0, 4.0),
+    )
+    def test_rescaling_at_fixed_reduced_coordinates(self, rho, s, t1, t2):
+        # chi_c is a function of (rho, s): the smile (g, n, T) with
+        # g = s / sqrt(T) and n = rho g^2 T has the same chi_c for every T
+        found = []
+        for t in (t1, t2):
+            g = s / math.sqrt(t)
+            found.append(chi_critical_numeric(g, rho * g * g * t, t))
+        assert found[0] == found[1]
 
 
 class TestChiSearchSettings:

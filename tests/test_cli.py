@@ -215,6 +215,27 @@ class TestFit:
             assert err == "error: smile fit diverged: start chi 0.25 / 5e-324 overflows\n"
         assert not recwarn.list
 
+    @pytest.mark.parametrize("bound, quarter", [("1e300", "5e+299"), ("1e308", "inf")])
+    def test_overflowing_start_half_width_exit_3(self, tmp_path, capsys, recwarn, bound, quarter):
+        # finite quotes whose span, or its square, overflows
+        p = tmp_path / "q.csv"
+        p.write_text(f"maturity,0.5\nx,vol\n-{bound},0.2\n0,0.18\n0.1,0.21\n{bound},0.25\n",
+                     encoding="utf-8")
+        for command in ("fit", "refit"):
+            assert main([command, str(p), "--out", str(tmp_path / command)]) == EXIT_CONVERGENCE
+            err = capsys.readouterr().err
+            assert err == f"error: smile fit diverged: start n = {quarter}^2 overflows\n"
+        assert not recwarn.list
+
+    def test_overflowing_delta_conversion_exit_2(self, tmp_path, capsys, recwarn):
+        p = tmp_path / "d.csv"
+        p.write_text("maturity,0.5\ndelta,vol\n0.2,0.2\n0.4,1e300\n0.6,0.21\n0.8,0.25\n",
+                     encoding="utf-8")
+        for command in ("fit", "refit"):
+            assert main([command, str(p), "--out", str(tmp_path / command)]) == EXIT_PARSE
+            assert capsys.readouterr().err == "error: quote x must be finite, got inf\n"
+        assert not recwarn.list
+
     def test_bad_delta_message_unchanged(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
         p.write_text("delta,vol\n0.2,0.1\n0.4,0.1\n1.5,0.1\n0.8,0.1\n", encoding="utf-8")

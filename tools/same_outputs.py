@@ -13,7 +13,8 @@ own scratch directory, with the same relative input and output paths:
   ``--svg``;
 * every ``refit`` of the desk rounds of seeds 1-40;
 * a 3x3x3 ``sweep`` followed by a ``calibrate`` of its CSV, and the
-  default 216-point Table-1 ``sweep``;
+  216-point Table-1 ``sweep`` with the default settings, with ``--grid
+  8001`` and with a config file setting ``chi-tol=0.01``;
 * ``refit`` on a narrow flat quote file;
 * ``refit`` and ``check``, in formula and numeric mode, on a 4-row quote
   file whose capped fit collapses (exit 3 from ``refit``);
@@ -26,8 +27,10 @@ own scratch directory, with the same relative input and output paths:
   and ``1e308``, ``bl-oracle --grid 150`` and a 1-point
   ``sweep --grid 150``;
 * ``fit``, ``check`` and ``refit`` on 4-row quote files with a ``nan``
-  or ``inf`` coordinate (``x`` or ``strike``), which must exit 2, and
-  with one subnormal vol, ``5e-324``, which must exit 3;
+  or ``inf`` coordinate (``x`` or ``strike``), or a delta quote with vol
+  ``1e300`` whose ``x`` overflows, which must exit 2, and with one
+  subnormal vol, ``5e-324``, or an ``x`` span of ``2e300`` whose start
+  half-width overflows, which must exit 3;
 * demos 01-05, each from its own working directory.
 
 Commands run in-process through ``smilecal.cli.main``. Every warning is
@@ -70,7 +73,12 @@ HOSTILE_QUOTES = {
     "strike_nan.csv": "maturity,0.5\nstrike,vol\n0.9,0.2\nnan,0.18\n1.0,0.21\n1.1,0.25\n",
     "strike_inf.csv": "maturity,0.5\nstrike,vol\n0.9,0.2\ninf,0.18\n1.0,0.21\n1.1,0.25\n",
     "subnormal_vol.csv": "maturity,0.5\nx,vol\n-0.1,0.2\n0.0,5e-324\n0.1,0.21\n0.2,0.25\n",
+    "x_span_overflow.csv": "maturity,0.5\nx,vol\n-1e300,0.2\n0,0.18\n0.1,0.21\n1e300,0.25\n",
+    "delta_vol_overflow.csv": (
+        "maturity,0.5\ndelta,vol\n0.2,0.2\n0.4,1e300\n0.6,0.21\n0.8,0.25\n"
+    ),
 }
+COARSE_TOL_CONFIG = "chi-tol=0.01\n"
 FIG1_ARGS = ["--params", "0.1,2.7,0.04", "--maturity", "0.5"]
 SMALL_AXES = ["--g-range", "0.03:0.5:3", "--rho-range", "2.5:10:3",
               "--t-range", "0.0027397260273972603:4:3"]
@@ -85,7 +93,7 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
 
     commands: list[dict] = []
     files: dict[str, str] = {"flat.csv": FLAT_QUOTES, "collapsing.csv": COLLAPSING_QUOTES,
-                             **HOSTILE_QUOTES}
+                             "coarse_tol.cfg": COARSE_TOL_CONFIG, **HOSTILE_QUOTES}
 
     def add_round(seed: int, root: str, svg: bool, only: str | None = None) -> None:
         _, ops, round_files = gen.desk_round(seed, Path(root))
@@ -105,6 +113,11 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     commands.append({"id": "sweep_small/calibrate",
                      "argv": ["calibrate", "sweep_small/sweep.csv", "--out", "sweep_small"]})
     commands.append({"id": "sweep_table1", "argv": ["sweep", "--out", "sweep_table1"]})
+    commands.append({"id": "sweep_table1_grid_8001",
+                     "argv": ["sweep", "--grid", "8001", "--out", "sweep_table1_grid_8001"]})
+    commands.append({"id": "sweep_table1_coarse_tol",
+                     "argv": ["sweep", "--config", "coarse_tol.cfg",
+                              "--out", "sweep_table1_coarse_tol"]})
     commands.append({"id": "flat", "argv": ["refit", "flat.csv", "--out", "flat"]})
     for command, mode in product(("refit", "check"), ("formula", "numeric")):
         out = f"collapsing_{command}_{mode}"
