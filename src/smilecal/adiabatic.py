@@ -8,24 +8,20 @@ ways:
 * a closed form for the square-well caricature of the smile
   (:func:`square_well_critical_x`),
 * a numerical continuation in chi driven by the density module's
-  unimodality verdict (:func:`chi_critical_numeric`); inside the
-  calibrated box a closed-form fold of the density's log-slope
-  (:func:`_fold_chi`) predicts the transition, and only the verdicts next
-  to the prediction are made, with the full scan as the fallback,
+  unimodality verdict (:func:`chi_critical_numeric`); a closed-form fold
+  of the density's log-slope (:func:`_fold_chi`) predicts the transition
+  at every point, and only the verdicts next to the prediction are made,
+  with the full scan as the fallback,
 * an empirical power-law surface in rho = n/(g^2 T) and g*sqrt(T)
   calibrated against sweeps of the numerical search
   (:func:`chi_critical_formula`, :func:`calibrate_critical_fit`).
 
 :func:`adiabatic_refit` enforces the bound on a smile fit.
-
-Note on the surface's second term: the correction is stored with a
-negative coefficient and *added*, i.e. larger g*sqrt(T) lowers the
-critical ratio. Sweeps over the full parameter box confirm this direction;
-see the sweep cross-validation tests.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -182,13 +178,18 @@ _BOX_RHO, _BOX_S = (
 )
 
 
-def _in_calibrated_box(g: float, n: float, maturity: float) -> bool:
+def _reduced(g: float, n: float, maturity: float) -> tuple[float, float] | None:
+    """``(rho, s) = (n / (g^2 T), g sqrt(T))``, or ``None`` unless both are
+    finite and positive (``g^2 T`` underflowing to 0, a negative T, a NaN)."""
     try:
-        rho = n / (g * g * maturity)
-        s = g * math.sqrt(maturity)
+        rho, s = n / (g * g * maturity), g * math.sqrt(maturity)
     except (ZeroDivisionError, ValueError):
-        return False
-    # NaN fails every comparison, so a non-finite point is outside
+        return None
+    return (rho, s) if 0.0 < rho < math.inf and 0.0 < s < math.inf else None
+
+
+def _in_calibrated_box(g: float, n: float, maturity: float) -> bool:
+    rho, s = _reduced(g, n, maturity) or (math.nan, math.nan)  # NaN is outside
     return _BOX_RHO[0] <= rho <= _BOX_RHO[1] and _BOX_S[0] <= s <= _BOX_S[1]
 
 
@@ -329,17 +330,18 @@ def _fold_chi(rho: float, s: float) -> float | None:
     which the density's left wing first gets a stationary inflection.
 
     2-D Newton in ``(y, chi)`` starts from the calibrated surface's chi and
-    ``y = -s/2 - 1.2 chi``, 1.2 smile scales left of the smile minimum, and
-    stops once a step moves neither by more than 1e-6; Newton converges
-    quadratically, so the error left is of order that step squared, far
-    below ``_FOLD_BAND``. Returns ``None``, no prediction, if it takes more
-    than ``_FOLD_MAX_STEPS`` steps, meets a value that is not finite or
-    raises an ``ArithmeticError`` or ``ValueError``, or ends outside the
-    left wing ``y < -s/2``.
+    ``y = -s/2 - 1.2 sqrt(rho)``, 1.2 well widths left of the smile minimum
+    (the Table-1 folds lie 1.11 to 1.26 widths left), and stops once a step
+    moves neither by more than 1e-6; Newton converges quadratically, so the
+    error left is of order that step squared, far below ``_FOLD_BAND``.
+    Never raises: returns ``None``, no prediction, if it takes more than
+    ``_FOLD_MAX_STEPS`` steps, meets a value that is not finite or raises an
+    ``ArithmeticError`` or ``ValueError``, or ends outside the left wing
+    ``y < -s/2``.
     """
-    chi = chi_critical_formula(s, rho * s * s, 1.0)  # the smile g = s, T = 1
-    y = -0.5 * s - 1.2 * chi
     try:
+        chi = chi_critical_formula(s, rho * s * s, 1.0)  # the smile g = s, T = 1
+        y = -0.5 * s - 1.2 * math.sqrt(rho)
         for _ in range(_FOLD_MAX_STEPS):
             q, q_y, q_yy, q_c, q_yc = _fold_terms(y, chi, rho, s)
             det = q_y * q_yc - q_c * q_yy
@@ -375,17 +377,16 @@ def chi_critical_numeric(
     non-unimodal point; bisection on the unimodality verdict then narrows
     the bracket to ``settings.tol``.
 
-    Inside the calibrated (rho, s) box, the fold of the density's log-slope
-    (:func:`_fold_chi`) predicts the transition at ``chi_f``, and the same
-    scan and bisection run with a verdict only for a chi within
-    ``_FOLD_BAND + settings.tol`` of ``chi_f``: a chi below that band is
-    declared unimodal and one above it non-unimodal. The result is kept
-    only if both ends of the final bracket carry real verdicts (``lo = 1``,
-    the Gaussian limit, counts as one). As the verdict is monotone in chi,
-    every declared verdict then agrees with the real one, so the result is
-    the full scan's, whatever the fold's error. Otherwise, with no
-    prediction, or outside the box, the full scan runs with every verdict
-    real.
+    The fold of the density's log-slope (:func:`_fold_chi`) predicts the
+    transition at ``chi_f``, and the same scan and bisection run with a
+    verdict only for a chi within ``_FOLD_BAND + settings.tol`` of
+    ``chi_f``: a chi below that band is declared unimodal and one above it
+    non-unimodal. The result is kept only if both ends of the final bracket
+    carry real verdicts (``lo = 1``, the Gaussian limit, counts as one). As
+    the verdict is monotone in chi, every declared verdict then agrees with
+    the real one, so the result is the full scan's, whatever the fold's
+    error. Otherwise, or when the fold gives no prediction, the full scan
+    runs with every verdict real.
 
     Raises
     ------
@@ -409,10 +410,8 @@ def chi_critical_numeric(
             f"at g={g}, n={n}, T={maturity}"
         )
 
-    if _in_calibrated_box(g, n, maturity):
-        chi_f = _fold_chi(n / (g * g * maturity), g * math.sqrt(maturity))
-    else:
-        chi_f = None
+    point = _reduced(g, n, maturity)
+    chi_f = None if point is None else _fold_chi(*point)
     if chi_f is not None:
         band = _FOLD_BAND + opts.tol
         real = {1.0}
@@ -423,11 +422,8 @@ def chi_critical_numeric(
             real.add(chi)
             return non_unimodal(chi)
 
-        try:
+        with contextlib.suppress(CriticalSearchError):
             lo, hi = search(guided)
-        except CriticalSearchError:
-            pass
-        else:
             if lo in real and hi in real:
                 return 0.5 * (lo + hi)
 

@@ -116,10 +116,11 @@ def _gaussian_kernel(
     vol: float | np.ndarray, maturity: float, x: np.ndarray
 ) -> np.ndarray:
     # shared by the flat-vol and smile densities so the chi = 1 reduction
-    # is bitwise exact
-    var = vol * vol * maturity
-    shift = 0.5 * var
-    return np.exp(-((x + shift) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    # is bitwise exact; a non-finite value is the caller's to reject
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        var = vol * vol * maturity
+        shift = 0.5 * var
+        return np.exp(-((x + shift) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
 
 def gaussian_return_density(

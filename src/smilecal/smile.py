@@ -135,12 +135,14 @@ def sigma_derivatives(
     """
     x_arr = np.asarray(x, dtype=float)
     g, chi, n = params.g, params.chi, params.n
-    u = x_arr + 0.5 * g * g * params.maturity
-    den = u * u + n
     height = chi - 1.0
-    sig = g * (1.0 + height * (u * u) / den)
-    d1 = g * height * 2.0 * n * u / (den * den)
-    d2 = g * height * 2.0 * n * (n - 3.0 * u * u) / (den * den * den)
+    # an extreme smile overflows here; the caller's finiteness check decides
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = x_arr + 0.5 * g * g * params.maturity
+        den = u * u + n
+        sig = g * (1.0 + height * (u * u) / den)
+        d1 = g * height * 2.0 * n * u / (den * den)
+        d2 = g * height * 2.0 * n * (n - 3.0 * u * u) / (den * den * den)
     return tuple(_as_float_or_array(v, x) for v in (sig, d1, d2))
 
 

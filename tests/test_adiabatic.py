@@ -132,6 +132,22 @@ class TestChiCriticalNumeric:
         with pytest.raises(CriticalSearchError):
             chi_critical_numeric(0.1, 0.04, 0.5, ChiSearchSettings(chi_max=1.5))
 
+    @pytest.mark.parametrize(
+        "g, n, t, message",
+        [
+            (0.0, 0.04, 0.5, "g must be positive, got 0.0"),
+            (math.nan, 0.04, 0.5, "g must be positive, got nan"),
+            (0.1, 0.04, -0.5, "maturity must be positive, got -0.5"),
+            (1e-200, 1e-300, 0.5, "ps must be finite"),  # g*g*T underflows to 0
+        ],
+    )
+    def test_domain(self, g, n, t, message, recwarn):
+        # a point with no (rho, s) gets no fold, and its first verdict raises
+        with pytest.raises(DomainError) as exc:
+            chi_critical_numeric(g, n, t)
+        assert str(exc.value) == message
+        assert not recwarn.list
+
     def test_unimodal_everywhere_below_chi_c(self):
         # the search assumes the verdict is monotone in chi and makes no
         # verdicts below the surface; check the whole of (1, chi_c)
@@ -193,7 +209,7 @@ def _table1_points():
 
 
 class TestJumpedStart:
-    # the fold-guided search, which starts its verdicts next to the fold
+    # the fold-guided search, which makes its verdicts next to the fold
     def test_table1_identical_to_full_scan(self):
         points = _table1_points()
         fast = [repr(chi_critical_numeric(*p)) for p in points]
@@ -238,13 +254,35 @@ class TestJumpedStart:
         assert chi_critical_numeric(**FIG1) == expected
         assert smilecal.adiabatic.SCAN_START in chis  # the full scan ran
 
-    def test_outside_the_box_scans_from_chi_start(self, monkeypatch):
+    def test_outside_the_box_is_fold_guided(self, monkeypatch):
         g, t = 0.1, 0.5
         n = 40.0 * g * g * t
         expected = _reference_chi_critical_numeric(g, n, t)
         chis = _record_search_chis(monkeypatch)
         assert chi_critical_numeric(g, n, t) == expected
-        assert chis[0] == smilecal.adiabatic.SCAN_START
+        assert smilecal.adiabatic.SCAN_START not in chis
+
+    @pytest.mark.parametrize(
+        "rho, s, guided",
+        [
+            (1.2, 0.05, True),
+            (30.0, 0.8, True),
+            (0.6, 3.0, True),
+            # the fold's Newton gives no prediction here, so the full scan runs
+            (0.3, 0.01, False),
+            (60.0, 0.8, False),
+            (8.0, 3.0, False),
+        ],
+    )
+    def test_outside_the_box_matches_full_scan(self, monkeypatch, rho, s, guided):
+        g, t = s, 1.0
+        n = rho * g * g * t
+        assert not smilecal.adiabatic._in_calibrated_box(g, n, t)
+        expected = _reference_chi_critical_numeric(g, n, t)
+        chis = _record_search_chis(monkeypatch)
+        assert chi_critical_numeric(g, n, t) == expected
+        if guided:
+            assert smilecal.adiabatic.SCAN_START not in chis
 
     def test_fig1_verdict_count(self, monkeypatch):
         calls = []
@@ -343,6 +381,19 @@ class TestFold:
         monkeypatch.setattr(smilecal.adiabatic, "_FOLD_MAX_STEPS", 2)
         assert smilecal.adiabatic._fold_chi(8.0, 0.07) is None
 
+    @pytest.mark.parametrize(
+        "rho, s",
+        [
+            (2.0, 1e-170),  # rho * s * s underflows to 0, which the seed rejects
+            (1e-300, 1.0),
+            (1e300, 1.0),
+            (1.0, 1e300),
+        ],
+    )
+    def test_no_prediction_at_extreme_points(self, rho, s):
+        # the search consults the fold at every point, so it must never raise
+        assert smilecal.adiabatic._fold_chi(rho, s) is None
+
     def test_table1_guidance(self, monkeypatch):
         # the fold is close to the grid chi_c, Newton is short, no search
         # falls back to the full scan and few verdicts are real
@@ -368,7 +419,7 @@ class TestFold:
         found = [chi_critical_numeric(*p) for p in points]
         assert len(folds) == len(points)
         assert max(abs(f - c) for f, c in zip(folds, found)) <= 2e-4
-        assert max(steps) <= 10
+        assert max(steps) <= 5
         assert smilecal.adiabatic.SCAN_START not in chis
         assert len(chis) <= 5 * len(points)
 

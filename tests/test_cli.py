@@ -481,6 +481,31 @@ class TestCollapsingFit:
         assert not recwarn.list
 
 
+class TestExtremeSmiles:
+    # numpy overflows inside the smile and its Gaussian kernel stay silent;
+    # the non-finite checks after them decide the exit
+    def test_fit_with_a_huge_maturity_exits_3(self, tmp_path, capsys, recwarn):
+        p = tmp_path / "q.csv"
+        p.write_text("x,vol\n-0.2,0.3\n-0.1,0.25\n0,0.2\n0.1,0.24\n0.2,0.31\n",
+                     encoding="utf-8")
+        args = ["fit", str(p), "--maturity", "1e300", "--out", str(tmp_path / "out")]
+        assert main(args) == EXIT_CONVERGENCE
+        assert capsys.readouterr().err == "fit did not converge\n"
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("command", ["check", "density"])
+    @pytest.mark.parametrize(
+        "params, maturity", [("1e-200,1.5,1e-300", "0.5"), ("1e-150,1.5,1e300", "1")]
+    )
+    def test_non_finite_density_exits_2(self, tmp_path, capsys, recwarn, command, params,
+                                        maturity):
+        args = [command, "--params", params, "--maturity", maturity,
+                "--out", str(tmp_path / "out")]
+        assert main(args) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: ps must be finite\n"
+        assert not recwarn.list
+
+
 class TestDensityCommand:
     def test_writes_curve_and_report(self, tmp_path):
         out = tmp_path / "out"

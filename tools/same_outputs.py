@@ -15,6 +15,9 @@ own scratch directory, with the same relative input and output paths:
 * a 3x3x3 ``sweep`` followed by a ``calibrate`` of its CSV, and the
   216-point Table-1 ``sweep`` with the default settings, with ``--grid
   8001`` and with a config file setting ``chi-tol=0.01``;
+* the 72-point ``sweep`` with g in 3e-4..3 and rho in 0.3..60 at T = 1,
+  62 of whose points lie outside the calibrated box, and ``check --mode
+  numeric`` on two ``--params`` smiles outside the box (rho 40 and 60);
 * ``refit`` on a narrow flat quote file;
 * ``refit`` and ``check``, in formula and numeric mode, on a 4-row quote
   file whose capped fit collapses (exit 3 from ``refit``);
@@ -31,6 +34,10 @@ own scratch directory, with the same relative input and output paths:
   ``1e300`` whose ``x`` overflows, which must exit 2, and with one
   subnormal vol, ``5e-324``, or an ``x`` span of ``2e300`` whose start
   half-width overflows, which must exit 3;
+* extreme smiles whose numbers overflow: ``fit`` with ``--maturity
+  1e300`` on a 5-row x file, which must exit 3, and ``check`` and
+  ``density`` with ``--params 1e-200,1.5,1e-300 --maturity 0.5`` and
+  ``--params 1e-150,1.5,1e300 --maturity 1``, which must exit 2;
 * demos 01-05, each from its own working directory.
 
 Commands run in-process through ``smilecal.cli.main``. Every warning is
@@ -78,10 +85,16 @@ HOSTILE_QUOTES = {
         "maturity,0.5\ndelta,vol\n0.2,0.2\n0.4,1e300\n0.6,0.21\n0.8,0.25\n"
     ),
 }
+EXTREME_QUOTES = "x,vol\n-0.2,0.3\n-0.1,0.25\n0,0.2\n0.1,0.24\n0.2,0.31\n"
 COARSE_TOL_CONFIG = "chi-tol=0.01\n"
 FIG1_ARGS = ["--params", "0.1,2.7,0.04", "--maturity", "0.5"]
 SMALL_AXES = ["--g-range", "0.03:0.5:3", "--rho-range", "2.5:10:3",
               "--t-range", "0.0027397260273972603:4:3"]
+OUT_OF_BOX_AXES = ["--g-range", "3e-4:3:8", "--rho-range", "0.3:60:9", "--t-range", "1:1:1"]
+OUT_OF_BOX_SMILES = {"rho40": ["--params", "0.1,4.0,0.2", "--maturity", "0.5"],
+                     "rho60": ["--params", "0.8,2.0,38.4", "--maturity", "1"]}
+EXTREME_SMILES = {"tiny": ["--params", "1e-200,1.5,1e-300", "--maturity", "0.5"],
+                  "huge_n": ["--params", "1e-150,1.5,1e300", "--maturity", "1"]}
 
 
 def command_set() -> tuple[list[dict], dict[str, str]]:
@@ -93,7 +106,8 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
 
     commands: list[dict] = []
     files: dict[str, str] = {"flat.csv": FLAT_QUOTES, "collapsing.csv": COLLAPSING_QUOTES,
-                             "coarse_tol.cfg": COARSE_TOL_CONFIG, **HOSTILE_QUOTES}
+                             "extreme.csv": EXTREME_QUOTES, "coarse_tol.cfg": COARSE_TOL_CONFIG,
+                             **HOSTILE_QUOTES}
 
     def add_round(seed: int, root: str, svg: bool, only: str | None = None) -> None:
         _, ops, round_files = gen.desk_round(seed, Path(root))
@@ -118,6 +132,12 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     commands.append({"id": "sweep_table1_coarse_tol",
                      "argv": ["sweep", "--config", "coarse_tol.cfg",
                               "--out", "sweep_table1_coarse_tol"]})
+    commands.append({"id": "sweep_out_of_box",
+                     "argv": ["sweep", *OUT_OF_BOX_AXES, "--out", "sweep_out_of_box"]})
+    for name, args in OUT_OF_BOX_SMILES.items():
+        out = f"check_numeric_{name}"
+        commands.append({"id": out, "argv": ["check", *args, "--mode", "numeric",
+                                             "--out", out]})
     commands.append({"id": "flat", "argv": ["refit", "flat.csv", "--out", "flat"]})
     for command, mode in product(("refit", "check"), ("formula", "numeric")):
         out = f"collapsing_{command}_{mode}"
@@ -148,6 +168,12 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     for name, command in product(HOSTILE_QUOTES, ("fit", "check", "refit")):
         out = f"{name.removesuffix('.csv')}_{command}"
         commands.append({"id": out, "argv": [command, name, "--out", out]})
+    commands.append({"id": "extreme_fit",
+                     "argv": ["fit", "extreme.csv", "--maturity", "1e300",
+                              "--out", "extreme_fit"]})
+    for (name, args), command in product(EXTREME_SMILES.items(), ("check", "density")):
+        out = f"extreme_{name}_{command}"
+        commands.append({"id": out, "argv": [command, *args, "--out", out]})
     for demo in sorted((ROOT / "demos").glob("0*.py")):
         commands.append({"id": f"demo_{demo.stem[:2]}", "demo": demo.name})
     return commands, files
