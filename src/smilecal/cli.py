@@ -194,13 +194,17 @@ def write_csv(path: Path, header: list[str], columns) -> None:
 
     Each column's format is chosen once from its dtype: ``%.17g`` for
     floats, ``%s`` for anything else, the same text :func:`_fmt` gives
-    value by value.
+    value by value. Rows are formatted and written 1024 at a time, so only
+    one block's values are held as Python objects.
     """
     columns = [np.asarray(c) for c in columns]
     row_fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     rows = len(columns[0]) if columns else 0
-    values = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
-    path.write_text(",".join(header) + "\n" + (row_fmt * rows) % values, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, rows, 1024):
+            block = [c[start:start + 1024].tolist() for c in columns]
+            f.write((row_fmt * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
 
 
 def parse_quote_file(path: str) -> QuoteFile:

@@ -53,12 +53,14 @@ MAX_GRID_POINTS = 10**6  # a curve of this size holds about 200 MB of work array
 
 NEGATIVE_EPS_REL = 1e-12  # negativity threshold relative to the curve peak
 
-_KINDS = ("minimum", "maximum", "inflection-plateau")
-
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """A return density sampled on a strictly increasing x-grid."""
+    """A return density sampled on a strictly increasing x-grid.
+
+    Every check runs on a curve built by hand; :func:`density_curve` checks
+    only ``ps`` when its ``linspace`` step is far above float rounding.
+    """
 
     xs: np.ndarray
     ps: np.ndarray
@@ -72,10 +74,14 @@ class DensityCurve:
             raise DomainError("a density curve needs at least 3 samples")
         if np.any(np.diff(xs) <= 0.0):
             raise DomainError("xs must be strictly increasing")
-        if not np.all(np.isfinite(ps)):
-            raise DomainError("ps must be finite")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ps", ps)
+        _set_samples(self, xs, ps)
+
+
+def _set_samples(curve: DensityCurve, xs: np.ndarray, ps: np.ndarray) -> None:
+    if not np.all(np.isfinite(ps)):
+        raise DomainError("ps must be finite")
+    object.__setattr__(curve, "xs", xs)
+    object.__setattr__(curve, "ps", ps)
 
 
 @dataclass(frozen=True)
@@ -290,8 +296,18 @@ def density_curve(
     """
     _check_grid(points, span)
     scale = params.sigma_plateau * math.sqrt(params.maturity)
-    xs = np.linspace(params.x_min - span * scale, params.x_min + span * scale, points)
-    return DensityCurve(xs=xs, ps=return_density(params, xs))
+    lo, hi = params.x_min - span * scale, params.x_min + span * scale
+    xs = np.linspace(lo, hi, points)
+    ps = return_density(params, xs)
+    # linspace's rounding moves a sample by a few ulps of the larger end at
+    # most, so a step this far above them leaves the grid strictly
+    # increasing and only ps needs a check; an extreme smile's grid, too
+    # fine for its floats, gets every check of DensityCurve
+    if (hi - lo) / (points - 1) > 1e-12 * max(abs(lo), abs(hi)):
+        curve = object.__new__(DensityCurve)
+        _set_samples(curve, xs, ps)
+        return curve
+    return DensityCurve(xs=xs, ps=ps)
 
 
 def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:
@@ -299,25 +315,36 @@ def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:
 
     Sign changes of successive differences mark maxima (+ to -) and minima
     (- to +); a run of exactly equal samples flanked by same-sign slopes is
-    reported as an inflection plateau.
+    reported as an inflection plateau. Each pair of neighbouring nonzero
+    slopes brackets at most one point, at the middle of any zero run
+    between them. Only the pairs that flip sign or hold a zero run are
+    found in numpy, and those few are classified in Python; when no slope
+    is zero, the usual case, the pairs are the neighbouring differences.
     """
-    signs = np.sign(np.diff(curve.ps))
-    nonzero = np.flatnonzero(signs)
-    # each pair of neighbouring nonzero slopes brackets at most one point
-    left, right = nonzero[:-1], nonzero[1:]
-    s_left, s_right = signs[left], signs[right]
-    minimum = (s_left < 0.0) & (s_right > 0.0)
-    maximum = (s_left > 0.0) & (s_right < 0.0)
-    plateau = ~(minimum | maximum) & (right > left + 1)
-    kind = np.select([minimum, maximum, plateau], [0, 1, 2], default=-1)
-    hits = np.flatnonzero(kind >= 0)
-    idx = (left[hits] + 1 + right[hits]) // 2
+    slopes = np.diff(curve.ps)
+    up = slopes > 0.0
+    if np.count_nonzero(slopes) == slopes.size:
+        left = np.flatnonzero(up[:-1] != up[1:])
+        right = left + 1
+    else:
+        nonzero = np.flatnonzero(slopes)
+        left, right = nonzero[:-1], nonzero[1:]
+        hits = np.flatnonzero((up[left] != up[right]) | (right > left + 1))
+        left, right = left[hits], right[hits]
+    idx = (left + 1 + right) // 2
     return tuple(
-        StationaryPoint(x=x, kind=_KINDS[k], p=p)
-        for x, k, p in zip(
-            curve.xs[idx].tolist(), kind[hits].tolist(), curve.ps[idx].tolist()
+        StationaryPoint(x=x, kind=_kind(up_l, up_r), p=p)
+        for x, p, up_l, up_r in zip(
+            curve.xs[idx].tolist(), curve.ps[idx].tolist(),
+            up[left].tolist(), up[right].tolist(),
         )
     )
+
+
+def _kind(up_left: bool, up_right: bool) -> str:
+    if up_left == up_right:
+        return "inflection-plateau"
+    return "maximum" if up_left else "minimum"
 
 
 def _negative_regions(curve: DensityCurve) -> tuple[tuple[float, float], ...]:

@@ -284,18 +284,6 @@ class TestJumpedStart:
         if guided:
             assert smilecal.adiabatic.SCAN_START not in chis
 
-    def test_fig1_verdict_count(self, monkeypatch):
-        calls = []
-        real = smilecal.adiabatic.analyze
-
-        def counting(curve):
-            calls.append(curve)
-            return real(curve)
-
-        monkeypatch.setattr(smilecal.adiabatic, "analyze", counting)
-        chi_critical_numeric(**FIG1)
-        assert len(calls) <= 6
-
     def test_bisects_through_the_shared_helper(self, monkeypatch):
         brackets = []
         real = smilecal.adiabatic._bisect
@@ -309,6 +297,31 @@ class TestJumpedStart:
         assert len(brackets) == 1
         lo, hi = brackets[0]
         assert 0.0 < hi - lo <= ChiSearchSettings().tol
+
+
+class TestFoldGuidedSearch:
+    # how few verdicts the fold's band leaves the search; counts are exact
+    def test_fig1_verdict_count(self, monkeypatch):
+        calls = []
+        real = smilecal.adiabatic.analyze
+
+        def counting(curve):
+            calls.append(curve)
+            return real(curve)
+
+        monkeypatch.setattr(smilecal.adiabatic, "analyze", counting)
+        chi_critical_numeric(**FIG1)
+        assert len(calls) <= 3
+
+    def test_table1_verdict_count(self, monkeypatch):
+        chis = _record_search_chis(monkeypatch)
+        verdicts = []
+        for p in _table1_points():
+            del chis[:]
+            chi_critical_numeric(*p)
+            assert smilecal.adiabatic.SCAN_START not in chis  # no fallback
+            verdicts.append(len(chis))
+        assert sum(verdicts) <= 3.3 * len(verdicts)
 
 
 def _fake_fold_terms(y_root):

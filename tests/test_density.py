@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smilecal.density
@@ -334,6 +334,19 @@ class TestDensityCurveType:
         with pytest.raises(DomainError):
             DensityCurve(xs=np.array([0.0, 1.0, 2.0]), ps=np.array([0.0, math.inf, 0.0]))
 
+    def test_hand_built_curve_keeps_every_check(self):
+        # density_curve skips the re-check of its own grid; a hand-built
+        # curve does not
+        with pytest.raises(DomainError, match="^xs must be strictly increasing$"):
+            DensityCurve(xs=[0, 0, 1], ps=[0.0, 1.0, 0.0])
+
+    def test_grid_too_fine_for_its_floats_rejected(self):
+        # the grid of a huge smile is 3e8 wide about x_min = -5e27, so its
+        # linspace repeats values
+        p = SmileParams(g=1e14, chi=1.5, n=1e28, maturity=1.0)
+        with pytest.raises(DomainError, match="^xs must be strictly increasing$"):
+            density_curve(p)
+
     def test_mass_recorded(self):
         xs = np.linspace(-5.0, 5.0, 1001)
         ps = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
@@ -446,14 +459,40 @@ def _reference_stationary_points(curve):
     return tuple(found)
 
 
+def _matches_reference_loop(values):
+    ps = np.array(values, dtype=float)
+    curve = DensityCurve(xs=np.linspace(-1.0, 2.0, ps.size), ps=ps)
+    assert stationary_points(curve) == _reference_stationary_points(curve)
+
+
 class TestStationaryPointsKernel:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=3, max_size=60))
+    # every slope nonzero
+    @example([0, 1, 0])
+    @example([3, 1, 2, -1, 0, 2, 3])
+    # zero runs at either end
+    @example([1, 1, 0, 2, 2])
+    @example([2, 2, 2, 1, 3, 3, 3])
+    @example([0, 0, 1, 0, 0])
+    # fewer than two nonzero slopes
+    @example([1, 1, 1])
+    @example([1, 1, 2])
+    @example([0, 2, 2, 2])
     def test_matches_reference_loop(self, values):
         # small integers force exact ties, so plateaus of every length occur
-        ps = np.array(values, dtype=float)
-        curve = DensityCurve(xs=np.linspace(-1.0, 2.0, ps.size), ps=ps)
-        assert stationary_points(curve) == _reference_stationary_points(curve)
+        _matches_reference_loop(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=2, max_size=60),
+        st.sampled_from([1.0, 1e-300]),
+    )
+    def test_matches_reference_loop_without_ties(self, steps, scale):
+        # an integer walk with no zero step, scaled: no two neighbouring
+        # samples are equal, so no slope is zero; at 1e-300 the product of
+        # two slopes underflows to 0, so signs must be compared, not multiplied
+        _matches_reference_loop(np.cumsum([0, *steps]) * scale)
 
     def test_chi_c_identical_with_reference_loop(self, monkeypatch):
         corners = [
