@@ -56,11 +56,7 @@ NEGATIVE_EPS_REL = 1e-12  # negativity threshold relative to the curve peak
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """A return density sampled on a strictly increasing x-grid.
-
-    Every check runs on a curve built by hand; :func:`density_curve` checks
-    only ``ps`` when its ``linspace`` step is far above float rounding.
-    """
+    """A return density sampled on a strictly increasing x-grid."""
 
     xs: np.ndarray
     ps: np.ndarray
@@ -74,14 +70,10 @@ class DensityCurve:
             raise DomainError("a density curve needs at least 3 samples")
         if np.any(np.diff(xs) <= 0.0):
             raise DomainError("xs must be strictly increasing")
-        _set_samples(self, xs, ps)
-
-
-def _set_samples(curve: DensityCurve, xs: np.ndarray, ps: np.ndarray) -> None:
-    if not np.all(np.isfinite(ps)):
-        raise DomainError("ps must be finite")
-    object.__setattr__(curve, "xs", xs)
-    object.__setattr__(curve, "ps", ps)
+        if not np.all(np.isfinite(ps)):
+            raise DomainError("ps must be finite")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ps", ps)
 
 
 @dataclass(frozen=True)
@@ -296,18 +288,8 @@ def density_curve(
     """
     _check_grid(points, span)
     scale = params.sigma_plateau * math.sqrt(params.maturity)
-    lo, hi = params.x_min - span * scale, params.x_min + span * scale
-    xs = np.linspace(lo, hi, points)
-    ps = return_density(params, xs)
-    # linspace's rounding moves a sample by a few ulps of the larger end at
-    # most, so a step this far above them leaves the grid strictly
-    # increasing and only ps needs a check; an extreme smile's grid, too
-    # fine for its floats, gets every check of DensityCurve
-    if (hi - lo) / (points - 1) > 1e-12 * max(abs(lo), abs(hi)):
-        curve = object.__new__(DensityCurve)
-        _set_samples(curve, xs, ps)
-        return curve
-    return DensityCurve(xs=xs, ps=ps)
+    xs = np.linspace(params.x_min - span * scale, params.x_min + span * scale, points)
+    return DensityCurve(xs=xs, ps=return_density(params, xs))
 
 
 def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:
