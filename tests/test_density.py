@@ -334,10 +334,6 @@ class TestDensityCurveType:
         with pytest.raises(DomainError):
             DensityCurve(xs=np.array([0.0, 1.0, 2.0]), ps=np.array([0.0, math.inf, 0.0]))
 
-    def test_repeated_x_rejected(self):
-        with pytest.raises(DomainError, match="^xs must be strictly increasing$"):
-            DensityCurve(xs=[0, 0, 1], ps=[0.0, 1.0, 0.0])
-
     def test_mass_recorded(self):
         xs = np.linspace(-5.0, 5.0, 1001)
         ps = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
