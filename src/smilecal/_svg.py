@@ -17,10 +17,10 @@ _WIDTH, _HEIGHT = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 36, 44
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / (count - 1)
+    raw = (hi - lo) / 4.0
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mag * mult >= raw:
@@ -38,9 +38,9 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 def write_line_plot(
     path: str | Path,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
 ) -> None:
     """Write labelled polylines with axes and tick marks to an SVG file."""
     xs_all = [float(v) for _, xs, _ in series for v in xs]
@@ -71,12 +71,9 @@ def write_line_plot(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
 
     for t in _ticks(x_lo, x_hi):
         x = px(t)
@@ -98,18 +95,16 @@ def write_line_plot(
             f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{t:.6g}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 8}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>'
-        )
-    if ylabel:
-        y_mid = _MARGIN_T + plot_h / 2
-        parts.append(
-            f'<text x="16" y="{y_mid:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 16 {y_mid:.1f})">{ylabel}</text>'
-        )
+    y_mid = _MARGIN_T + plot_h / 2
+    parts.append(
+        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 8}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{y_mid:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 16 {y_mid:.1f})">{ylabel}</text>'
+    )
 
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]

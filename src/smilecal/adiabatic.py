@@ -111,10 +111,19 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class AdiabaticVerdict:
+    """A smile's plateau ratio ``chi_opt`` against its critical value ``chi_c``.
+
+    ``adiabatic`` is derived: ``chi_opt < chi_c``, or a flat smile
+    (``chi_opt`` exactly 1), whose density is exactly Gaussian.
+    """
+
     chi_opt: float
     chi_c: float
-    adiabatic: bool
     source: str  # "formula" | "numeric"
+
+    @property
+    def adiabatic(self) -> bool:
+        return self.chi_opt == 1.0 or self.chi_opt < self.chi_c
 
 
 # the upward chi_c scan: its first plateau ratio and its step
@@ -385,7 +394,8 @@ def chi_critical_numeric(
     verdict only for a chi within ``_FOLD_BAND + settings.tol`` of
     ``chi_f``: a chi below that band is declared unimodal and one above it
     non-unimodal. The result is kept only if both ends of the final bracket
-    carry real verdicts (``lo = 1``, the Gaussian limit, counts as one). As
+    lie in the band, where the verdicts were real, or at ``lo = 1``, the
+    Gaussian limit, which needs none. As
     the verdict is monotone in chi, every declared verdict then agrees with
     the real one, so the result is the full scan's, whatever the fold's
     error. Otherwise, or when the fold gives no prediction, the full scan
@@ -417,17 +427,16 @@ def chi_critical_numeric(
     chi_f = None if point is None else _fold_chi(*point)
     if chi_f is not None:
         band = _FOLD_BAND + opts.tol
-        real = {1.0}
+
+        def real(chi: float) -> bool:  # lo = 1, the Gaussian limit, needs no verdict
+            return chi == 1.0 or abs(chi - chi_f) <= band
 
         def guided(chi: float) -> bool:
-            if abs(chi - chi_f) > band:
-                return chi > chi_f
-            real.add(chi)
-            return non_unimodal(chi)
+            return non_unimodal(chi) if real(chi) else chi > chi_f
 
         with contextlib.suppress(CriticalSearchError):
             lo, hi = search(guided)
-            if lo in real and hi in real:
+            if real(lo) and real(hi):
                 return 0.5 * (lo + hi)
 
     lo, hi = search(non_unimodal)
@@ -447,20 +456,15 @@ def _bisect(non_unimodal, lo: float, hi: float, tol: float) -> tuple[float, floa
     return lo, hi
 
 
-def chi_critical_formula(
-    g: float,
-    n: float,
-    maturity: float,
-    fit: CriticalFitParams | None = None,
-) -> float:
-    """Closed-form critical ratio from the calibrated surface.
+def chi_critical_formula(g: float, n: float, maturity: float) -> float:
+    """Closed-form critical ratio from the packaged calibrated surface.
 
     ``chi_c = alpha * rho**beta + gamma * sqrt(T) * g * rho**delta`` with
-    rho = n / (g^2 T). Defaults to the packaged constants.
+    rho = n / (g^2 T) and the constants of ``DEFAULT_CRITICAL_FIT``.
     """
     if g <= 0.0 or n <= 0.0 or maturity <= 0.0:
         raise DomainError("g, n and maturity must be positive")
-    p = fit or DEFAULT_CRITICAL_FIT
+    p = DEFAULT_CRITICAL_FIT
     rho = n / (g * g * maturity)
     return (
         p.alpha * rho**p.beta
@@ -599,9 +603,9 @@ def adiabatic_check(
     ``mode="formula"`` evaluates the calibrated surface inside its
     calibrated (rho, s) box and runs the bisection search outside it, where
     the surface can fall below 1; ``mode="numeric"`` always runs the
-    search. ``source`` says which gave ``chi_c``. The verdict is adiabatic
-    iff chi_opt < chi_c, in which case the implied density has no spurious
-    minima.
+    search. ``source`` says which gave ``chi_c``. The verdict's
+    ``adiabatic`` property holds iff chi_opt < chi_c, in which case the
+    implied density has no spurious minima.
 
     A flat smile (chi exactly 1) passes unconditionally: its density is
     exactly Gaussian, and its fitted width n is arbitrary, which can put
@@ -615,12 +619,7 @@ def adiabatic_check(
         chi_c, source = chi_critical_formula(g, n, maturity), "formula"
     else:
         chi_c, source = chi_critical_numeric(g, n, maturity, settings), "numeric"
-    return AdiabaticVerdict(
-        chi_opt=params.chi,
-        chi_c=chi_c,
-        adiabatic=params.chi == 1.0 or params.chi < chi_c,
-        source=source,
-    )
+    return AdiabaticVerdict(chi_opt=params.chi, chi_c=chi_c, source=source)
 
 
 def adiabatic_refit(

@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from functools import cache
 from itertools import chain, product
@@ -48,14 +49,7 @@ from . import adiabatic as adiab
 from . import density as dens
 from ._svg import write_line_plot
 from .bs_core import MarketEnv, strike_to_x, x_to_strike
-from .errors import (
-    ConvergenceError,
-    CriticalSearchError,
-    DomainError,
-    IdentifiabilityError,
-    QuoteFormatError,
-    SmilecalError,
-)
+from .errors import ConvergenceError, DomainError, IdentifiabilityError, QuoteFormatError
 from .smile import (
     SmileFitResult,
     SmileParams,
@@ -134,21 +128,28 @@ def _read_text(path: str, what: str) -> str:
         raise QuoteFormatError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _key_value_lines(path: str, what: str) -> Iterator[tuple[int, str, str, str]]:
+    """``(line number, raw line, key, value)``, both stripped, of each line
+    of a ``key=value`` file that is neither blank nor a ``#`` comment; a
+    line without ``=`` gives its whole text as the key."""
+    for i, raw in enumerate(_read_text(path, what).splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            yield i, raw, key.strip(), value.strip()
+
+
 def load_config(path: str) -> RunConfig:
     cfg = RunConfig()
-    for i, raw in enumerate(_read_text(path, "config file").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
+    for i, raw, key, value in _key_value_lines(path, "config file"):
+        if "=" not in raw:
             raise QuoteFormatError(f"{path}:{i}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower().replace("_", "-")
+        key = key.lower().replace("_", "-")
         if key not in _CONFIG_KEYS:
             raise QuoteFormatError(f"{path}:{i}: unknown config key {key!r}")
         field = _CONFIG_KEYS[key]
         try:
-            cfg = replace(cfg, **{field.name: _PARSERS[field.type](value.strip())})
+            cfg = replace(cfg, **{field.name: _PARSERS[field.type](value)})
         except ValueError as exc:
             raise QuoteFormatError(f"{path}:{i}: bad value for {key}: {exc}") from exc
     return cfg
@@ -175,14 +176,7 @@ def write_report(path: Path, items: list[tuple[str, object]]) -> None:
 
 
 def read_report(path: str) -> dict:
-    out = {}
-    for raw in _read_text(path, "report").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
+    return {key: value for _, _, key, value in _key_value_lines(path, "report")}
 
 
 def _csv_line(row) -> str:
@@ -733,15 +727,12 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise QuoteFormatError(f"cannot create output directory {out}: {exc}") from exc
         return command(args, cfg, out)
-    except (QuoteFormatError, DomainError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConvergenceError, CriticalSearchError, IdentifiabilityError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except SmilecalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -89,6 +89,8 @@ class StationaryPoint:
 class DensityReport:
     """Outcome of :func:`analyze` on one density curve.
 
+    ``unimodal`` is derived from the two pathologies, so a report cannot
+    list a minimum or a negative region and still call itself unimodal.
     ``total_mass`` and ``martingale_gap`` are integrated over the curve on
     first read; the shape verdict needs neither.
     """
@@ -96,7 +98,10 @@ class DensityReport:
     curve: DensityCurve = field(repr=False, compare=False)  # ndarray == is elementwise
     minima: tuple[StationaryPoint, ...]
     negative_regions: tuple[tuple[float, float], ...]
-    unimodal: bool
+
+    @property
+    def unimodal(self) -> bool:
+        return not self.minima and not self.negative_regions
 
     @cached_property
     def total_mass(self) -> float:
@@ -297,36 +302,31 @@ def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:
 
     Sign changes of successive differences mark maxima (+ to -) and minima
     (- to +); a run of exactly equal samples flanked by same-sign slopes is
-    reported as an inflection plateau. Each pair of neighbouring nonzero
-    slopes brackets at most one point, at the middle of any zero run
-    between them. Only the pairs that flip sign or hold a zero run are
-    found in numpy, and those few are classified in Python; when no slope
-    is zero, the usual case, the pairs are the neighbouring differences.
+    reported as an inflection plateau. Each nonzero slope pairs with the
+    next nonzero slope, across any zero run between them, and a pair
+    brackets at most one point, at the middle of that run; a zero run at
+    either end of the curve pairs with nothing. One walk over the few
+    places where neighbouring slope signs differ finds every pair.
     """
     slopes = np.diff(curve.ps)
-    up = slopes > 0.0
-    if np.count_nonzero(slopes) == slopes.size:
-        left = np.flatnonzero(up[:-1] != up[1:])
-        right = left + 1
-    else:
-        nonzero = np.flatnonzero(slopes)
-        left, right = nonzero[:-1], nonzero[1:]
-        hits = np.flatnonzero((up[left] != up[right]) | (right > left + 1))
-        left, right = left[hits], right[hits]
-    idx = (left + 1 + right) // 2
-    return tuple(
-        StationaryPoint(x=x, kind=_kind(up_l, up_r), p=p)
-        for x, p, up_l, up_r in zip(
-            curve.xs[idx].tolist(), curve.ps[idx].tolist(),
-            up[left].tolist(), up[right].tolist(),
-        )
-    )
+    signs = (slopes > 0.0).view(np.int8) - (slopes < 0.0).view(np.int8)
+    change = np.flatnonzero(signs[:-1] != signs[1:])
+    points, left = [], None  # left: the last nonzero slope so far
+    for i, sign, after in zip(change.tolist(), signs[change].tolist(),
+                              signs[change + 1].tolist()):
+        if sign:
+            left, left_sign = i, sign
+        if after and left is not None:
+            mid = (left + 2 + i) // 2  # (left + 1 + right) // 2, right = i + 1
+            points.append(StationaryPoint(x=float(curve.xs[mid]), kind=_kind(left_sign, after),
+                                          p=float(curve.ps[mid])))
+    return tuple(points)
 
 
-def _kind(up_left: bool, up_right: bool) -> str:
-    if up_left == up_right:
+def _kind(left: int, right: int) -> str:
+    if left == right:
         return "inflection-plateau"
-    return "maximum" if up_left else "minimum"
+    return "maximum" if left > 0 else "minimum"
 
 
 def _negative_regions(curve: DensityCurve) -> tuple[tuple[float, float], ...]:
@@ -362,11 +362,4 @@ def analyze(curve: DensityCurve) -> DensityReport:
         raise GridError(f"need at least 101 samples, got {curve.xs.size}")
     points = stationary_points(curve)
     minima = tuple(p for p in points if p.kind == "minimum")
-
-    negative = _negative_regions(curve)
-    return DensityReport(
-        curve=curve,
-        minima=minima,
-        negative_regions=negative,
-        unimodal=(not minima) and (not negative),
-    )
+    return DensityReport(curve=curve, minima=minima, negative_regions=_negative_regions(curve))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import smilecal.adiabatic
 from smilecal import (
     DEFAULT_CRITICAL_FIT,
+    AdiabaticVerdict,
     ChiSearchSettings,
     CriticalFitParams,
     CriticalSearchError,
@@ -236,24 +237,6 @@ class TestJumpedStart:
     def test_box_rejects(self, g, n, t):
         assert not smilecal.adiabatic._in_calibrated_box(g, n, t)
 
-    def test_fallback_when_first_verdict_is_non_unimodal(self, monkeypatch):
-        # a fold past the transition declares unimodal verdicts where the
-        # real ones are not, so the bracket's lower end is declared
-        expected = _reference_chi_critical_numeric(**FIG1)
-        monkeypatch.setattr(smilecal.adiabatic, "_fold_chi", lambda rho, s: expected + 0.01)
-        chis = _record_search_chis(monkeypatch)
-        assert chi_critical_numeric(**FIG1) == expected
-        full = chis.index(smilecal.adiabatic.SCAN_START)
-        assert full > 0 and all(chi > expected for chi in chis[:full])
-
-    def test_low_surface_still_matches(self, monkeypatch):
-        expected = _reference_chi_critical_numeric(**FIG1)
-        fold = smilecal.adiabatic._fold_chi
-        monkeypatch.setattr(smilecal.adiabatic, "_fold_chi", lambda rho, s: 0.5 * fold(rho, s))
-        chis = _record_search_chis(monkeypatch)
-        assert chi_critical_numeric(**FIG1) == expected
-        assert smilecal.adiabatic.SCAN_START in chis  # the full scan ran
-
     def test_outside_the_box_is_fold_guided(self, monkeypatch):
         g, t = 0.1, 0.5
         n = 40.0 * g * g * t
@@ -284,20 +267,6 @@ class TestJumpedStart:
         if guided:
             assert smilecal.adiabatic.SCAN_START not in chis
 
-    def test_bisects_through_the_shared_helper(self, monkeypatch):
-        brackets = []
-        real = smilecal.adiabatic._bisect
-
-        def recording(non_unimodal, lo, hi, tol):
-            brackets.append(real(non_unimodal, lo, hi, tol))
-            return brackets[-1]
-
-        monkeypatch.setattr(smilecal.adiabatic, "_bisect", recording)
-        assert chi_critical_numeric(**FIG1) == _reference_chi_critical_numeric(**FIG1)
-        assert len(brackets) == 1
-        lo, hi = brackets[0]
-        assert 0.0 < hi - lo <= ChiSearchSettings().tol
-
 
 class TestFoldGuidedSearch:
     # how few verdicts the fold's band leaves the search; counts are exact
@@ -322,6 +291,38 @@ class TestFoldGuidedSearch:
             assert smilecal.adiabatic.SCAN_START not in chis  # no fallback
             verdicts.append(len(chis))
         assert sum(verdicts) <= 3.3 * len(verdicts)
+
+    def test_fallback_when_first_verdict_is_non_unimodal(self, monkeypatch):
+        # a fold past the transition declares unimodal verdicts where the
+        # real ones are not, so the bracket's lower end is declared
+        expected = _reference_chi_critical_numeric(**FIG1)
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_chi", lambda rho, s: expected + 0.01)
+        chis = _record_search_chis(monkeypatch)
+        assert chi_critical_numeric(**FIG1) == expected
+        full = chis.index(smilecal.adiabatic.SCAN_START)
+        assert full > 0 and all(chi > expected for chi in chis[:full])
+
+    def test_low_surface_still_matches(self, monkeypatch):
+        expected = _reference_chi_critical_numeric(**FIG1)
+        fold = smilecal.adiabatic._fold_chi
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_chi", lambda rho, s: 0.5 * fold(rho, s))
+        chis = _record_search_chis(monkeypatch)
+        assert chi_critical_numeric(**FIG1) == expected
+        assert smilecal.adiabatic.SCAN_START in chis  # the full scan ran
+
+    def test_bisects_through_the_shared_helper(self, monkeypatch):
+        brackets = []
+        real = smilecal.adiabatic._bisect
+
+        def recording(non_unimodal, lo, hi, tol):
+            brackets.append(real(non_unimodal, lo, hi, tol))
+            return brackets[-1]
+
+        monkeypatch.setattr(smilecal.adiabatic, "_bisect", recording)
+        assert chi_critical_numeric(**FIG1) == _reference_chi_critical_numeric(**FIG1)
+        assert len(brackets) == 1
+        lo, hi = brackets[0]
+        assert 0.0 < hi - lo <= ChiSearchSettings().tol
 
 
 def _fake_fold_terms(y_root):
@@ -552,10 +553,6 @@ class TestChiCriticalFormula:
                     formula = chi_critical_formula(g, n, t)
                     assert abs(formula - numeric) / numeric < 0.05
 
-    def test_custom_constants(self):
-        fit = CriticalFitParams(alpha=2.0, beta=0.0, gamma=0.0, delta=1.0)
-        assert chi_critical_formula(0.1, 0.04, 0.5, fit) == pytest.approx(2.0)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             chi_critical_formula(-0.1, 0.04, 0.5)
@@ -710,6 +707,8 @@ class TestAdiabaticCheck:
         params = SmileParams(g=0.25, chi=1.0, n=0.001, maturity=2.0)
         verdict = adiabatic_check(params)
         assert verdict.adiabatic
+        # the verdict derives the flag, so a bound below 1 cannot fail it
+        assert AdiabaticVerdict(chi_opt=1.0, chi_c=0.5, source="formula").adiabatic
 
     def test_market_like_fit_passes(self):
         # a realistic short-dated FX fit sits comfortably inside the bound

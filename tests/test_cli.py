@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smilecal
-from smilecal import SmileParams, adiabatic, cli, sigma_of_x, std_normal_cdf
+from smilecal import SmileParams, adiabatic, cli, errors, sigma_of_x, std_normal_cdf
 from smilecal.cli import (
     EXIT_CONSTRAINED_FAILURE,
     EXIT_CONVERGENCE,
@@ -391,7 +391,6 @@ class TestRefit:
                 curve=curve,
                 minima=(StationaryPoint(x=0.0, kind="minimum", p=0.1),),
                 negative_regions=(),
-                unimodal=False,
             )
 
         monkeypatch.setattr(adiabatic, "analyze", always_bad)
@@ -922,6 +921,22 @@ class TestUnreadableInputs:
         assert main(["check", "--params-file", str(path),
                      "--out", str(tmp_path / "out")]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", [n for n in errors.__all__ if n != "SmilecalError"])
+def test_exit_code_by_error_family(tmp_path, monkeypatch, capsys, name):
+    # main catches the two families only, so a new error class outside
+    # both escapes as a traceback and fails here
+    cls = getattr(errors, name)
+    families = {errors.DomainError: EXIT_PARSE, errors.ConvergenceError: EXIT_CONVERGENCE}
+    (code,) = [code for family, code in families.items() if issubclass(cls, family)]
+
+    def raising(args, cfg, out):
+        raise cls(f"{name} raised")
+
+    monkeypatch.setattr(cli, "cmd_density", raising)
+    assert main(["density", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"error: {name} raised\n"
 
 
 _COLD_START = """

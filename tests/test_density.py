@@ -279,6 +279,10 @@ class TestAnalyze:
         assert report.negative_regions == ()
         assert report.total_mass == pytest.approx(1.0, abs=1e-9)
         assert report.martingale_gap < 1e-9
+        # the flag is derived: one minimum, or one negative region, clears it
+        minimum = StationaryPoint(x=0.0, kind="minimum", p=0.1)
+        assert not dataclasses.replace(report, minima=(minimum,)).unimodal
+        assert not dataclasses.replace(report, negative_regions=((0.0, 0.1),)).unimodal
 
     def test_fig1_not_unimodal(self):
         report = analyze(density_curve(FIG1))

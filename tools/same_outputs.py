@@ -38,6 +38,10 @@ own scratch directory, with the same relative input and output paths:
   1e300`` on a 5-row x file, which must exit 3, and ``check`` and
   ``density`` with ``--params 1e-200,1.5,1e-300 --maturity 0.5`` and
   ``--params 1e-150,1.5,1e300 --maturity 1``, which must exit 2;
+* ``check --params-file`` on the report of an earlier ``fit``, with a
+  ``#`` comment and a blank line appended to it, and ``check --params``
+  with a ``--config`` file holding a line without ``=``, an unknown key,
+  ``chi_tol=abc`` or `` CHI-MAX = 5 ``;
 * demos 01-05, each from its own working directory.
 
 Commands run in-process through ``smilecal.cli.main``. Every warning is
@@ -87,6 +91,11 @@ HOSTILE_QUOTES = {
 }
 EXTREME_QUOTES = "x,vol\n-0.2,0.3\n-0.1,0.25\n0,0.2\n0.1,0.24\n0.2,0.31\n"
 COARSE_TOL_CONFIG = "chi-tol=0.01\n"
+HOSTILE_CONFIGS = {
+    f"config_{name}.cfg": f"# {name}\n\n{line}\n"
+    for name, line in (("no_equals", "chi-max 5"), ("unknown_key", "chi-min=5"),
+                       ("bad_value", "chi_tol=abc"), ("spaced_key", " CHI-MAX = 5 "))
+}
 FIG1_ARGS = ["--params", "0.1,2.7,0.04", "--maturity", "0.5"]
 SMALL_AXES = ["--g-range", "0.03:0.5:3", "--rho-range", "2.5:10:3",
               "--t-range", "0.0027397260273972603:4:3"]
@@ -98,8 +107,9 @@ EXTREME_SMILES = {"tiny": ["--params", "1e-200,1.5,1e-300", "--maturity", "0.5"]
 
 
 def command_set() -> tuple[list[dict], dict[str, str]]:
-    """The commands, as ``{"id", "argv"}`` or ``{"id", "demo"}``, and the
-    input files (relative path -> text) they read."""
+    """The commands, as ``{"id", "argv"}``, ``{"id", "demo"}`` or ``{"id",
+    "append": [path, text]}``, and the input files (relative path -> text)
+    they read."""
     sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
     sys.path.insert(0, str(ROOT / "bench"))
     import gen
@@ -107,7 +117,7 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     commands: list[dict] = []
     files: dict[str, str] = {"flat.csv": FLAT_QUOTES, "collapsing.csv": COLLAPSING_QUOTES,
                              "extreme.csv": EXTREME_QUOTES, "coarse_tol.cfg": COARSE_TOL_CONFIG,
-                             **HOSTILE_QUOTES}
+                             **HOSTILE_QUOTES, **HOSTILE_CONFIGS}
 
     def add_round(seed: int, root: str, svg: bool, only: str | None = None) -> None:
         _, ops, round_files = gen.desk_round(seed, Path(root))
@@ -174,6 +184,17 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     for (name, args), command in product(EXTREME_SMILES.items(), ("check", "density")):
         out = f"extreme_{name}_{command}"
         commands.append({"id": out, "argv": [command, *args, "--out", out]})
+    commands.append({"id": "params_file_fit",
+                     "argv": ["fit", "extreme.csv", "--maturity", "0.5", "--out", "params_file"]})
+    commands.append({"id": "params_file_append",
+                     "append": ["params_file/fit.txt", "# appended by hand\n\n"]})
+    commands.append({"id": "params_file_check",
+                     "argv": ["check", "--params-file", "params_file/fit.txt",
+                              "--out", "params_file/check"]})
+    for name in HOSTILE_CONFIGS:
+        out = name.removesuffix(".cfg")
+        commands.append({"id": out, "argv": ["check", *FIG1_ARGS, "--config", name,
+                                             "--out", out]})
     for demo in sorted((ROOT / "demos").glob("0*.py")):
         commands.append({"id": f"demo_{demo.stem[:2]}", "demo": demo.name})
     return commands, files
@@ -196,6 +217,11 @@ def run_tree(src: Path, work: Path) -> None:
             try:
                 if "demo" in cmd:
                     runpy.run_path(str(src.parent / "demos" / cmd["demo"]), run_name="__main__")
+                    code = 0
+                elif "append" in cmd:
+                    rel, text = cmd["append"]
+                    with open(rel, "a", encoding="utf-8") as fh:
+                        fh.write(text)
                     code = 0
                 else:
                     code = cli.main(cmd["argv"])
