@@ -11,7 +11,10 @@ ways:
   unimodality verdict (:func:`chi_critical_numeric`); a closed-form fold
   of the density's log-slope (:func:`_fold_chi`) predicts the transition
   at every point, and only the verdicts next to the prediction are made,
-  with the full scan as the fallback,
+  with the full scan as the fallback. The fold's Newton step takes its
+  y-derivatives from Taylor jets of the smile, whose derivatives come
+  from a recurrence, and its chi-derivatives from the same jets taken at
+  a complex plateau ratio (the complex step),
 * an empirical power-law surface in rho = n/(g^2 T) and g*sqrt(T)
   calibrated against sweeps of the numerical search
   (:func:`chi_critical_formula`, :func:`calibrate_critical_fit`).
@@ -21,6 +24,7 @@ ways:
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import math
 from collections.abc import Iterator
@@ -202,101 +206,86 @@ def _in_calibrated_box(g: float, n: float, maturity: float) -> bool:
     return _BOX_RHO[0] <= rho <= _BOX_RHO[1] and _BOX_S[0] <= s <= _BOX_S[1]
 
 
-def _well_derivatives(u: float, n: float) -> tuple[float, float, float, float, float, float]:
-    """``n / (u^2 + n)`` and its first five derivatives in ``u``, in closed form.
+def _well_derivatives(u: float, n: float) -> tuple[float, ...]:
+    """``n / (u^2 + n)`` and its first five derivatives in ``u``, by recurrence.
 
-    The smile is ``g * (1 + (chi - 1) * (1 - n / (u^2 + n)))``, so its k-th
-    x-derivative, k >= 1, is ``-g * (chi - 1)`` times the k-th entry.
+    The Taylor coefficients of ``1 / ((u + t)^2 + n)`` in ``t`` obey
+    ``a_k = -(2u a_{k-1} + a_{k-2}) / (u^2 + n)``, with ``a_{-1} = 0``, as
+    the series times ``u^2 + n + 2u t + t^2`` is 1. So the k-th derivative
+    ``D_k = n k! a_k`` obeys ``D_k = -(2k u D_{k-1} + k(k-1) D_{k-2}) /
+    (u^2 + n)``. The smile is ``g * (1 + (chi - 1) * (1 - n / (u^2 + n)))``,
+    so its k-th x-derivative, k >= 1, is ``-g * (chi - 1)`` times ``D_k``.
     """
-    u2 = u * u
-    inv = 1.0 / (u2 + n)
-    h = n * inv
-    h2 = h * inv
-    h3 = h2 * inv
-    h4 = h3 * inv
-    h5 = h4 * inv
-    h6 = h5 * inv
-    return (
-        h,
-        -2.0 * u * h2,
-        2.0 * (3.0 * u2 - n) * h3,
-        24.0 * u * (n - u2) * h4,
-        24.0 * (5.0 * u2 * u2 - 10.0 * n * u2 + n * n) * h5,
-        -240.0 * u * (3.0 * u2 * u2 - 10.0 * n * u2 + 3.0 * n * n) * h6,
-    )
+    d = u * u + n
+    prev, cur = 0.0, n / d  # D_{k-1} and D_k from k = 0
+    out = [cur]
+    for k in (1.0, 2.0, 3.0, 4.0, 5.0):
+        prev, cur = cur, -(2.0 * k * u * cur + k * (k - 1.0) * prev) / d
+        out.append(cur)
+    return tuple(out)
 
 
 class _Jet:
     """A function of y as its Taylor coefficients ``(f, f', f''/2, f'''/6)``
-    at one point, with the chi-derivatives ``dc`` of the first three.
+    at one point.
 
     Sums, products, quotients and logarithms of jets are exact, so the
-    fold's Newton step gets ``q``, ``q_y``, ``q_yy`` and the chi column of
-    its Jacobian in closed form from the smile's derivatives.
+    fold's Newton step gets ``q``, ``q_y`` and ``q_yy`` in closed form from
+    the smile's derivatives. The coefficients may be complex: in a jet
+    built at the plateau ratio ``chi + i h``, each coefficient's imaginary
+    part over ``h`` is its chi-derivative (the complex step, exact to
+    O(h^2) and free of cancellation).
     """
 
-    __slots__ = ("c", "dc")
+    __slots__ = ("c",)
 
-    def __init__(self, c: tuple, dc: tuple) -> None:
-        self.c, self.dc = c, dc
+    def __init__(self, c: tuple) -> None:
+        self.c = c
 
     def __add__(self, other: _Jet) -> _Jet:
         a0, a1, a2, a3 = self.c
         b0, b1, b2, b3 = other.c
-        (e0, e1, e2), (f0, f1, f2) = self.dc, other.dc
-        return _Jet((a0 + b0, a1 + b1, a2 + b2, a3 + b3), (e0 + f0, e1 + f1, e2 + f2))
+        return _Jet((a0 + b0, a1 + b1, a2 + b2, a3 + b3))
 
     def __sub__(self, other: _Jet) -> _Jet:
         a0, a1, a2, a3 = self.c
         b0, b1, b2, b3 = other.c
-        (e0, e1, e2), (f0, f1, f2) = self.dc, other.dc
-        return _Jet((a0 - b0, a1 - b1, a2 - b2, a3 - b3), (e0 - f0, e1 - f1, e2 - f2))
+        return _Jet((a0 - b0, a1 - b1, a2 - b2, a3 - b3))
 
     def __rsub__(self, other: float) -> _Jet:
         a0, a1, a2, a3 = self.c
-        e0, e1, e2 = self.dc
-        return _Jet((other - a0, -a1, -a2, -a3), (-e0, -e1, -e2))
+        return _Jet((other - a0, -a1, -a2, -a3))
 
     def __mul__(self, other: _Jet | float) -> _Jet:
         a0, a1, a2, a3 = self.c
-        e0, e1, e2 = self.dc
         if not isinstance(other, _Jet):
-            return _Jet((a0 * other, a1 * other, a2 * other, a3 * other),
-                        (e0 * other, e1 * other, e2 * other))
+            return _Jet((a0 * other, a1 * other, a2 * other, a3 * other))
         b0, b1, b2, b3 = other.c
-        f0, f1, f2 = other.dc
-        return _Jet(
-            (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
-             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0),
-            (e0 * b0 + a0 * f0, e0 * b1 + e1 * b0 + a0 * f1 + a1 * f0,
-             e0 * b2 + e1 * b1 + e2 * b0 + a0 * f2 + a1 * f1 + a2 * f0),
-        )
+        return _Jet((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0))
 
     def __truediv__(self, other: _Jet) -> _Jet:
         a0, a1, a2, a3 = self.c
-        e0, e1, e2 = self.dc
         b0, b1, b2, b3 = other.c
-        f0, f1, f2 = other.dc
         c0 = a0 / b0
         c1 = (a1 - c0 * b1) / b0
         c2 = (a2 - c1 * b1 - c0 * b2) / b0
         c3 = (a3 - c2 * b1 - c1 * b2 - c0 * b3) / b0
-        # d(a/b) = (da - (a/b) db) / b
-        g0 = (e0 - c0 * f0) / b0
-        g1 = (e1 - c0 * f1 - c1 * f0 - g0 * b1) / b0
-        g2 = (e2 - c0 * f2 - c1 * f1 - c2 * f0 - g1 * b1 - g0 * b2) / b0
-        return _Jet((c0, c1, c2, c3), (g0, g1, g2))
+        return _Jet((c0, c1, c2, c3))
 
     def log(self) -> _Jet:
         a0, a1, a2, a3 = self.c
-        e0, e1, e2 = self.dc
+        if not a0.real > 0.0:  # cmath.log, unlike math.log, would not raise
+            raise ValueError(f"log of a jet whose value {a0} has no positive real part")
         l1 = a1 / a0
         l2 = (a2 - 0.5 * l1 * a1) / a0
         l3 = (a3 - (l1 * a2 + 2.0 * l2 * a1) / 3.0) / a0
-        g0 = e0 / a0  # d(log a) = da / a
-        g1 = (e1 - g0 * a1) / a0
-        g2 = (e2 - g1 * a1 - g0 * a2) / a0
-        return _Jet((math.log(a0), l1, l2, l3), (g0, g1, g2))
+        return _Jet((cmath.log(a0), l1, l2, l3))
+
+
+# The complex step h in chi: its truncation error, relative h^2, and the
+# products of two imaginary parts, of order h^2, are far below rounding.
+_CHI_STEP = 1e-100
 
 
 def _fold_terms(y: float, chi: float, rho: float, s: float) -> tuple[float, ...]:
@@ -309,26 +298,30 @@ def _fold_terms(y: float, chi: float, rho: float, s: float) -> tuple[float, ...]
     the curvature factor ``F = (1 - y sig'/sig)^2 - s^2 (sig' sig)^2 / 4 +
     sig sig''``. It depends on ``(y, chi, rho, s)`` only, and ``q`` vanishes
     where ``d log p / dx`` does.
+
+    The log-density's jet is taken at the complex plateau ratio
+    ``chi + i _CHI_STEP``: the y-terms are its real parts, and ``q_chi``
+    and ``q_ychi`` the imaginary parts of ``q`` and ``q_y`` over
+    ``_CHI_STEP``. Raises ``ValueError`` where ``F`` is not positive.
     """
     h = _well_derivatives(y + 0.5 * s, rho)
-    c = chi - 1.0
+    c = complex(chi - 1.0, _CHI_STEP)
     w = (1.0 - h[0], -h[1], -h[2], -h[3], -h[4], -h[5])  # sig = 1 + c * w
 
     def jet(k: int) -> _Jet:  # of the k-th derivative of sig
-        return _Jet((float(k == 0) + c * w[k], c * w[k + 1], c * w[k + 2] / 2.0,
-                     c * w[k + 3] / 6.0), (w[k], w[k + 1], w[k + 2] / 2.0))
+        return _Jet((float(k == 0) + c * w[k], c * w[k + 1], c * (w[k + 2] / 2.0),
+                     c * (w[k + 3] / 6.0)))
 
     sig, sig1, sig2 = jet(0), jet(1), jet(2)
-    yj = _Jet((y, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    slope = 1.0 - yj * (sig1 / sig)
+    z = _Jet((y, 1.0, 0.0, 0.0)) / sig
+    slope = 1.0 - z * sig1
     prod = sig1 * sig * (0.5 * s)
     factor = slope * slope - prod * prod + sig * sig2
-    z = yj / sig
     sig_s = sig * (0.5 * s)
     # all but the linear term -s y / 2, whose slope is added to q
-    log_p = factor.log() - sig.log() - (z * z + sig_s * sig_s) * 0.5
-    (_, l1, l2, l3), (_, m1, m2) = log_p.c, log_p.dc
-    return l1 - 0.5 * s, 2.0 * l2, 6.0 * l3, m1, 2.0 * m2
+    _, l1, l2, l3 = (factor.log() - sig.log() - (z * z + sig_s * sig_s) * 0.5).c
+    q, q_y = l1 - 0.5 * s, 2.0 * l2
+    return q.real, q_y.real, 6.0 * l3.real, q.imag / _CHI_STEP, q_y.imag / _CHI_STEP
 
 
 _FOLD_MAX_STEPS = 20

@@ -9,6 +9,11 @@ Exit codes are a stable contract:
     4  density goes negative beyond round-off
     5  the refit's final capped fit still has a non-unimodal density
 
+Codes 2 and 3 follow the error families of :mod:`smilecal.errors`: a
+``DomainError`` exits 2 and a ``ConvergenceError`` 3. The one exception is
+``calibrate``, which prints ``calibration failed: ...`` and exits 3 when
+its sweep rows are too few or span too little rho, both ``DomainError``s.
+
 ``density`` and ``bl-oracle`` are report commands: they exit 0 once their
 report is written, whatever the density looks like, and put the verdict in
 the report. ``check`` is the command that exits with the verdict.
@@ -35,6 +40,7 @@ an input that cannot be parsed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Iterator
@@ -479,9 +485,15 @@ def cmd_density(args, cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _parse_axis(spec: str, default: np.ndarray) -> np.ndarray:
+# the most points a sweep lattice may have, checked before a requested axis
+# or the lattice is built
+_MAX_SWEEP_POINTS = 10**6
+
+
+def _parse_axis(spec: str) -> tuple[float, float, int] | None:
+    """The ``LO:HI:COUNT`` of a sweep axis, or ``None`` for the default axis."""
     if not spec:
-        return default
+        return None
     parts = spec.split(":")
     if len(parts) != 3:
         raise QuoteFormatError(f"axis spec must be LO:HI:COUNT, got {spec!r}")
@@ -491,7 +503,7 @@ def _parse_axis(spec: str, default: np.ndarray) -> np.ndarray:
         raise QuoteFormatError(f"bad axis spec {spec!r}: {exc}") from exc
     if not (0 < lo <= hi < np.inf) or count < 1:
         raise QuoteFormatError(f"axis spec out of range: {spec!r}")
-    return np.geomspace(lo, hi, count)
+    return lo, hi, count
 
 
 _SWEEP_HEADER = ["g", "T", "n", "rho", "chi_c", "status"]
@@ -530,8 +542,14 @@ def _row_key(g: float, rho: float, maturity: float) -> tuple[str, str, str]:
 
 def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
     settings = cfg.search_settings()  # bad settings exit 2 before the CSV is touched
-    specs = (args.g_range, args.rho_range, args.t_range)
-    g_axis, rho_axis, t_axis = map(_parse_axis, specs, adiab.default_sweep_axes())
+    specs = [_parse_axis(s) for s in (args.g_range, args.rho_range, args.t_range)]
+    defaults = adiab.default_sweep_axes()
+    size = math.prod(len(d) if p is None else p[2] for p, d in zip(specs, defaults))
+    if size > _MAX_SWEEP_POINTS:
+        raise QuoteFormatError(f"sweep lattice has {size} points, more than {_MAX_SWEEP_POINTS}")
+    g_axis, rho_axis, t_axis = (
+        d if p is None else np.geomspace(*p) for p, d in zip(specs, defaults)
+    )
     path = out / "sweep.csv"
 
     done: dict[tuple[str, str, str], adiab.SweepRow] = {}

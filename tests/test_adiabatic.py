@@ -211,12 +211,6 @@ def _table1_points():
 
 class TestJumpedStart:
     # the fold-guided search, which makes its verdicts next to the fold
-    def test_table1_identical_to_full_scan(self):
-        points = _table1_points()
-        fast = [repr(chi_critical_numeric(*p)) for p in points]
-        full = [repr(_reference_chi_critical_numeric(*p)) for p in points]
-        assert fast == full
-
     def test_table1_lies_in_the_box(self):
         # rounding puts some lattice points just outside the exact bounds
         assert all(
@@ -236,14 +230,6 @@ class TestJumpedStart:
     )
     def test_box_rejects(self, g, n, t):
         assert not smilecal.adiabatic._in_calibrated_box(g, n, t)
-
-    def test_outside_the_box_is_fold_guided(self, monkeypatch):
-        g, t = 0.1, 0.5
-        n = 40.0 * g * g * t
-        expected = _reference_chi_critical_numeric(g, n, t)
-        chis = _record_search_chis(monkeypatch)
-        assert chi_critical_numeric(g, n, t) == expected
-        assert smilecal.adiabatic.SCAN_START not in chis
 
     @pytest.mark.parametrize(
         "rho, s, guided",
@@ -291,6 +277,37 @@ class TestFoldGuidedSearch:
             assert smilecal.adiabatic.SCAN_START not in chis  # no fallback
             verdicts.append(len(chis))
         assert sum(verdicts) <= 3.3 * len(verdicts)
+
+    def test_table1_identical_to_full_scan(self):
+        points = _table1_points()
+        fast = [repr(chi_critical_numeric(*p)) for p in points]
+        full = [repr(_reference_chi_critical_numeric(*p)) for p in points]
+        assert fast == full
+
+    def test_outside_the_box_is_fold_guided(self, monkeypatch):
+        g, t = 0.1, 0.5
+        n = 40.0 * g * g * t
+        expected = _reference_chi_critical_numeric(g, n, t)
+        chis = _record_search_chis(monkeypatch)
+        assert chi_critical_numeric(g, n, t) == expected
+        assert smilecal.adiabatic.SCAN_START not in chis
+
+    def test_outside_the_box_probe_lattice(self, monkeypatch):
+        # rho in geomspace(0.3, 60, 9) by s in geomspace(3e-4, 3, 8) at
+        # T = 1, less the box. A worse fold here moves no chi_c, as the
+        # search keeps the full scan's result, but it costs verdicts
+        points = [
+            (s, rho * s * s, 1.0)
+            for rho, s in product(np.geomspace(0.3, 60, 9), np.geomspace(3e-4, 3, 8))
+            if not smilecal.adiabatic._in_calibrated_box(s, rho * s * s, 1.0)
+        ]
+        assert len(points) == 62
+        expected = [_reference_chi_critical_numeric(*p) for p in points]
+        reduced = [smilecal.adiabatic._reduced(*p) for p in points]
+        assert [smilecal.adiabatic._fold_chi(*r) for r in reduced].count(None) <= 18
+        chis = _record_search_chis(monkeypatch)
+        assert [chi_critical_numeric(*p) for p in points] == expected
+        assert len(chis) <= 14.2 * len(points)
 
     def test_fallback_when_first_verdict_is_non_unimodal(self, monkeypatch):
         # a fold past the transition declares unimodal verdicts where the
@@ -407,6 +424,18 @@ class TestFold:
     def test_no_prediction_at_extreme_points(self, rho, s):
         # the search consults the fold at every point, so it must never raise
         assert smilecal.adiabatic._fold_chi(rho, s) is None
+
+    def test_log_of_a_negative_curvature_factor_raises(self):
+        # F < 0 here; cmath.log would not raise, so _Jet.log must
+        with pytest.raises(ValueError):
+            smilecal.adiabatic._fold_terms(-2.0, 4.0, 5.0, 0.3)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rho_exp=st.floats(-300.0, 300.0), s_exp=st.floats(-300.0, 300.0))
+    def test_fold_never_raises(self, rho_exp, s_exp):
+        # rho and s log-uniform over [1e-300, 1e300]
+        chi = smilecal.adiabatic._fold_chi(10.0**rho_exp, 10.0**s_exp)
+        assert chi is None or (math.isfinite(chi) and chi > 1.0)
 
     def test_table1_guidance(self, monkeypatch):
         # the fold is close to the grid chi_c, Newton is short, no search

@@ -606,6 +606,37 @@ class TestSweepAndCalibrate:
         assert capsys.readouterr().err == f"error: axis spec out of range: {spec!r}\n"
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "ranges, size",
+        [
+            (["0.1:0.5:1000000000", "3:3:1", "1:1:1"], 1000000000),
+            (["0.1:0.5:101", "3:9:101", "1:2:101"], 1030301),
+        ],
+        ids=["axis", "lattice"],
+    )
+    def test_lattice_above_a_million_points_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                    ranges, size):
+        # checked before any large axis or the lattice is built
+        real = np.geomspace
+
+        def geomspace(lo, hi, count):
+            assert count <= 10**6
+            return real(lo, hi, count)
+
+        def product(*axes):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(np, "geomspace", geomspace)
+        monkeypatch.setattr(cli, "product", product)
+        out = tmp_path / "out"
+        g, rho, t = ranges
+        code = main(["sweep", "--g-range", g, "--rho-range", rho, "--t-range", t,
+                     "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: sweep lattice has {size} points, more than 1000000\n")
+        assert not (out / "sweep.csv").exists()
+
     def test_coarse_grid_exits_2_without_rows(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["sweep", "--g-range", "0.1:0.1:1", "--rho-range", "3:3:1",
