@@ -14,12 +14,17 @@ ways:
   with the full scan as the fallback. The fold's Newton step takes its
   y-derivatives from Taylor jets of the smile, whose derivatives come
   from a recurrence, and its chi-derivatives from the same jets taken at
-  a complex plateau ratio (the complex step),
+  a complex plateau ratio (the complex step); where Newton from the
+  calibrated surface finds no fold, the fold is continued from the
+  calibrated box,
 * an empirical power-law surface in rho = n/(g^2 T) and g*sqrt(T)
   calibrated against sweeps of the numerical search
   (:func:`chi_critical_formula`, :func:`calibrate_critical_fit`).
 
-:func:`adiabatic_refit` enforces the bound on a smile fit.
+:func:`adiabatic_refit` enforces the bound on a smile fit: it keeps a clean
+free fit, or refits (g, n) with chi pinned 0.1% below the fit's own fold,
+one LM solve whose chi column comes from the implicit-function theorem on
+the fold.
 """
 
 from __future__ import annotations
@@ -37,13 +42,14 @@ from ._lm import levenberg_marquardt
 from .density import STANDARD_GRID_POINTS, STANDARD_SPAN, DensityReport
 from .density import _check_grid, analyze, density_curve
 from .errors import (
+    ConvergenceError,
     CriticalSearchError,
     DomainError,
     IdentifiabilityError,
     SmilecalError,
 )
 from .smile import SmileFitResult, SmileParams, VolQuote
-from .smile import _capped_fit, _quotes_to_arrays
+from .smile import Pin, _quotes_to_arrays, _solve
 
 __all__ = [
     "CriticalFitParams",
@@ -288,8 +294,8 @@ class _Jet:
 _CHI_STEP = 1e-100
 
 
-def _fold_terms(y: float, chi: float, rho: float, s: float) -> tuple[float, ...]:
-    """``(q, q_y, q_yy, q_chi, q_ychi)`` of ``q = d log p / dy`` at ``(y, chi)``.
+def _log_slope(y: float, chi: complex, rho: complex, s: complex) -> tuple[complex, ...]:
+    """``(q, q_y, q_yy)`` of ``q = d log p / dy`` at ``(y, chi, rho, s)``.
 
     In the reduced coordinate ``y = x / (g sqrt(T))`` the smile is
     ``g * sig(y)``, ``sig = 1 + (chi - 1) * (1 - rho / (v^2 + rho))`` with
@@ -299,13 +305,12 @@ def _fold_terms(y: float, chi: float, rho: float, s: float) -> tuple[float, ...]
     sig sig''``. It depends on ``(y, chi, rho, s)`` only, and ``q`` vanishes
     where ``d log p / dx`` does.
 
-    The log-density's jet is taken at the complex plateau ratio
-    ``chi + i _CHI_STEP``: the y-terms are its real parts, and ``q_chi``
-    and ``q_ychi`` the imaginary parts of ``q`` and ``q_y`` over
-    ``_CHI_STEP``. Raises ``ValueError`` where ``F`` is not positive.
+    One of ``chi``, ``rho`` and ``s`` may carry a complex step: each term's
+    imaginary part over the step is then its derivative in that argument.
+    Raises ``ValueError`` where ``F`` is not positive.
     """
     h = _well_derivatives(y + 0.5 * s, rho)
-    c = complex(chi - 1.0, _CHI_STEP)
+    c = chi - 1.0
     w = (1.0 - h[0], -h[1], -h[2], -h[3], -h[4], -h[5])  # sig = 1 + c * w
 
     def jet(k: int) -> _Jet:  # of the k-th derivative of sig
@@ -320,30 +325,36 @@ def _fold_terms(y: float, chi: float, rho: float, s: float) -> tuple[float, ...]
     sig_s = sig * (0.5 * s)
     # all but the linear term -s y / 2, whose slope is added to q
     _, l1, l2, l3 = (factor.log() - sig.log() - (z * z + sig_s * sig_s) * 0.5).c
-    q, q_y = l1 - 0.5 * s, 2.0 * l2
-    return q.real, q_y.real, 6.0 * l3.real, q.imag / _CHI_STEP, q_y.imag / _CHI_STEP
+    return l1 - 0.5 * s, 2.0 * l2, 6.0 * l3
+
+
+def _fold_terms(y: float, chi: float, rho: float, s: float) -> tuple[float, ...]:
+    """``(q, q_y, q_yy, q_chi, q_ychi)`` of :func:`_log_slope` at ``(y, chi)``.
+
+    The jets are taken at the complex plateau ratio ``chi + i _CHI_STEP``:
+    the y-terms are their real parts, and ``q_chi`` and ``q_ychi`` the
+    imaginary parts of ``q`` and ``q_y`` over ``_CHI_STEP``.
+    """
+    q, q_y, q_yy = _log_slope(y, complex(chi, _CHI_STEP), rho, s)
+    return q.real, q_y.real, q_yy.real, q.imag / _CHI_STEP, q_y.imag / _CHI_STEP
 
 
 _FOLD_MAX_STEPS = 20
+# fold continuation from the calibrated box: equal steps in (log rho, log s)
+_FOLD_CONTINUATION_STEPS = 8
 
 
-def _fold_chi(rho: float, s: float) -> float | None:
-    """The fold ``q = q_y = 0`` of :func:`_fold_terms`: the plateau ratio at
-    which the density's left wing first gets a stationary inflection.
+def _fold_newton(rho: float, s: float, y: float, chi: float) -> tuple[float, float] | None:
+    """The fold ``(y, chi)`` by 2-D Newton on ``q = q_y = 0`` from ``(y, chi)``.
 
-    2-D Newton in ``(y, chi)`` starts from the calibrated surface's chi and
-    ``y = -s/2 - 1.2 sqrt(rho)``, 1.2 well widths left of the smile minimum
-    (the Table-1 folds lie 1.11 to 1.26 widths left), and stops once a step
-    moves neither by more than 1e-6; Newton converges quadratically, so the
-    error left is of order that step squared, far below ``_FOLD_BAND``.
-    Never raises: returns ``None``, no prediction, if it takes more than
-    ``_FOLD_MAX_STEPS`` steps, meets a value that is not finite or raises an
-    ``ArithmeticError`` or ``ValueError``, or ends outside the left wing
-    ``y < -s/2``.
+    Stops once a step moves neither by more than 1e-6; Newton converges
+    quadratically, so the error left is of order that step squared, far
+    below ``_FOLD_BAND``. Never raises: returns ``None`` if it takes more
+    than ``_FOLD_MAX_STEPS`` steps, meets a value that is not finite or
+    raises an ``ArithmeticError`` or ``ValueError``, or ends outside the
+    left wing ``y < -s/2`` or at a chi not above 1.
     """
     try:
-        chi = chi_critical_formula(s, rho * s * s, 1.0)  # the smile g = s, T = 1
-        y = -0.5 * s - 1.2 * math.sqrt(rho)
         for _ in range(_FOLD_MAX_STEPS):
             q, q_y, q_yy, q_c, q_yc = _fold_terms(y, chi, rho, s)
             det = q_y * q_yc - q_c * q_yy
@@ -354,10 +365,55 @@ def _fold_chi(rho: float, s: float) -> float | None:
             if not (math.isfinite(y) and math.isfinite(chi)):
                 return None
             if abs(dy) <= 1e-6 and abs(dchi) <= 1e-6:
-                return chi if y < -0.5 * s and chi > 1.0 else None
+                return (y, chi) if y < -0.5 * s and chi > 1.0 else None
     except (ArithmeticError, ValueError):
         return None
     return None
+
+
+def _fold_seed(rho: float, s: float) -> tuple[float, float]:
+    """Newton's start ``(y, chi)``: the calibrated surface's chi and ``y =
+    -s/2 - 1.2 sqrt(rho)``, 1.2 well widths left of the smile minimum (the
+    Table-1 folds lie 1.11 to 1.26 widths left). Raises ``DomainError``
+    where ``rho s^2`` underflows to 0."""
+    return -0.5 * s - 1.2 * math.sqrt(rho), chi_critical_formula(s, rho * s * s, 1.0)
+
+
+def _fold_point(rho: float, s: float) -> tuple[float, float] | None:
+    """The fold ``(y, chi)`` of :func:`_fold_terms` at ``(rho, s)``, or ``None``.
+
+    Newton runs first from :func:`_fold_seed`. Where that gives no fold, the
+    fold is continued from the nearest point of the calibrated box to
+    ``(rho, s)`` in ``_FOLD_CONTINUATION_STEPS`` equal steps of ``(log rho,
+    log s)``, each Newton solve starting from the fold before. Where the
+    seed cannot be formed there is no fold. Never raises.
+    """
+    try:
+        seed = _fold_seed(rho, s)
+        box = (min(max(rho, _BOX_RHO[0]), _BOX_RHO[1]), min(max(s, _BOX_S[0]), _BOX_S[1]))
+        step_r, step_s = (math.log(a / b) / _FOLD_CONTINUATION_STEPS
+                          for a, b in ((rho, box[0]), (s, box[1])))
+    except (ArithmeticError, ValueError):
+        return None
+    point = _fold_newton(rho, s, *seed)
+    if point is not None or box == (rho, s):
+        return point
+    point = _fold_newton(*box, *_fold_seed(*box))
+    for k in range(1, _FOLD_CONTINUATION_STEPS + 1):
+        if point is None:
+            return None
+        at = (rho, s) if k == _FOLD_CONTINUATION_STEPS else (
+            box[0] * math.exp(k * step_r), box[1] * math.exp(k * step_s))
+        point = _fold_newton(*at, *point)
+    return point
+
+
+def _fold_chi(rho: float, s: float) -> float | None:
+    """The fold ``q = q_y = 0`` of :func:`_fold_terms`: the plateau ratio at
+    which the density's left wing first gets a stationary inflection, or
+    ``None``, no prediction (see :func:`_fold_point`). Never raises."""
+    point = _fold_point(rho, s)
+    return None if point is None else point[1]
 
 
 # Fold-guided verdicts are declared this far (plus the bisection tol) from
@@ -615,37 +671,100 @@ def adiabatic_check(
     return AdiabaticVerdict(chi_opt=params.chi, chi_c=chi_c, source=source)
 
 
+def _fold_gradient(rho: float, s: float, y: float, chi: float) -> tuple[float, float]:
+    """``(dchi/drho, dchi/ds)`` of the fold ``(y, chi)``, by the implicit-
+    function theorem on ``(q, q_y) = 0``: ``M d(y, chi) = -d(q, q_y)``, with
+    ``M = [[q_y, q_chi], [q_yy, q_ychi]]`` the fold's Newton matrix formed
+    at the fold, and ``d(q, q_y)`` in ``rho`` and in ``s`` each from one
+    complex step of :func:`_log_slope`."""
+    _, q_y, q_yy, q_c, q_yc = _fold_terms(y, chi, rho, s)
+    det = q_y * q_yc - q_c * q_yy
+    step = complex(0.0, _CHI_STEP)
+    grad = []
+    for args in ((rho + step, s), (rho, s + step)):
+        q_p, q_yp, _ = _log_slope(y, chi, *args)
+        grad.append((q_yy * q_p.imag - q_y * q_yp.imag) / (_CHI_STEP * det))
+    return grad[0], grad[1]
+
+
+# The refit pins chi this far, relatively, below the fit's own fold, which
+# lies within 9.03e-5 of the grid verdict's transition (see _FOLD_BAND): with
+# it, all 400 non-adiabatic benchmark desk refits of seeds 1-40 are clean by
+# the grid verdict and by a Breeden-Litzenberger density from call prices.
+_FOLD_CLEARANCE = 1e-3
+
+
+def _fold_pin(maturity: float, fold: tuple[float, float]) -> Pin:
+    """``pin(g, n)``: ``(1 - _FOLD_CLEARANCE)`` times the fold at ``(rho,
+    s)`` of ``(g, n, maturity)``, with its gradient in ``(ln g, ln n)``, or
+    ``None`` where there is no fold. Each fold's Newton starts from the fold
+    found before, the first from ``fold``; where that finds none, as from a
+    rejected trial point far off, :func:`_fold_point` solves afresh."""
+    last = fold
+    keep = 1.0 - _FOLD_CLEARANCE
+
+    def pin(g: float, n: float) -> tuple[float, float, float] | None:
+        nonlocal last
+        point = _reduced(g, n, maturity)
+        if point is None:
+            return None
+        rho, s = point
+        found = _fold_newton(rho, s, *last) or _fold_point(rho, s)
+        if found is None:
+            return None
+        last = found
+        try:
+            chi_rho, chi_s = _fold_gradient(rho, s, *found)
+        except (ArithmeticError, ValueError):
+            return None
+        # ln rho = ln n - 2 ln g - ln T and ln s = ln g + ln T / 2
+        return (keep * found[1], keep * (s * chi_s - 2.0 * rho * chi_rho),
+                keep * rho * chi_rho)
+
+    return pin
+
+
 def adiabatic_refit(
     quotes: list[VolQuote],
     free: SmileFitResult,
     chi_max: float,
     settings: ChiSearchSettings | None = None,
 ) -> tuple[SmileFitResult, DensityReport]:
-    """The fit with chi capped at ``chi_max`` if its density is unimodal,
-    else at the largest clean cap, to ``settings.tol``, less 0.1%; with the
-    final fit's density report on the ``settings`` grid.
+    """The free fit if it is flat, or if its chi is at most ``chi_max`` and
+    its density is unimodal; else the fit with chi pinned 0.1% below its
+    own fold. Returns the final fit with its density report on the
+    ``settings`` grid.
 
-    ``free`` is the quotes' unconstrained fit: capped at or above its chi it
-    is kept, and a flat one (chi = 1, Gaussian) is kept whatever ``chi_max``
-    is. The cap is bisected on ``[1, chi_max]`` on each capped fit's verdict,
-    each fit starting from the one before; at chi = 1 the density is
-    Gaussian, so that end needs no verdict.
+    The pinned fit is one LM solve over ``(ln g, ln n)`` from the free fit,
+    with ``chi = (1 - 1e-3) * chi_fold(rho, s)`` at each ``(g, n)``: re-
+    optimizing ``(g, n)`` moves the fold, so a fit capped at a fixed bound
+    can keep a spurious minimum, while the pinned one stays below its own
+    transition. Its chi may exceed ``chi_max``. A flat free fit (chi = 1,
+    Gaussian) is kept whatever ``chi_max`` is.
+
+    Raises
+    ------
+    DomainError
+        If the free fit is not flat and ``chi_max`` is not at least 1.
+    ConvergenceError
+        If the free fit has no fold to pin to, or the pinned fit diverges.
     """
     opts = settings or ChiSearchSettings()
-    xs, vols = _quotes_to_arrays(quotes, free.params.maturity)
-    fit, report = free, None
-
-    def non_unimodal(chi: float) -> bool:
-        nonlocal fit, report
-        fit = _capped_fit(xs, vols, free, chi, fit.params)
-        report = _verdict(fit.params, opts)
-        return not report.unimodal
-
-    if non_unimodal(chi_max if free.params.chi > 1.0 else 1.0):
-        lo, _ = _bisect(non_unimodal, 1.0, chi_max, opts.tol)
-        # Clearance below the last clean cap, which sits on the verdict's
-        # edge: without it, of 400 non-adiabatic benchmark desk refits, 22
-        # re-solved to a fit the verdict rejects and one kept a minimum that
-        # a Breeden-Litzenberger density from call prices resolves.
-        non_unimodal(max(1.0, lo * (1.0 - 1e-3)))
-    return fit, report
+    params = free.params
+    if params.chi == 1.0:
+        return free, _verdict(params, opts)
+    if not chi_max >= 1.0:
+        raise DomainError(f"chi_max must be >= 1, got {chi_max}")
+    if params.chi <= chi_max:
+        report = _verdict(params, opts)
+        if report.unimodal:
+            return free, report
+    point = _reduced(params.g, params.n, params.maturity)
+    fold = None if point is None else _fold_point(*point)
+    if fold is None:
+        raise ConvergenceError(
+            f"no fold to pin chi to at g={params.g}, n={params.n}, T={params.maturity}"
+        )
+    xs, vols = _quotes_to_arrays(quotes, params.maturity)
+    fit = _solve(xs, vols, params, _fold_pin(params.maturity, fold))
+    return fit, _verdict(fit.params, opts)

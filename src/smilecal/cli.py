@@ -7,7 +7,7 @@ Exit codes are a stable contract:
     2  input could not be read or parsed, or is out of domain
     3  a fit or search failed to converge / calibration not identifiable
     4  density goes negative beyond round-off
-    5  the refit's final capped fit still has a non-unimodal density
+    5  the refit's final fit still has a non-unimodal density
 
 Codes 2 and 3 follow the error families of :mod:`smilecal.errors`: a
 ``DomainError`` exits 2 and a ``ConvergenceError`` 3. The one exception is
@@ -34,7 +34,9 @@ UTF-8 text, or an output directory that cannot be created, exits 2, like
 an input that cannot be parsed.
 
 ``refit`` hands the free fit and the check's ``chi_c`` to
-:func:`smilecal.adiabatic.adiabatic_refit`, which keeps the fit or caps chi.
+:func:`smilecal.adiabatic.adiabatic_refit`, which keeps the fit or pins chi
+0.1% below the refitted smile's own fold; a final fit that did not
+converge exits 3 after its outputs are written.
 """
 
 from __future__ import annotations
@@ -471,6 +473,9 @@ def cmd_refit(args, cfg: RunConfig, out: Path) -> int:
             xlabel="x",
             ylabel="vol",
         )
+    if not final.converged:
+        print("refit did not converge", file=sys.stderr)
+        return EXIT_CONVERGENCE
     if not final_report.unimodal:
         print("constrained refit still non-unimodal", file=sys.stderr)
         return EXIT_CONSTRAINED_FAILURE
@@ -558,11 +563,12 @@ def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
             if row.status == "ok":
                 done[_row_key(row.g, row.rho, row.maturity)] = row
 
-    lattice = [
-        (float(g), float(rho), float(t))
-        for g, rho, t in product(g_axis, rho_axis, t_axis)
-    ]
-    missing = [pt for pt in lattice if _row_key(*pt) not in done]
+    # one row per distinct point: an axis such as 0.1:0.1:3 repeats its value
+    lattice: dict[tuple[str, str, str], tuple[float, float, float]] = {}
+    for g, rho, t in product(g_axis, rho_axis, t_axis):
+        point = (float(g), float(rho), float(t))
+        lattice.setdefault(_row_key(*point), point)
+    missing = [pt for key, pt in lattice.items() if key not in done]
     print(f"sweep: {len(lattice)} rows, {len(lattice) - len(missing)} reused, "
           f"{len(missing)} to compute")
 
@@ -575,7 +581,7 @@ def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
             fh.flush()
             done[_row_key(row.g, row.rho, row.maturity)] = row
 
-    rows = [done[_row_key(*pt)] for pt in lattice]
+    rows = [done[key] for key in lattice]
     write_csv(path, _SWEEP_HEADER, zip(*map(_sweep_fields, rows)))
     ok = sum(1 for r in rows if r.status == "ok")
     print(f"sweep complete: {ok}/{len(rows)} rows ok -> {path}")

@@ -13,6 +13,7 @@ minimum, and saturates at ``g * chi`` far out on either wing.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 _CHI_FLOOR_EPS = 1e-12  # guards log(chi - 1) at the flat-smile boundary
+
+# A plateau ratio as a function of (g, n): ``pin(g, n)`` returns ``(chi,
+# dchi/dln g, dchi/dln n)``, or ``None`` where it has no value.
+Pin = Callable[[float, float], tuple[float, float, float] | None]
 
 
 @dataclass(frozen=True)
@@ -162,22 +167,33 @@ def _quotes_to_arrays(
 
 def _residuals_and_jacobian(
     theta: np.ndarray, xs: np.ndarray, vols: np.ndarray, maturity: float,
-    chi_fixed: float | None,
+    chi_fixed: float | Pin | None,
 ):
     """Vol-space residuals and Jacobian in log-parameters.
 
     theta = (ln g, ln(chi - 1 + eps), ln n), or (ln g, ln n) when chi is
-    pinned by an active constraint. A step whose parameters overflow
-    raises :class:`ConvergenceError`: the fit has diverged.
+    pinned: at a constant by an active constraint, or by a :data:`Pin`,
+    whose chi-gradient enters the Jacobian by the chain rule. Where the pin
+    has no value the residuals are NaN, so the LM core rejects the step. A
+    step whose parameters overflow raises :class:`ConvergenceError`: the fit
+    has diverged.
     """
     try:
         if chi_fixed is None:
             g, height, n = math.exp(theta[0]), math.exp(theta[1]), math.exp(theta[2])
         else:
             g, n = math.exp(theta[0]), math.exp(theta[1])
-            height = chi_fixed - 1.0
     except OverflowError as exc:
         raise ConvergenceError(f"smile fit diverged: {exc}") from exc
+    chi_g = chi_n = None
+    if callable(chi_fixed):
+        pinned = chi_fixed(g, n)
+        if pinned is None:
+            return np.full(xs.size, math.nan), np.full((xs.size, 2), math.nan)
+        chi, chi_g, chi_n = pinned
+        height = chi - 1.0
+    elif chi_fixed is not None:
+        height = chi_fixed - 1.0
 
     u = xs + 0.5 * g * g * maturity
     den = u * u + n
@@ -189,19 +205,22 @@ def _residuals_and_jacobian(
     # u depends on g through the g^2 T / 2 shift
     dm_dg = (1.0 + height * w) + g * height * w_u * (g * maturity)
     dm_dn = -g * height * (u * u) / (den * den)
+    dm_dheight = g * w
     if chi_fixed is None:
-        dm_dheight = g * w
         jac = np.stack([dm_dg * g, dm_dheight * height, dm_dn * n], axis=1)
-    else:
+    elif chi_g is None:
         jac = np.stack([dm_dg * g, dm_dn * n], axis=1)
+    else:
+        jac = np.stack([dm_dg * g + dm_dheight * chi_g, dm_dn * n + dm_dheight * chi_n], axis=1)
     return r, jac
 
 
 def _solve(
-    xs: np.ndarray, vols: np.ndarray, start: SmileParams, chi_fixed: float | None
+    xs: np.ndarray, vols: np.ndarray, start: SmileParams, chi_fixed: float | Pin | None
 ) -> SmileFitResult:
-    """LM fit from ``start`` of (g, chi, n), or of (g, n) with chi pinned at
-    ``chi_fixed``. A g or n that underflows to zero, or a fitted smile whose
+    """LM fit from ``start`` of (g, chi, n), or of (g, n) with chi pinned by
+    ``chi_fixed``, a constant or a :data:`Pin`. A g or n that underflows to
+    zero, a pin with no value at the fitted (g, n), or a fitted smile whose
     derivatives are not finite at its own minimum, raises
     :class:`ConvergenceError`: the fit diverged, the input need not be at fault.
 
@@ -219,9 +238,17 @@ def _solve(
         )
         values = [float(v) for v in np.exp(result.theta)]
         g, n = values[0], values[-1]
-        chi = 1.0 + values[1] if chi_fixed is None else chi_fixed
         if g == 0.0 or n == 0.0:
             raise ConvergenceError(f"smile fit diverged: g={g}, n={n} underflowed to zero")
+        if chi_fixed is None:
+            chi = 1.0 + values[1]
+        elif callable(chi_fixed):
+            pinned = chi_fixed(g, n)
+            if pinned is None:
+                raise ConvergenceError(f"smile fit diverged: no pinned chi at g={g}, n={n}")
+            chi = pinned[0]
+        else:
+            chi = chi_fixed
         params = SmileParams(g=g, chi=float(chi), n=n, maturity=maturity)
         if not all(map(math.isfinite, sigma_derivatives(params, params.x_min))):
             raise ConvergenceError(
@@ -288,15 +315,6 @@ def constrained_fit_smile(
     """
     xs, vols = _quotes_to_arrays(quotes, maturity)
     free = _fit_arrays(xs, vols, maturity)
-    return _capped_fit(xs, vols, free, chi_max, free.params)
-
-
-def _capped_fit(
-    xs: np.ndarray, vols: np.ndarray, free: SmileFitResult, chi_max: float,
-    start: SmileParams,
-) -> SmileFitResult:
-    """:func:`constrained_fit_smile` on converted quotes whose free fit is
-    ``free``, re-optimizing the clamped (g, n) from ``start``."""
     if not chi_max >= 1.0:
         raise DomainError(f"chi_max must be >= 1, got {chi_max}")
     if free.params.chi <= chi_max:
@@ -304,11 +322,10 @@ def _capped_fit(
     if chi_max == 1.0:
         # degenerate cap: best flat curve is the plain mean of the vols
         g = float(vols.mean())
-        params = SmileParams(g=g, chi=1.0, n=free.params.n, maturity=free.params.maturity)
+        params = SmileParams(g=g, chi=1.0, n=free.params.n, maturity=maturity)
         rms = math.sqrt(float(np.mean((vols - g) ** 2)))
         return SmileFitResult(params, residual_rms=rms, converged=True, constrained=True)
-
-    return _solve(xs, vols, start, chi_max)
+    return _solve(xs, vols, free.params, chi_max)
 
 
 def scaling_fit(smiles: list[SmileParams]) -> ScalingFitResult:

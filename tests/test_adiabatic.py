@@ -3,8 +3,10 @@ closed-form surface, sweeps and their calibration, and the accept/reject
 check.
 """
 
+import importlib.util
 import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from smilecal import (
     DEFAULT_CRITICAL_FIT,
     AdiabaticVerdict,
     ChiSearchSettings,
+    ConvergenceError,
     CriticalFitParams,
     CriticalSearchError,
     DomainError,
@@ -43,6 +46,18 @@ from smilecal import (
 
 FIG1 = dict(g=0.1, n=0.04, maturity=0.5)
 FIG2_PARAMS = SmileParams(g=0.1758, chi=1.20, n=0.00030, maturity=1.0 / 365.0)
+
+
+def _load_bl_oracle():
+    # the benchmark's Breeden-Litzenberger verdict, which imports no smilecal
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BL_ORACLE = _load_bl_oracle()
 
 
 def _intersection_by_bisection(sigma1: float, chi: float, t: float) -> float:
@@ -232,26 +247,28 @@ class TestJumpedStart:
         assert not smilecal.adiabatic._in_calibrated_box(g, n, t)
 
     @pytest.mark.parametrize(
-        "rho, s, guided",
+        "rho, s, direct",
         [
             (1.2, 0.05, True),
             (30.0, 0.8, True),
             (0.6, 3.0, True),
-            # the fold's Newton gives no prediction here, so the full scan runs
+            # Newton from the surface's start finds no fold here, so the fold
+            # is continued from the box
             (0.3, 0.01, False),
             (60.0, 0.8, False),
             (8.0, 3.0, False),
         ],
     )
-    def test_outside_the_box_matches_full_scan(self, monkeypatch, rho, s, guided):
+    def test_outside_the_box_matches_full_scan(self, monkeypatch, rho, s, direct):
+        adiab = smilecal.adiabatic
         g, t = s, 1.0
         n = rho * g * g * t
-        assert not smilecal.adiabatic._in_calibrated_box(g, n, t)
+        assert not adiab._in_calibrated_box(g, n, t)
+        assert (adiab._fold_newton(rho, s, *adiab._fold_seed(rho, s)) is not None) == direct
         expected = _reference_chi_critical_numeric(g, n, t)
         chis = _record_search_chis(monkeypatch)
         assert chi_critical_numeric(g, n, t) == expected
-        if guided:
-            assert smilecal.adiabatic.SCAN_START not in chis
+        assert adiab.SCAN_START not in chis
 
 
 class TestFoldGuidedSearch:
@@ -304,10 +321,10 @@ class TestFoldGuidedSearch:
         assert len(points) == 62
         expected = [_reference_chi_critical_numeric(*p) for p in points]
         reduced = [smilecal.adiabatic._reduced(*p) for p in points]
-        assert [smilecal.adiabatic._fold_chi(*r) for r in reduced].count(None) <= 18
+        assert [smilecal.adiabatic._fold_chi(*r) for r in reduced].count(None) == 0
         chis = _record_search_chis(monkeypatch)
         assert [chi_critical_numeric(*p) for p in points] == expected
-        assert len(chis) <= 14.2 * len(points)
+        assert len(chis) <= 3.5 * len(points)
 
     def test_fallback_when_first_verdict_is_non_unimodal(self, monkeypatch):
         # a fold past the transition declares unimodal verdicts where the
@@ -425,6 +442,21 @@ class TestFold:
         # the search consults the fold at every point, so it must never raise
         assert smilecal.adiabatic._fold_chi(rho, s) is None
 
+    @pytest.mark.parametrize("rho, s", [(1.2, 0.05), (30.0, 0.8), (0.6, 3.0)])
+    def test_continued_fold_matches_the_direct_one(self, monkeypatch, rho, s):
+        # where Newton from the surface's start converges, continuing the
+        # fold from the box instead lands on the same fold
+        adiab = smilecal.adiabatic
+        direct = adiab._fold_chi(rho, s)
+        start = (rho, s, *adiab._fold_seed(rho, s))
+        newton = adiab._fold_newton
+
+        def no_direct(*args):
+            return None if args == start else newton(*args)
+
+        monkeypatch.setattr(adiab, "_fold_newton", no_direct)
+        assert adiab._fold_chi(rho, s) == pytest.approx(direct, abs=1e-12)
+
     def test_log_of_a_negative_curvature_factor_raises(self):
         # F < 0 here; cmath.log would not raise, so _Jet.log must
         with pytest.raises(ValueError):
@@ -465,6 +497,34 @@ class TestFold:
         assert max(steps) <= 5
         assert smilecal.adiabatic.SCAN_START not in chis
         assert len(chis) <= 5 * len(points)
+
+    def test_fold_gradient_matches_central_differences(self):
+        # the implicit-function chi partials against central differences of
+        # whole fold solves, on the 27-point sub-lattice
+        adiab = smilecal.adiabatic
+        step = 1e-5
+        for g, rho, t in product(*default_sweep_axes(3, 3, 3)):
+            r, s = adiab._reduced(g, rho * g * g * t, t)
+            grad = adiab._fold_gradient(r, s, *adiab._fold_point(r, s))
+            central = (
+                (adiab._fold_chi(r * (1 + step), s) - adiab._fold_chi(r * (1 - step), s))
+                / (2 * step * r),
+                (adiab._fold_chi(r, s * (1 + step)) - adiab._fold_chi(r, s * (1 - step)))
+                / (2 * step * s),
+            )
+            assert grad == pytest.approx(central, rel=1e-6), (g, rho, t)
+
+    def test_pin_gradient_matches_central_differences(self):
+        # the pin's chain rule from (rho, s) to (ln g, ln n)
+        adiab = smilecal.adiabatic
+        g, n, t = 0.107, 0.05, 0.5
+        pin = adiab._fold_pin(t, adiab._fold_point(*adiab._reduced(g, n, t)))
+        chi, chi_g, chi_n = pin(g, n)
+        assert chi == pytest.approx((1.0 - 1e-3) * adiab._fold_chi(*adiab._reduced(g, n, t)))
+        step = 1e-5
+        by_g = (pin(g * math.exp(step), n)[0] - pin(g * math.exp(-step), n)[0]) / (2 * step)
+        by_n = (pin(g, n * math.exp(step))[0] - pin(g, n * math.exp(-step))[0]) / (2 * step)
+        assert (chi_g, chi_n) == pytest.approx((by_g, by_n), rel=1e-6)
 
     @pytest.mark.parametrize(
         "fold",
@@ -766,9 +826,14 @@ class TestAdiabaticCheck:
         assert verdict == adiabatic_check(params, mode="numeric")
 
 
-# the five-attempt shaving loop's final chi on the Fig. 1 quotes, which the
-# bisected cap replaced
-SHAVED_FIG1_CHI = 2.3944401525124506
+# the rms of the fit at the largest clean cap, bisected to 1e-4 less 0.1%,
+# on the Fig. 1 quotes, which the fold-pinned fit replaced
+BISECTED_FIG1_RMS = 0.00448353913135494
+
+
+def _fit_values(fit) -> tuple[float, float, float, float]:
+    p = fit.params
+    return p.g, p.chi, p.n, p.maturity
 
 
 def _unimodal(fit) -> bool:
@@ -791,26 +856,27 @@ class TestAdiabaticRefit:
         assert report == analyze(density_curve(final.params))
         return chi_max, final
 
-    def test_fig1_ends_at_the_largest_clean_cap(self, fig1):
+    def test_fig1_ends_pinned_below_its_own_fold(self, fig1):
         chi_max, final = fig1
-        # the fit capped at the surface bound is not clean, so the cap moved
+        # the fit capped at the surface bound is not clean, so chi is pinned
         assert not _unimodal(constrained_fit_smile(self.QUOTES, 0.5, chi_max))
-        assert final.constrained and _unimodal(final)
-        assert SHAVED_FIG1_CHI < final.params.chi < chi_max
-        above = constrained_fit_smile(self.QUOTES, 0.5, 1.002 * final.params.chi)
-        assert not _unimodal(above)
+        assert final.constrained and final.converged and _unimodal(final)
+        assert BL_ORACLE.density_verdict(*_fit_values(final)) == 0
+        # re-optimizing (g, n) moves the fold above the bound of the free fit
+        assert final.params.chi == pytest.approx(2.5815, abs=1e-4)
+        assert final.params.chi > chi_max
+        assert final.residual_rms < BISECTED_FIG1_RMS
 
-    def test_verdict_monotone_below_the_final_cap(self, fig1):
-        # the bisection assumes every cap below a clean one is clean: check
-        # it from the first midpoint up to the final cap
-        chi_max, final = fig1
-        for cap in np.linspace(0.5 * (1.0 + chi_max), final.params.chi, 12):
-            assert _unimodal(constrained_fit_smile(self.QUOTES, 0.5, float(cap))), cap
+    def test_final_chi_is_pinned_to_the_final_fold(self, fig1):
+        _, final = fig1
+        p = final.params
+        fold = smilecal.adiabatic._fold_chi(*smilecal.adiabatic._reduced(p.g, p.n, p.maturity))
+        assert p.chi == pytest.approx((1.0 - 1e-3) * fold, rel=1e-12)
 
-    def test_clean_bound_returns_the_capped_fit(self):
-        capped = constrained_fit_smile(self.QUOTES, 0.5, 2.0)
-        assert _unimodal(capped)
-        assert adiabatic_refit(self.QUOTES, self.FREE, 2.0)[0] == capped
+    def test_bound_below_a_free_fit_returns_the_pinned_fit(self, fig1):
+        # the pinned fit does not depend on the bound it replaces
+        _, final = fig1
+        assert adiabatic_refit(self.QUOTES, self.FREE, 2.0)[0] == final
 
     def test_bound_above_a_clean_free_fit_returns_it(self):
         quotes = _quotes(SmileParams(g=0.15, chi=1.6, n=0.07875, maturity=0.5))
@@ -818,11 +884,30 @@ class TestAdiabaticRefit:
         assert _unimodal(free)
         assert adiabatic_refit(quotes, free, 3.0)[0] is free
 
-    def test_tolerance_sets_the_final_cap(self, fig1):
+    def test_final_fit_does_not_depend_on_the_tolerance(self, fig1):
         chi_max, final = fig1
         coarse, _ = adiabatic_refit(self.QUOTES, self.FREE, chi_max, ChiSearchSettings(tol=0.05))
-        assert _unimodal(coarse)
-        assert final.params.chi - 0.06 < coarse.params.chi <= final.params.chi
+        assert coarse == final
+
+    def test_no_fold_at_the_start_raises(self, monkeypatch):
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_point", lambda rho, s: None)
+        with pytest.raises(ConvergenceError, match="no fold"):
+            adiabatic_refit(self.QUOTES, self.FREE, 2.0)
+
+    def test_trial_point_without_a_fold_is_rejected(self, monkeypatch):
+        # no fold beyond a g 2% above the free fit's: LM must stay below it
+        g_max = 1.02 * self.FREE.params.g
+        newton = smilecal.adiabatic._fold_newton
+        seen = []
+
+        def bounded(rho, s, y, chi):
+            seen.append(s / math.sqrt(0.5))
+            return None if seen[-1] > g_max else newton(rho, s, y, chi)
+
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_newton", bounded)
+        final, _ = adiabatic_refit(self.QUOTES, self.FREE, 2.0)
+        assert max(seen) > g_max  # LM tried a point without a fold
+        assert final.params.g <= g_max
 
     @pytest.mark.parametrize("chi_max", [0.5, math.nan])
     def test_flat_free_fit_kept_whatever_the_bound(self, chi_max):

@@ -336,11 +336,10 @@ class TestRefit:
         report = read_report(out / "refit.txt")
         assert report["refit_applied"] == "True"
         assert report["final_unimodal"] == "True"
-        assert float(report["final_chi"]) <= float(report["chi_c"]) + 1e-12
         assert float(report["unconstrained_chi"]) == pytest.approx(2.7, rel=1e-4)
-        # above the final chi 2.3944401525124506 of the five-attempt
-        # shaving loop that the bisected cap replaced
-        assert float(report["final_chi"]) > 2.3944401525124506
+        # pinned below its own fold, above the final chi 2.41684739303458 of
+        # the bisected cap that the pinned fit replaced
+        assert float(report["final_chi"]) > 2.41684739303458
         # comparison file carries both curves on one grid
         lines = (out / "refit_comparison.csv").read_text().splitlines()
         assert lines[0] == (
@@ -395,14 +394,8 @@ class TestRefit:
 
         monkeypatch.setattr(adiabatic, "analyze", always_bad)
         qfile = self._nonadiabatic_quotes(tmp_path)
-        # the bisection walks the cap down to 1 + chi-tol; the default tol ends
-        # the same way after more capped fits, whose overflowing LM trial
-        # steps near cap 1 are rejected without a warning
-        cfg = tmp_path / "coarse.cfg"
-        cfg.write_text("chi-tol=0.05\n", encoding="utf-8")
         out = tmp_path / "out"
-        code = main(["refit", str(qfile), "--config", str(cfg), "--out", str(out)])
-        assert code == EXIT_CONSTRAINED_FAILURE
+        assert main(["refit", str(qfile), "--out", str(out)]) == EXIT_CONSTRAINED_FAILURE
         assert read_report(out / "refit.txt")["final_unimodal"] == "False"
 
     def test_flat_fit_kept_below_a_formula_bound_under_one(self, tmp_path):
@@ -420,35 +413,74 @@ class TestRefit:
         assert report["final_chi"] == report["unconstrained_chi"] == "1"
         assert report["final_unimodal"] == "True"
 
-    def test_one_free_fit_and_one_verdict_per_capped_fit(self, tmp_path, monkeypatch):
+    def test_one_free_fit_one_pinned_fit_and_one_verdict(self, tmp_path, monkeypatch):
         from smilecal import density, smile
 
-        calls = {"free": 0, "capped": 0, "verdict": 0}
+        calls = {"free": 0, "pinned": 0, "verdict": 0}
+        real_solve = smile._solve
 
-        def counted(module, name, key):
-            real = getattr(module, name)
+        def solve(xs, vols, start, chi_fixed):
+            calls["free" if chi_fixed is None else "pinned"] += 1
+            return real_solve(xs, vols, start, chi_fixed)
 
-            def wrapper(*args, **kwargs):
-                if key != "free" or args[3] is None:  # _solve(xs, vols, start, chi_fixed)
-                    calls[key] += 1
-                return real(*args, **kwargs)
+        def counted(module):
+            real = module.analyze
 
-            monkeypatch.setattr(module, name, wrapper)
+            def analyze(curve):
+                calls["verdict"] += 1
+                return real(curve)
 
-        counted(smile, "_solve", "free")
-        counted(adiabatic, "_capped_fit", "capped")
-        counted(adiabatic, "analyze", "verdict")
-        counted(density, "analyze", "verdict")
+            monkeypatch.setattr(module, "analyze", analyze)
+
+        monkeypatch.setattr(smile, "_solve", solve)
+        monkeypatch.setattr(adiabatic, "_solve", solve)
+        counted(adiabatic)
+        counted(density)
         out = tmp_path / "out"
         assert main(["refit", str(self._nonadiabatic_quotes(tmp_path)), "--out", str(out)]) == 0
         assert read_report(out / "refit.txt")["refit_applied"] == "True"
-        assert calls["free"] == 1
-        assert calls["verdict"] == calls["capped"] > 1
+        # the formula bound is below the free chi: no verdict on the free fit
+        assert calls == {"free": 1, "pinned": 1, "verdict": 1}
+
+    def test_free_fit_under_the_bound_adds_one_verdict(self, tmp_path, monkeypatch):
+        # a bound of 3 is above the free chi 2.7, whose density has a minimum
+        real_check, real_analyze = adiabatic.adiabatic_check, adiabatic.analyze
+        verdicts = []
+
+        def high_bound(params, mode, settings):
+            return dataclasses.replace(real_check(params, mode, settings), chi_c=3.0)
+
+        def analyze(curve):
+            verdicts.append(real_analyze(curve))
+            return verdicts[-1]
+
+        monkeypatch.setattr(adiabatic, "adiabatic_check", high_bound)
+        monkeypatch.setattr(adiabatic, "analyze", analyze)
+        out = tmp_path / "out"
+        assert main(["refit", str(self._nonadiabatic_quotes(tmp_path)), "--out", str(out)]) == 0
+        assert read_report(out / "refit.txt")["refit_applied"] == "True"
+        assert [v.unimodal for v in verdicts] == [False, True]
+
+    def test_unconverged_final_fit_exits_3(self, tmp_path, monkeypatch, capsys):
+        real_solve = adiabatic._solve
+
+        def unconverged(*args):
+            return dataclasses.replace(real_solve(*args), converged=False)
+
+        monkeypatch.setattr(adiabatic, "_solve", unconverged)
+        out = tmp_path / "out"
+        code = main(["refit", str(self._nonadiabatic_quotes(tmp_path)), "--out", str(out)])
+        assert code == EXIT_CONVERGENCE
+        assert capsys.readouterr().err == "refit did not converge\n"
+        report = read_report(out / "refit.txt")
+        assert report["final_converged"] == "False"
+        assert report["final_unimodal"] == "True"
 
 
 # four x quotes whose fit capped at the numeric chi_c collapses to
 # n = 6.5e-250; the free fit lies far outside the surface's calibrated box,
-# where the surface gives chi_c = 0.575
+# where the surface gives chi_c = 0.575, and the fit pinned to its own fold
+# does not collapse
 COLLAPSING_QUOTES = (
     "maturity,4.0\nx,vol\n"
     "0.49772525820941405,1.5189508395823534\n"
@@ -460,12 +492,18 @@ COLLAPSING_QUOTES = (
 
 @pytest.mark.parametrize("mode", ["formula", "numeric"])
 class TestCollapsingFit:
-    def test_refit_exits_3(self, tmp_path, capsys, recwarn, mode):
+    def test_refit_pins_a_clean_fit(self, tmp_path, recwarn, mode):
         qfile = tmp_path / "q.csv"
         qfile.write_text(COLLAPSING_QUOTES, encoding="utf-8")
-        args = ["refit", str(qfile), "--mode", mode, "--out", str(tmp_path / "out")]
-        assert main(args) == EXIT_CONVERGENCE
-        assert "smile fit diverged" in capsys.readouterr().err
+        quotes = cli.quotes_from_file(parse_quote_file(str(qfile)), 4.0, 1.0, 0.0)
+        with pytest.raises(errors.ConvergenceError, match="smile fit diverged"):
+            smilecal.constrained_fit_smile(quotes, 4.0, 1.0053515625)
+        out = tmp_path / "out"
+        assert main(["refit", str(qfile), "--mode", mode, "--out", str(out)]) == EXIT_OK
+        report = read_report(out / "refit.txt")
+        assert report["refit_applied"] == "True"
+        assert report["final_converged"] == report["final_unimodal"] == "True"
+        assert float(report["final_n"]) > 1.0
         assert not recwarn.list
 
     def test_check_exits_4_on_the_searched_bound(self, tmp_path, recwarn, mode):
@@ -596,6 +634,23 @@ class TestSweepAndCalibrate:
         assert main(args) == EXIT_OK
         assert f"{k} reused, {8 - k} to compute" in capsys.readouterr().out
         assert (out / "sweep.csv").read_bytes() == finished
+
+    def test_repeated_lattice_point_computed_once(self, tmp_path, monkeypatch, capsys):
+        real = adiabatic._sweep_one
+        calls = []
+
+        def counted(*point):
+            calls.append(point)
+            return real(*point)
+
+        monkeypatch.setattr(adiabatic, "_sweep_one", counted)
+        out = tmp_path / "out"
+        code = main(["sweep", "--g-range", "0.1:0.1:3", "--rho-range", "3:3:1",
+                     "--t-range", "1:1:1", "--out", str(out)])
+        assert code == EXIT_OK
+        assert "sweep: 1 rows, 0 reused, 1 to compute" in capsys.readouterr().out
+        assert len(read_sweep_csv(str(out / "sweep.csv"))) == 1
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("spec", ["0.1:inf:2", "nan:0.2:2"])
     def test_axis_bound_not_finite_exits_2(self, tmp_path, capsys, spec):

@@ -20,7 +20,8 @@ own scratch directory, with the same relative input and output paths:
   numeric`` on two ``--params`` smiles outside the box (rho 40 and 60);
 * ``refit`` on a narrow flat quote file;
 * ``refit`` and ``check``, in formula and numeric mode, on a 4-row quote
-  file whose capped fit collapses (exit 3 from ``refit``);
+  file whose fit capped at the check's ``chi_c`` collapses (``refit``
+  pins chi to the refitted smile's fold instead);
 * hostile inputs that must end in exit 2: ``bl-oracle --step-frac 0``,
   a ``sweep`` whose g axis has an infinite bound, and ``bl-oracle`` with
   a stencil that floats cannot resolve (``--step-frac 1e-300`` and
