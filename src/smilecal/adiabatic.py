@@ -389,15 +389,16 @@ def _fold_point(rho: float, s: float) -> tuple[float, float] | None:
     seed cannot be formed there is no fold. Never raises.
     """
     try:
-        seed = _fold_seed(rho, s)
+        point = _fold_newton(rho, s, *_fold_seed(rho, s))
+        if point is not None:
+            return point
         box = (min(max(rho, _BOX_RHO[0]), _BOX_RHO[1]), min(max(s, _BOX_S[0]), _BOX_S[1]))
+        if box == (rho, s):
+            return None
         step_r, step_s = (math.log(a / b) / _FOLD_CONTINUATION_STEPS
                           for a, b in ((rho, box[0]), (s, box[1])))
     except (ArithmeticError, ValueError):
         return None
-    point = _fold_newton(rho, s, *seed)
-    if point is not None or box == (rho, s):
-        return point
     point = _fold_newton(*box, *_fold_seed(*box))
     for k in range(1, _FOLD_CONTINUATION_STEPS + 1):
         if point is None:
@@ -694,13 +695,14 @@ def _fold_gradient(rho: float, s: float, y: float, chi: float) -> tuple[float, f
 _FOLD_CLEARANCE = 1e-3
 
 
-def _fold_pin(maturity: float, fold: tuple[float, float]) -> Pin:
+def _fold_pin(maturity: float) -> Pin:
     """``pin(g, n)``: ``(1 - _FOLD_CLEARANCE)`` times the fold at ``(rho,
     s)`` of ``(g, n, maturity)``, with its gradient in ``(ln g, ln n)``, or
-    ``None`` where there is no fold. Each fold's Newton starts from the fold
-    found before, the first from ``fold``; where that finds none, as from a
-    rejected trial point far off, :func:`_fold_point` solves afresh."""
-    last = fold
+    ``None`` where there is no fold or that chi is below 1. Each fold's
+    Newton starts from the fold found before; the first, and one where that
+    finds none, as from a rejected trial point far off, comes from
+    :func:`_fold_point`."""
+    last = None
     keep = 1.0 - _FOLD_CLEARANCE
 
     def pin(g: float, n: float) -> tuple[float, float, float] | None:
@@ -709,10 +711,12 @@ def _fold_pin(maturity: float, fold: tuple[float, float]) -> Pin:
         if point is None:
             return None
         rho, s = point
-        found = _fold_newton(rho, s, *last) or _fold_point(rho, s)
+        found = (last and _fold_newton(rho, s, *last)) or _fold_point(rho, s)
         if found is None:
             return None
         last = found
+        if keep * found[1] < 1.0:  # no smile has chi < 1
+            return None
         try:
             chi_rho, chi_s = _fold_gradient(rho, s, *found)
         except (ArithmeticError, ValueError):
@@ -747,7 +751,8 @@ def adiabatic_refit(
     DomainError
         If the free fit is not flat and ``chi_max`` is not at least 1.
     ConvergenceError
-        If the free fit has no fold to pin to, or the pinned fit diverges.
+        If the free fit has no fold to pin to, or none 0.1% above chi = 1,
+        or the pinned fit diverges.
     """
     opts = settings or ChiSearchSettings()
     params = free.params
@@ -759,12 +764,11 @@ def adiabatic_refit(
         report = _verdict(params, opts)
         if report.unimodal:
             return free, report
-    point = _reduced(params.g, params.n, params.maturity)
-    fold = None if point is None else _fold_point(*point)
-    if fold is None:
+    pin = _fold_pin(params.maturity)
+    if pin(params.g, params.n) is None:
         raise ConvergenceError(
             f"no fold to pin chi to at g={params.g}, n={params.n}, T={params.maturity}"
         )
     xs, vols = _quotes_to_arrays(quotes, params.maturity)
-    fit = _solve(xs, vols, params, _fold_pin(params.maturity, fold))
+    fit = _solve(xs, vols, params, pin)
     return fit, _verdict(fit.params, opts)

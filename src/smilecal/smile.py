@@ -167,16 +167,15 @@ def _quotes_to_arrays(
 
 def _residuals_and_jacobian(
     theta: np.ndarray, xs: np.ndarray, vols: np.ndarray, maturity: float,
-    chi_fixed: float | Pin | None,
+    chi_fixed: Pin | None,
 ):
     """Vol-space residuals and Jacobian in log-parameters.
 
     theta = (ln g, ln(chi - 1 + eps), ln n), or (ln g, ln n) when chi is
-    pinned: at a constant by an active constraint, or by a :data:`Pin`,
-    whose chi-gradient enters the Jacobian by the chain rule. Where the pin
-    has no value the residuals are NaN, so the LM core rejects the step. A
-    step whose parameters overflow raises :class:`ConvergenceError`: the fit
-    has diverged.
+    pinned by a :data:`Pin`, whose chi-gradient enters the Jacobian by the
+    chain rule. Where the pin has no value the residuals are NaN, so the LM
+    core rejects the step. A step whose parameters overflow raises
+    :class:`ConvergenceError`: the fit has diverged.
     """
     try:
         if chi_fixed is None:
@@ -185,15 +184,12 @@ def _residuals_and_jacobian(
             g, n = math.exp(theta[0]), math.exp(theta[1])
     except OverflowError as exc:
         raise ConvergenceError(f"smile fit diverged: {exc}") from exc
-    chi_g = chi_n = None
-    if callable(chi_fixed):
+    if chi_fixed is not None:
         pinned = chi_fixed(g, n)
         if pinned is None:
             return np.full(xs.size, math.nan), np.full((xs.size, 2), math.nan)
         chi, chi_g, chi_n = pinned
         height = chi - 1.0
-    elif chi_fixed is not None:
-        height = chi_fixed - 1.0
 
     u = xs + 0.5 * g * g * maturity
     den = u * u + n
@@ -208,18 +204,16 @@ def _residuals_and_jacobian(
     dm_dheight = g * w
     if chi_fixed is None:
         jac = np.stack([dm_dg * g, dm_dheight * height, dm_dn * n], axis=1)
-    elif chi_g is None:
-        jac = np.stack([dm_dg * g, dm_dn * n], axis=1)
     else:
         jac = np.stack([dm_dg * g + dm_dheight * chi_g, dm_dn * n + dm_dheight * chi_n], axis=1)
     return r, jac
 
 
 def _solve(
-    xs: np.ndarray, vols: np.ndarray, start: SmileParams, chi_fixed: float | Pin | None
+    xs: np.ndarray, vols: np.ndarray, start: SmileParams, chi_fixed: Pin | None
 ) -> SmileFitResult:
     """LM fit from ``start`` of (g, chi, n), or of (g, n) with chi pinned by
-    ``chi_fixed``, a constant or a :data:`Pin`. A g or n that underflows to
+    the :data:`Pin` ``chi_fixed``. A g or n that underflows to
     zero, a pin with no value at the fitted (g, n), or a fitted smile whose
     derivatives are not finite at its own minimum, raises
     :class:`ConvergenceError`: the fit diverged, the input need not be at fault.
@@ -242,13 +236,11 @@ def _solve(
             raise ConvergenceError(f"smile fit diverged: g={g}, n={n} underflowed to zero")
         if chi_fixed is None:
             chi = 1.0 + values[1]
-        elif callable(chi_fixed):
+        else:
             pinned = chi_fixed(g, n)
             if pinned is None:
                 raise ConvergenceError(f"smile fit diverged: no pinned chi at g={g}, n={n}")
             chi = pinned[0]
-        else:
-            chi = chi_fixed
         params = SmileParams(g=g, chi=float(chi), n=n, maturity=maturity)
         if not all(map(math.isfinite, sigma_derivatives(params, params.x_min))):
             raise ConvergenceError(
@@ -325,7 +317,7 @@ def constrained_fit_smile(
         params = SmileParams(g=g, chi=1.0, n=free.params.n, maturity=maturity)
         rms = math.sqrt(float(np.mean((vols - g) ** 2)))
         return SmileFitResult(params, residual_rms=rms, converged=True, constrained=True)
-    return _solve(xs, vols, free.params, chi_max)
+    return _solve(xs, vols, free.params, lambda g, n: (chi_max, 0.0, 0.0))
 
 
 def scaling_fit(smiles: list[SmileParams]) -> ScalingFitResult:

@@ -518,7 +518,7 @@ class TestFold:
         # the pin's chain rule from (rho, s) to (ln g, ln n)
         adiab = smilecal.adiabatic
         g, n, t = 0.107, 0.05, 0.5
-        pin = adiab._fold_pin(t, adiab._fold_point(*adiab._reduced(g, n, t)))
+        pin = adiab._fold_pin(t)
         chi, chi_g, chi_n = pin(g, n)
         assert chi == pytest.approx((1.0 - 1e-3) * adiab._fold_chi(*adiab._reduced(g, n, t)))
         step = 1e-5
@@ -893,6 +893,13 @@ class TestAdiabaticRefit:
         monkeypatch.setattr(smilecal.adiabatic, "_fold_point", lambda rho, s: None)
         with pytest.raises(ConvergenceError, match="no fold"):
             adiabatic_refit(self.QUOTES, self.FREE, 2.0)
+
+    @pytest.mark.parametrize("fold, pinned", [(1.0005, False), (1.002, True)])
+    def test_pin_has_no_value_below_chi_one(self, monkeypatch, fold, pinned):
+        # 0.1% below a fold under 1 / (1 - 1e-3) is no smile
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_point", lambda rho, s: (-1.0, fold))
+        p = self.FREE.params
+        assert (smilecal.adiabatic._fold_pin(p.maturity)(p.g, p.n) is not None) == pinned
 
     def test_trial_point_without_a_fold_is_rejected(self, monkeypatch):
         # no fold beyond a g 2% above the free fit's: LM must stay below it

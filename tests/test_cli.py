@@ -461,6 +461,15 @@ class TestRefit:
         assert read_report(out / "refit.txt")["refit_applied"] == "True"
         assert [v.unimodal for v in verdicts] == [False, True]
 
+    def test_fold_too_close_to_one_exits_3(self, tmp_path, monkeypatch, capsys):
+        # pinned 0.1% below a fold of 1.0005, chi would be below 1: no fit
+        # to pin, a convergence failure rather than a domain error
+        monkeypatch.setattr(adiabatic, "_fold_point", lambda rho, s: (-1.0, 1.0005))
+        out = tmp_path / "out"
+        code = main(["refit", str(self._nonadiabatic_quotes(tmp_path)), "--out", str(out)])
+        assert code == EXIT_CONVERGENCE
+        assert capsys.readouterr().err.startswith("error: no fold to pin chi to")
+
     def test_unconverged_final_fit_exits_3(self, tmp_path, monkeypatch, capsys):
         real_solve = adiabatic._solve
 
