@@ -9,9 +9,9 @@ ways:
   (:func:`square_well_critical_x`),
 * a numerical continuation in chi driven by the density module's
   unimodality verdict (:func:`chi_critical_numeric`); a closed-form fold
-  of the density's log-slope (:func:`_fold_chi`) predicts the transition
-  at every point, and only the verdicts next to the prediction are made,
-  with the full scan as the fallback. The fold's Newton step takes its
+  of the density's log-slope (:func:`_fold_chi`) predicts every verdict,
+  and real ones are made only at the ends of the bracket it gives, unless
+  they contradict it. The fold's Newton step takes its
   y-derivatives from Taylor jets of the smile, whose derivatives come
   from a recurrence, and its chi-derivatives from the same jets taken at
   a complex plateau ratio (the complex step); where Newton from the
@@ -30,7 +30,6 @@ the fold.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -349,10 +348,11 @@ def _fold_newton(rho: float, s: float, y: float, chi: float) -> tuple[float, flo
 
     Stops once a step moves neither by more than 1e-6; Newton converges
     quadratically, so the error left is of order that step squared, far
-    below ``_FOLD_BAND``. Never raises: returns ``None`` if it takes more
-    than ``_FOLD_MAX_STEPS`` steps, meets a value that is not finite or
-    raises an ``ArithmeticError`` or ``ValueError``, or ends outside the
-    left wing ``y < -s/2`` or at a chi not above 1.
+    below the fold's distance from the grid search's chi_c. Never raises:
+    returns ``None`` if it takes more than ``_FOLD_MAX_STEPS`` steps, meets
+    a value that is not finite or raises an ``ArithmeticError`` or
+    ``ValueError``, or ends outside the left wing ``y < -s/2`` or at a chi
+    not above 1.
     """
     try:
         for _ in range(_FOLD_MAX_STEPS):
@@ -417,13 +417,9 @@ def _fold_chi(rho: float, s: float) -> float | None:
     return None if point is None else point[1]
 
 
-# Fold-guided verdicts are declared this far (plus the bisection tol) from
-# the fold's chi: the smallest round value at least 1.4 times the fold's
-# worst distance from the grid search's chi_c. That distance is 6.90e-5 on
-# the Table-1 lattice at the default settings and, on its 27-point
-# sub-lattice, 9.03e-5 at span 20, 4.81e-5 at 8001 grid points and
-# 1.83e-5 at tol 1e-6. A wrong band costs speed, never exactness.
-_FOLD_BAND = 1.5e-4
+# Each retry widens the chi_c search's window of real verdicts this much: at
+# tol 1e-6 on the 27-point sub-lattice, 9.48 verdicts a search (12.33 with 2)
+_WINDOW_GROWTH = 16.0
 
 
 def chi_critical_numeric(
@@ -439,17 +435,17 @@ def chi_critical_numeric(
     non-unimodal point; bisection on the unimodality verdict then narrows
     the bracket to ``settings.tol``.
 
-    The fold of the density's log-slope (:func:`_fold_chi`) predicts the
-    transition at ``chi_f``, and the same scan and bisection run with a
-    verdict only for a chi within ``_FOLD_BAND + settings.tol`` of
-    ``chi_f``: a chi below that band is declared unimodal and one above it
-    non-unimodal. The result is kept only if both ends of the final bracket
-    lie in the band, where the verdicts were real, or at ``lo = 1``, the
-    Gaussian limit, which needs none. As
-    the verdict is monotone in chi, every declared verdict then agrees with
-    the real one, so the result is the full scan's, whatever the fold's
-    error. Otherwise, or when the fold gives no prediction, the full scan
-    runs with every verdict real.
+    The fold (:func:`_fold_chi`) predicts the transition at ``chi_f``: the
+    scan and bisection first run with every verdict predicted, non-unimodal
+    iff ``chi > chi_f``, and real verdicts only at the final ``lo`` and
+    ``hi``. Every predicted verdict lies at or below ``lo`` or at or above
+    ``hi``, so if ``lo`` is unimodal (as ``lo = 1``, the Gaussian limit,
+    is) and ``hi`` is not, the verdict's monotonicity in chi makes the
+    result the full scan's, whatever the fold's error. Else the walk reruns
+    with real verdicts within a window around ``chi_f``, one final bracket
+    on each side and then ``_WINDOW_GROWTH`` times wider each retry; past
+    ``SCAN_STEP``, with no fold or if a walk finds no transition, every
+    verdict is real. No chi gets two verdicts.
 
     Raises
     ------
@@ -457,12 +453,16 @@ def chi_critical_numeric(
         If no transition occurs up to ``settings.chi_max``.
     """
     opts = settings or ChiSearchSettings()
+    known = {1.0: False}  # non-unimodal by chi; the chi -> 1 limit is Gaussian
 
     def non_unimodal(chi: float) -> bool:
-        return not _verdict(SmileParams(g=g, chi=chi, n=n, maturity=maturity), opts).unimodal
+        if chi not in known:
+            params = SmileParams(g=g, chi=chi, n=n, maturity=maturity)
+            known[chi] = not _verdict(params, opts).unimodal
+        return known[chi]
 
     def search(verdict) -> tuple[float, float]:
-        lo, chi = 1.0, SCAN_START  # the chi -> 1 limit is Gaussian, hence unimodal
+        lo, chi = 1.0, SCAN_START
         while chi <= opts.chi_max:
             if verdict(chi):
                 return _bisect(verdict, lo, chi, opts.tol)
@@ -473,21 +473,20 @@ def chi_critical_numeric(
             f"at g={g}, n={n}, T={maturity}"
         )
 
+    def predicted(chi: float) -> bool:  # real if known or within the window
+        return non_unimodal(chi) if chi in known or abs(chi - chi_f) < window else chi > chi_f
+
     point = _reduced(g, n, maturity)
     chi_f = None if point is None else _fold_chi(*point)
-    if chi_f is not None:
-        band = _FOLD_BAND + opts.tol
-
-        def real(chi: float) -> bool:  # lo = 1, the Gaussian limit, needs no verdict
-            return chi == 1.0 or abs(chi - chi_f) <= band
-
-        def guided(chi: float) -> bool:
-            return non_unimodal(chi) if real(chi) else chi > chi_f
-
-        with contextlib.suppress(CriticalSearchError):
-            lo, hi = search(guided)
-            if real(lo) and real(hi):
-                return 0.5 * (lo + hi)
+    window = 0.0  # half-width of the real verdicts around chi_f: none at first
+    while chi_f is not None and window <= SCAN_STEP:
+        try:
+            lo, hi = search(predicted)
+        except CriticalSearchError:
+            break
+        if not non_unimodal(lo) and non_unimodal(hi):
+            return 0.5 * (lo + hi)
+        window = _WINDOW_GROWTH * window or hi - lo
 
     lo, hi = search(non_unimodal)
     return 0.5 * (lo + hi)
@@ -689,9 +688,9 @@ def _fold_gradient(rho: float, s: float, y: float, chi: float) -> tuple[float, f
 
 
 # The refit pins chi this far, relatively, below the fit's own fold, which
-# lies within 9.03e-5 of the grid verdict's transition (see _FOLD_BAND): with
-# it, all 400 non-adiabatic benchmark desk refits of seeds 1-40 are clean by
-# the grid verdict and by a Breeden-Litzenberger density from call prices.
+# lies within 9.03e-5 of the grid search's chi_c (27-point sub-lattice, span
+# 20): with it, all 400 non-adiabatic benchmark desk refits of seeds 1-40 are
+# clean by the grid verdict and by a Breeden-Litzenberger density from calls.
 _FOLD_CLEARANCE = 1e-3
 
 

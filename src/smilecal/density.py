@@ -110,9 +110,15 @@ class DensityReport:
     @cached_property
     def martingale_gap(self) -> float:
         # forward recovery: with S = S0 exp(x + rT), the forward gap reduces
-        # to |integral of exp(x) p(x) dx - 1| independent of spot and rate
+        # to |integral of exp(x) p(x) dx - 1| independent of spot and rate.
+        # exp(x) overflows right of x = 709.78, on wide grids where the
+        # samples there are 0, so a zero sample weighs 0 and takes no exp;
+        # where exp(x) p(x) or the integral still overflows, the gap is inf
         xs, ps = self.curve.xs, self.curve.ps
-        return float(abs(np.trapezoid(np.exp(xs) * ps, xs) - 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            weighted = np.exp(xs, out=np.zeros_like(xs), where=ps != 0.0) * ps
+            gap = abs(np.trapezoid(weighted, xs) - 1.0)
+        return math.inf if math.isnan(gap) else float(gap)
 
 
 def _gaussian_kernel(

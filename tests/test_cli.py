@@ -586,6 +586,17 @@ class TestDensityCommand:
         assert report["unimodal"] == "False"
         assert int(report["n_minima"]) > 0
 
+    def test_wide_grid_gap_is_formed_without_overflow(self, tmp_path, recwarn):
+        # the grid reaches x = 1559.5; right of 709.78, where exp(x) overflows,
+        # every sample is 0. The gap once read nan, after two RuntimeWarnings
+        out = tmp_path / "out"
+        code = main(["density", "--params",
+                     "2.7467483115090343,16.59588414387494,1137.849107154031",
+                     "--maturity", "12.418327462781312", "--out", str(out)])
+        assert code == EXIT_OK
+        assert read_report(out / "density.txt")["martingale_gap"] == "1"
+        assert not recwarn.list
+
 
 class TestSweepAndCalibrate:
     def test_sweep_csv_round_trips(self, tmp_path):

@@ -356,6 +356,19 @@ class TestDensityCurveType:
         )
         assert vars(report)["total_mass"] == report.total_mass
 
+    def test_gap_where_exp_overflows(self):
+        # exp(x) overflows right of x = 709.78: zero samples there weigh 0,
+        # and a gap whose integrand overflows is inf, without a warning
+        xs = np.linspace(0.0, 800.0, 1001)
+        ps = np.where(xs < 700.0, 1e-300, 0.0)
+        weighted = np.where(xs < 700.0, np.exp(np.minimum(xs, 700.0)) * 1e-300, 0.0)
+        gap = analyze(DensityCurve(xs=xs, ps=ps)).martingale_gap
+        assert gap == abs(np.trapezoid(weighted, xs) - 1.0)
+        assert analyze(DensityCurve(xs=xs, ps=np.full(1001, 1e-300))).martingale_gap == math.inf
+        mixed = np.full(1001, 1e-300)
+        mixed[-2:] = (-1.0, 1.0)  # +inf and -inf in one integral
+        assert analyze(DensityCurve(xs=xs, ps=mixed)).martingale_gap == math.inf
+
     def test_mass_is_not_an_argument(self):
         xs = np.linspace(-1.0, 1.0, 5)
         with pytest.raises(TypeError):

@@ -12,9 +12,12 @@ own scratch directory, with the same relative input and output paths:
 * the desk commands of ``bench/gen.py`` seeds 3 and 7, with and without
   ``--svg``;
 * every ``refit`` of the desk rounds of seeds 1-40;
-* a 3x3x3 ``sweep`` followed by a ``calibrate`` of its CSV, and the
-  216-point Table-1 ``sweep`` with the default settings, with ``--grid
-  8001`` and with a config file setting ``chi-tol=0.01``;
+* a 3x3x3 ``sweep`` followed by a ``calibrate`` of its CSV, the same
+  27-point ``sweep`` with a config file setting ``chi-tol=1e-6`` and with
+  ``--span 20``, where the fold is off by more than the final bracket and
+  the search retries with real verdicts around it, and the 216-point
+  Table-1 ``sweep`` with the default settings, with ``--grid 8001`` and
+  with a config file setting ``chi-tol=0.01``;
 * the 72-point ``sweep`` with g in 3e-4..3 and rho in 0.3..60 at T = 1,
   62 of whose points lie outside the calibrated box, and ``check --mode
   numeric`` on two ``--params`` smiles outside the box (rho 40 and 60);
@@ -92,6 +95,7 @@ HOSTILE_QUOTES = {
 }
 EXTREME_QUOTES = "x,vol\n-0.2,0.3\n-0.1,0.25\n0,0.2\n0.1,0.24\n0.2,0.31\n"
 COARSE_TOL_CONFIG = "chi-tol=0.01\n"
+FINE_TOL_CONFIG = "chi-tol=1e-6\n"
 HOSTILE_CONFIGS = {
     f"config_{name}.cfg": f"# {name}\n\n{line}\n"
     for name, line in (("no_equals", "chi-max 5"), ("unknown_key", "chi-min=5"),
@@ -118,6 +122,7 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     commands: list[dict] = []
     files: dict[str, str] = {"flat.csv": FLAT_QUOTES, "collapsing.csv": COLLAPSING_QUOTES,
                              "extreme.csv": EXTREME_QUOTES, "coarse_tol.cfg": COARSE_TOL_CONFIG,
+                             "fine_tol.cfg": FINE_TOL_CONFIG,
                              **HOSTILE_QUOTES, **HOSTILE_CONFIGS}
 
     def add_round(seed: int, root: str, svg: bool, only: str | None = None) -> None:
@@ -137,6 +142,12 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
                      "argv": ["sweep", *SMALL_AXES, "--out", "sweep_small"]})
     commands.append({"id": "sweep_small/calibrate",
                      "argv": ["calibrate", "sweep_small/sweep.csv", "--out", "sweep_small"]})
+    commands.append({"id": "sweep_small_fine_tol",
+                     "argv": ["sweep", *SMALL_AXES, "--config", "fine_tol.cfg",
+                              "--out", "sweep_small_fine_tol"]})
+    commands.append({"id": "sweep_small_span_20",
+                     "argv": ["sweep", *SMALL_AXES, "--span", "20",
+                              "--out", "sweep_small_span_20"]})
     commands.append({"id": "sweep_table1", "argv": ["sweep", "--out", "sweep_table1"]})
     commands.append({"id": "sweep_table1_grid_8001",
                      "argv": ["sweep", "--grid", "8001", "--out", "sweep_table1_grid_8001"]})
