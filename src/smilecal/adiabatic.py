@@ -9,9 +9,10 @@ ways:
   (:func:`square_well_critical_x`),
 * a numerical continuation in chi driven by the density module's
   unimodality verdict (:func:`chi_critical_numeric`); a closed-form fold
-  of the density's log-slope (:func:`_fold_chi`) predicts every verdict,
+  of the density's log-slope (:func:`_fold_point`) predicts every verdict,
   and real ones are made only at the ends of the bracket it gives, unless
-  they contradict it. The fold's Newton step takes its
+  they contradict it; above the fold a slice of the grid around the fold's
+  x decides first (:func:`_window_minima`). The fold's Newton step takes its
   y-derivatives from Taylor jets of the smile, whose derivatives come
   from a recurrence, and its chi-derivatives from the same jets taken at
   a complex plateau ratio (the complex step); where Newton from the
@@ -38,8 +39,9 @@ from itertools import product
 import numpy as np
 
 from ._lm import levenberg_marquardt
-from .density import STANDARD_GRID_POINTS, STANDARD_SPAN, DensityReport
-from .density import _check_grid, analyze, density_curve
+from .density import STANDARD_GRID_POINTS, STANDARD_SPAN, DensityCurve, DensityReport
+from .density import StationaryPoint, _check_grid, _grid, analyze, density_curve
+from .density import return_density, stationary_points
 from .errors import (
     ConvergenceError,
     CriticalSearchError,
@@ -184,6 +186,30 @@ def _verdict(params: SmileParams, settings: ChiSearchSettings) -> DensityReport:
     """The density report of ``params`` on the ``settings`` grid."""
     curve = density_curve(params, points=settings.grid_points, span=settings.span)
     return analyze(curve)
+
+
+# samples in the slice of the density grid that a window verdict reads
+_WINDOW_POINTS = 201
+
+
+def _window_minima(
+    params: SmileParams, settings: ChiSearchSettings, x: float
+) -> tuple[StationaryPoint, ...]:
+    """The density's minima on a slice of ``_WINDOW_POINTS`` samples of the
+    ``settings`` grid, centred on ``x`` and clipped to the grid.
+
+    Each sample is elementwise, so the slice's samples are the full grid
+    curve's bit for bit. A ``-`` slope, zero slopes only and a ``+`` slope
+    in the slice are the same run in the full curve, so each minimum found
+    here is one of :func:`_verdict`'s, at the same ``x``. A slice with none
+    says nothing about the rest of the grid.
+    """
+    xs = _grid(params, settings.grid_points, settings.span)
+    start = int(np.searchsorted(xs, x)) - _WINDOW_POINTS // 2  # a NaN x sorts last
+    start = min(max(start, 0), max(xs.size - _WINDOW_POINTS, 0))
+    xs = xs[start:start + _WINDOW_POINTS]
+    points = stationary_points(DensityCurve(xs=xs, ps=return_density(params, xs)))
+    return tuple(p for p in points if p.kind == "minimum")
 
 
 # The box of (rho, s = g*sqrt(T)) that the Table-1 lattice covers, each
@@ -409,17 +435,15 @@ def _fold_point(rho: float, s: float) -> tuple[float, float] | None:
     return point
 
 
-def _fold_chi(rho: float, s: float) -> float | None:
-    """The fold ``q = q_y = 0`` of :func:`_fold_terms`: the plateau ratio at
-    which the density's left wing first gets a stationary inflection, or
-    ``None``, no prediction (see :func:`_fold_point`). Never raises."""
-    point = _fold_point(rho, s)
-    return None if point is None else point[1]
-
-
 # Each retry widens the chi_c search's window of real verdicts this much: at
-# tol 1e-6 on the 27-point sub-lattice, 9.48 verdicts a search (12.33 with 2)
+# tol 1e-6 on the 27-point sub-lattice, 6.85 full-grid verdicts a search
+# (7.96 with 8, 37.6 with 2)
 _WINDOW_GROWTH = 16.0
+# Walks before the scan with every verdict real. A final bracket one float
+# wide makes the first retry windows that narrow: at tol 1e-300 the Fig. 1
+# smile takes 75 full-grid verdicts with 4 walks and 109 uncapped, while 3
+# walks would raise tol 1e-6 on the sub-lattice to 10.96
+_MAX_WALKS = 4
 
 
 def chi_critical_numeric(
@@ -435,17 +459,24 @@ def chi_critical_numeric(
     non-unimodal point; bisection on the unimodality verdict then narrows
     the bracket to ``settings.tol``.
 
-    The fold (:func:`_fold_chi`) predicts the transition at ``chi_f``: the
-    scan and bisection first run with every verdict predicted, non-unimodal
-    iff ``chi > chi_f``, and real verdicts only at the final ``lo`` and
-    ``hi``. Every predicted verdict lies at or below ``lo`` or at or above
-    ``hi``, so if ``lo`` is unimodal (as ``lo = 1``, the Gaussian limit,
-    is) and ``hi`` is not, the verdict's monotonicity in chi makes the
-    result the full scan's, whatever the fold's error. Else the walk reruns
-    with real verdicts within a window around ``chi_f``, one final bracket
-    on each side and then ``_WINDOW_GROWTH`` times wider each retry; past
-    ``SCAN_STEP``, with no fold or if a walk finds no transition, every
-    verdict is real. No chi gets two verdicts.
+    The fold (:func:`_fold_point`) predicts the transition at ``chi_f``,
+    where the density's left wing at ``y_f`` first gets a stationary
+    inflection: the scan and bisection first run with every verdict
+    predicted, non-unimodal iff ``chi > chi_f``, and real verdicts only at
+    the final ``lo`` and ``hi``. Every predicted verdict lies at or below
+    ``lo`` or at or above ``hi``, so if ``lo`` is unimodal (as ``lo = 1``,
+    the Gaussian limit, is) and ``hi`` is not, the verdict's monotonicity in
+    chi makes the result the full scan's, whatever the fold's error. Else
+    the walk reruns with real verdicts within a window around ``chi_f``, one
+    final bracket on each side and then ``_WINDOW_GROWTH`` times wider each
+    retry; after ``_MAX_WALKS`` walks, past ``SCAN_STEP``, with no fold or
+    if a walk finds no transition, every verdict is real. No chi gets two
+    verdicts.
+
+    A real verdict above ``chi_f`` first reads the slice of the grid around
+    ``x = y_f g sqrt(T)`` (:func:`_window_minima`): a minimum there is a
+    minimum of the full curve, so the density is not unimodal. Only a slice
+    without one leaves the verdict to the full grid.
 
     Raises
     ------
@@ -458,7 +489,8 @@ def chi_critical_numeric(
     def non_unimodal(chi: float) -> bool:
         if chi not in known:
             params = SmileParams(g=g, chi=chi, n=n, maturity=maturity)
-            known[chi] = not _verdict(params, opts).unimodal
+            known[chi] = (chi > chi_f and bool(_window_minima(params, opts, x_f))
+                          or not _verdict(params, opts).unimodal)
         return known[chi]
 
     def search(verdict) -> tuple[float, float]:
@@ -477,9 +509,14 @@ def chi_critical_numeric(
         return non_unimodal(chi) if chi in known or abs(chi - chi_f) < window else chi > chi_f
 
     point = _reduced(g, n, maturity)
-    chi_f = None if point is None else _fold_chi(*point)
+    fold = None if point is None else _fold_point(*point)
+    # with no fold, chi > NaN is false: no window verdict is made
+    y_f, chi_f = (math.nan, math.nan) if fold is None else fold
+    x_f = math.nan if fold is None else y_f * point[1]
     window = 0.0  # half-width of the real verdicts around chi_f: none at first
-    while chi_f is not None and window <= SCAN_STEP:
+    for _ in range(_MAX_WALKS):
+        if fold is None or window > SCAN_STEP:
+            break
         try:
             lo, hi = search(predicted)
         except CriticalSearchError:

@@ -298,9 +298,15 @@ def density_curve(
     here.
     """
     _check_grid(points, span)
-    scale = params.sigma_plateau * math.sqrt(params.maturity)
-    xs = np.linspace(params.x_min - span * scale, params.x_min + span * scale, points)
+    xs = _grid(params, points, span)
     return DensityCurve(xs=xs, ps=return_density(params, xs))
+
+
+def _grid(params: SmileParams, points: int, span: float) -> np.ndarray:
+    """The x-grid of :func:`density_curve`, unchecked: ``points`` uniform
+    samples over ``x_min +- span * g * chi * sqrt(T)``."""
+    scale = params.sigma_plateau * math.sqrt(params.maturity)
+    return np.linspace(params.x_min - span * scale, params.x_min + span * scale, points)
 
 
 def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:

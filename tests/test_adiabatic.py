@@ -211,6 +211,8 @@ def _reference_chi_critical_numeric(g, n, maturity, opts=None):
     assert hi is not None
     while hi - lo > opts.tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # tol below the float resolution at chi
+            break
         if non_unimodal(mid):
             hi = mid
         else:
@@ -219,16 +221,42 @@ def _reference_chi_critical_numeric(g, n, maturity, opts=None):
 
 
 def _record_search_chis(monkeypatch):
-    # the chi of every verdict the search makes, in order
-    chis = []
-    real = smilecal.adiabatic.density_curve
+    # the chi of every full-grid verdict and of every window verdict the
+    # search makes, each list in order
+    adiab = smilecal.adiabatic
+    full, window = [], []
+    curve, minima = adiab.density_curve, adiab._window_minima
 
-    def recording(params, **kwargs):
-        chis.append(params.chi)
-        return real(params, **kwargs)
+    def full_curve(params, **kwargs):
+        full.append(params.chi)
+        return curve(params, **kwargs)
 
-    monkeypatch.setattr(smilecal.adiabatic, "density_curve", recording)
-    return chis
+    def window_minima(params, settings, x):
+        window.append(params.chi)
+        return minima(params, settings, x)
+
+    monkeypatch.setattr(adiab, "density_curve", full_curve)
+    monkeypatch.setattr(adiab, "_window_minima", window_minima)
+    return full, window
+
+
+def _fold_chi(rho, s):
+    # the fold's plateau ratio, or None where there is no fold
+    point = smilecal.adiabatic._fold_point(rho, s)
+    return None if point is None else point[1]
+
+
+def _fake_fold(monkeypatch, fold):
+    # the search reads fold(rho, s) -> (y, chi) as its fold; returns the
+    # (rho, s) of each call, so a test can check that the fake steered it
+    calls = []
+
+    def fake(rho, s):
+        calls.append((rho, s))
+        return fold(rho, s)
+
+    monkeypatch.setattr(smilecal.adiabatic, "_fold_point", fake)
+    return calls
 
 
 def _table1_points():
@@ -258,6 +286,34 @@ class TestJumpedStart:
     def test_box_rejects(self, g, n, t):
         assert not smilecal.adiabatic._in_calibrated_box(g, n, t)
 
+
+class TestFoldGuidedSearch:
+    # how few verdicts the fold's prediction leaves the search; counts are exact
+    def test_fig1_verdict_count(self, monkeypatch):
+        # one full verdict, at the bracket's lower end; a window at the
+        # fold decides the upper end
+        calls = []
+        real = smilecal.adiabatic.analyze
+
+        def counting(curve):
+            calls.append(curve)
+            return real(curve)
+
+        monkeypatch.setattr(smilecal.adiabatic, "analyze", counting)
+        chi_critical_numeric(**FIG1)
+        assert len(calls) == 1
+
+    def test_table1_verdict_count(self, monkeypatch):
+        full, window = _record_search_chis(monkeypatch)
+        counts = []
+        for p in _table1_points():
+            del full[:], window[:]
+            chi_critical_numeric(*p)
+            assert smilecal.adiabatic.SCAN_START not in full  # no fallback
+            counts.append((len(full), len(window)))
+        assert sum(f for f, _ in counts) <= 1.1 * len(counts)
+        assert sum(w for _, w in counts) <= 1.1 * len(counts)
+
     @pytest.mark.parametrize(
         "rho, s, direct",
         [
@@ -278,34 +334,9 @@ class TestJumpedStart:
         assert not adiab._in_calibrated_box(g, n, t)
         assert (adiab._fold_newton(rho, s, *adiab._fold_seed(rho, s)) is not None) == direct
         expected = _reference_chi_critical_numeric(g, n, t)
-        chis = _record_search_chis(monkeypatch)
+        full, _ = _record_search_chis(monkeypatch)
         assert chi_critical_numeric(g, n, t) == expected
-        assert adiab.SCAN_START not in chis
-
-
-class TestFoldGuidedSearch:
-    # how few verdicts the fold's prediction leaves the search; counts are exact
-    def test_fig1_verdict_count(self, monkeypatch):
-        calls = []
-        real = smilecal.adiabatic.analyze
-
-        def counting(curve):
-            calls.append(curve)
-            return real(curve)
-
-        monkeypatch.setattr(smilecal.adiabatic, "analyze", counting)
-        chi_critical_numeric(**FIG1)
-        assert len(calls) <= 2
-
-    def test_table1_verdict_count(self, monkeypatch):
-        chis = _record_search_chis(monkeypatch)
-        verdicts = []
-        for p in _table1_points():
-            del chis[:]
-            chi_critical_numeric(*p)
-            assert smilecal.adiabatic.SCAN_START not in chis  # no fallback
-            verdicts.append(len(chis))
-        assert sum(verdicts) <= 2.1 * len(verdicts)
+        assert adiab.SCAN_START not in full
 
     def test_table1_identical_to_full_scan(self):
         points = _table1_points()
@@ -317,9 +348,9 @@ class TestFoldGuidedSearch:
         g, t = 0.1, 0.5
         n = 40.0 * g * g * t
         expected = _reference_chi_critical_numeric(g, n, t)
-        chis = _record_search_chis(monkeypatch)
+        full, _ = _record_search_chis(monkeypatch)
         assert chi_critical_numeric(g, n, t) == expected
-        assert smilecal.adiabatic.SCAN_START not in chis
+        assert smilecal.adiabatic.SCAN_START not in full
 
     def test_outside_the_box_probe_lattice(self, monkeypatch):
         # rho in geomspace(0.3, 60, 9) by s in geomspace(3e-4, 3, 8) at
@@ -333,10 +364,11 @@ class TestFoldGuidedSearch:
         assert len(points) == 62
         expected = [_reference_chi_critical_numeric(*p) for p in points]
         reduced = [smilecal.adiabatic._reduced(*p) for p in points]
-        assert [smilecal.adiabatic._fold_chi(*r) for r in reduced].count(None) == 0
-        chis = _record_search_chis(monkeypatch)
+        assert [_fold_chi(*r) for r in reduced].count(None) == 0
+        full, window = _record_search_chis(monkeypatch)
         assert [chi_critical_numeric(*p) for p in points] == expected
-        assert len(chis) <= 2.1 * len(points)
+        assert len(full) <= 1.1 * len(points)
+        assert len(window) <= 1.1 * len(points)
 
     def test_fallback_when_first_verdict_is_non_unimodal(self, monkeypatch):
         # a fold past the transition predicts unimodal verdicts where the
@@ -344,21 +376,30 @@ class TestFoldGuidedSearch:
         # and the walk is retried with real verdicts in a widening window;
         # the full scan alone makes 41 verdicts here
         expected = _reference_chi_critical_numeric(**FIG1)
-        monkeypatch.setattr(smilecal.adiabatic, "_fold_chi", lambda rho, s: expected + 0.01)
-        chis = _record_search_chis(monkeypatch)
+        fold = smilecal.adiabatic._fold_point
+        calls = _fake_fold(monkeypatch, lambda rho, s: (fold(rho, s)[0], expected + 0.01))
+        full, _ = _record_search_chis(monkeypatch)
         assert chi_critical_numeric(**FIG1) == expected
-        assert len(chis) <= 17
+        assert calls
+        assert len(full) <= 15
 
     def test_low_surface_still_matches(self, monkeypatch):
         # a fold more than SCAN_STEP below the transition: the windows never
         # reach it, and the scan with every verdict real ends the search
         expected = _reference_chi_critical_numeric(**FIG1)
-        fold = smilecal.adiabatic._fold_chi
-        monkeypatch.setattr(smilecal.adiabatic, "_fold_chi", lambda rho, s: 0.5 * fold(rho, s))
-        chis = _record_search_chis(monkeypatch)
+        fold = smilecal.adiabatic._fold_point
+
+        def half(rho, s):
+            y, chi = fold(rho, s)
+            return y, 0.5 * chi
+
+        calls = _fake_fold(monkeypatch, half)
+        full, window = _record_search_chis(monkeypatch)
         assert chi_critical_numeric(**FIG1) == expected
-        assert len(chis) <= 53
-        assert len(set(chis)) == len(chis)  # no chi gets two verdicts
+        assert calls
+        assert len(full) <= 47
+        # no chi gets two verdicts of either kind
+        assert len(set(full)) == len(full) and len(set(window)) == len(window)
 
     def test_bisects_through_the_shared_helper(self, monkeypatch):
         brackets = []
@@ -373,6 +414,110 @@ class TestFoldGuidedSearch:
         assert len(brackets) == 1
         lo, hi = brackets[0]
         assert 0.0 < hi - lo <= ChiSearchSettings().tol
+
+    def test_walks_are_capped_at_float_resolution(self, monkeypatch):
+        # at chi-tol 1e-300 the final bracket is one float wide, so the first
+        # retry windows are far narrower than the fold's error; after
+        # _MAX_WALKS walks every verdict is real (the full scan alone makes
+        # 41 full verdicts here, ten uncapped walks 120)
+        opts = ChiSearchSettings(tol=1e-300)
+        expected = _reference_chi_critical_numeric(**FIG1, opts=opts)
+        full, _ = _record_search_chis(monkeypatch)
+        assert chi_critical_numeric(**FIG1, settings=opts) == expected
+        assert len(full) <= 75
+
+
+def _final_bracket(monkeypatch, g, n, t, opts):
+    # the last bracket the search's bisection returns
+    brackets = []
+    real = smilecal.adiabatic._bisect
+
+    def recording(non_unimodal, lo, hi, tol):
+        brackets.append(real(non_unimodal, lo, hi, tol))
+        return brackets[-1]
+
+    monkeypatch.setattr(smilecal.adiabatic, "_bisect", recording)
+    chi_critical_numeric(g, n, t, opts)
+    monkeypatch.undo()
+    return brackets[-1]
+
+
+class TestWindowVerdict:
+    # above the fold, a slice of the grid around the fold's x decides first
+    @pytest.mark.parametrize(
+        "opts",
+        [ChiSearchSettings(), ChiSearchSettings(grid_points=16001),
+         ChiSearchSettings(span=4.0, grid_points=101)],
+        ids=["default", "grid-16001", "span-4-grid-101"],
+    )
+    def test_slice_samples_are_the_full_curves(self, monkeypatch, opts):
+        # bit for bit, at both ends of each search's final bracket on the
+        # 27-point sub-lattice, centred on the fold and clipped to the grid
+        adiab = smilecal.adiabatic
+        for g, rho, t in product(*default_sweep_axes(3, 3, 3)):
+            n = rho * g * g * t
+            y, _ = adiab._fold_point(*adiab._reduced(g, n, t))
+            x = y * g * math.sqrt(t)
+            for chi in _final_bracket(monkeypatch, g, n, t, opts):
+                params = SmileParams(g=g, chi=chi, n=n, maturity=t)
+                slices = []
+                monkeypatch.setattr(adiab, "stationary_points",
+                                    lambda curve: slices.append(curve) or ())
+                adiab._window_minima(params, opts, x)
+                monkeypatch.undo()
+                (part,) = slices
+                full = density_curve(params, points=opts.grid_points, span=opts.span)
+                start = int(np.searchsorted(full.xs, part.xs[0]))
+                assert part.xs.size == min(201, full.xs.size)
+                assert part.xs[0] <= x <= part.xs[-1] or x < full.xs[0] or x > full.xs[-1]
+                assert part.xs.tobytes() == full.xs[start:start + part.xs.size].tobytes()
+                assert part.ps.tobytes() == full.ps[start:start + part.xs.size].tobytes()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        g=st.floats(*smilecal.adiabatic.TABLE_RANGES["g"]),
+        rho=st.floats(*smilecal.adiabatic.TABLE_RANGES["rho"]),
+        t=st.floats(*smilecal.adiabatic.TABLE_RANGES["t"]),
+        above=st.floats(0.0, 0.2),
+        centre=st.none() | st.floats(-0.2, 1.2),
+    )
+    def test_window_minimum_is_a_full_grid_minimum(self, g, rho, t, above, centre):
+        # chi in [chi_c, 1.2 chi_c], the window centred on the fold's x
+        # (None) or anywhere along the grid and past its ends
+        adiab = smilecal.adiabatic
+        n = rho * g * g * t
+        params = SmileParams(g=g, chi=(1.0 + above) * chi_critical_numeric(g, n, t), n=n,
+                             maturity=t)
+        curve = density_curve(params)
+        if centre is None:
+            x = adiab._fold_point(*adiab._reduced(g, n, t))[0] * g * math.sqrt(t)
+        else:
+            x = curve.xs[0] + centre * (curve.xs[-1] - curve.xs[0])
+        minima = analyze(curve).minima
+        for point in adiab._window_minima(params, ChiSearchSettings(), x):
+            assert point in minima
+
+    @pytest.mark.parametrize(
+        "wrong_y",
+        [lambda y, s: -s - y, lambda y, s: 1e6, lambda y, s: -1e6, lambda y, s: math.nan],
+        ids=["right-wing", "right-of-grid", "left-of-grid", "nan"],
+    )
+    def test_wrong_fold_y_still_matches(self, monkeypatch, wrong_y):
+        # the window then finds no minimum, and the full grid decides
+        real = smilecal.adiabatic._fold_point
+        full, window = _record_search_chis(monkeypatch)
+        for g, rho, t in [(0.1, 8.0, 0.5), (0.03, 2.5, 4.0), (0.5, 10.0, 1 / 365)]:
+            n = rho * g * g * t
+            expected = _reference_chi_critical_numeric(g, n, t)
+
+            def fold(rho, s):
+                y, chi = real(rho, s)
+                return wrong_y(y, s), chi
+
+            calls = _fake_fold(monkeypatch, fold)
+            del full[:], window[:]
+            assert chi_critical_numeric(g, n, t) == expected
+            assert calls and window
 
 
 def _fake_fold_terms(y_root):
@@ -425,7 +570,7 @@ class TestFold:
 
     def test_newton_finds_a_left_wing_fold(self, monkeypatch):
         monkeypatch.setattr(smilecal.adiabatic, "_fold_terms", _fake_fold_terms(-3.0))
-        assert smilecal.adiabatic._fold_chi(8.0, 0.07) == pytest.approx(2.0, abs=1e-12)
+        assert _fold_chi(8.0, 0.07) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "terms",
@@ -439,11 +584,11 @@ class TestFold:
     )
     def test_no_prediction(self, monkeypatch, terms):
         monkeypatch.setattr(smilecal.adiabatic, "_fold_terms", terms)
-        assert smilecal.adiabatic._fold_chi(8.0, 0.07) is None
+        assert _fold_chi(8.0, 0.07) is None
 
     def test_no_prediction_past_the_step_limit(self, monkeypatch):
         monkeypatch.setattr(smilecal.adiabatic, "_FOLD_MAX_STEPS", 2)
-        assert smilecal.adiabatic._fold_chi(8.0, 0.07) is None
+        assert _fold_chi(8.0, 0.07) is None
 
     @pytest.mark.parametrize(
         "rho, s",
@@ -456,14 +601,14 @@ class TestFold:
     )
     def test_no_prediction_at_extreme_points(self, rho, s):
         # the search consults the fold at every point, so it must never raise
-        assert smilecal.adiabatic._fold_chi(rho, s) is None
+        assert _fold_chi(rho, s) is None
 
     @pytest.mark.parametrize("rho, s", [(1.2, 0.05), (30.0, 0.8), (0.6, 3.0)])
     def test_continued_fold_matches_the_direct_one(self, monkeypatch, rho, s):
         # where Newton from the surface's start converges, continuing the
         # fold from the box instead lands on the same fold
         adiab = smilecal.adiabatic
-        direct = adiab._fold_chi(rho, s)
+        direct = _fold_chi(rho, s)
         start = (rho, s, *adiab._fold_seed(rho, s))
         newton = adiab._fold_newton
 
@@ -471,7 +616,7 @@ class TestFold:
             return None if args == start else newton(*args)
 
         monkeypatch.setattr(adiab, "_fold_newton", no_direct)
-        assert adiab._fold_chi(rho, s) == pytest.approx(direct, abs=1e-12)
+        assert _fold_chi(rho, s) == pytest.approx(direct, abs=1e-12)
 
     def test_log_of_a_negative_curvature_factor_raises(self):
         # F < 0 here; cmath.log would not raise, so _Jet.log must
@@ -482,7 +627,7 @@ class TestFold:
     @given(rho_exp=st.floats(-300.0, 300.0), s_exp=st.floats(-300.0, 300.0))
     def test_fold_never_raises(self, rho_exp, s_exp):
         # rho and s log-uniform over [1e-300, 1e300]
-        chi = smilecal.adiabatic._fold_chi(10.0**rho_exp, 10.0**s_exp)
+        chi = _fold_chi(10.0**rho_exp, 10.0**s_exp)
         assert chi is None or (math.isfinite(chi) and chi > 1.0)
 
     def test_table1_guidance(self, monkeypatch):
@@ -496,7 +641,7 @@ class TestFold:
             return terms(*args)
 
         monkeypatch.setattr(smilecal.adiabatic, "_fold_terms", counting)
-        fold = smilecal.adiabatic._fold_chi
+        fold = smilecal.adiabatic._fold_point
 
         def recording(rho, s):
             steps.append(0)
@@ -504,15 +649,15 @@ class TestFold:
             return folds[-1]
 
         folds = []
-        monkeypatch.setattr(smilecal.adiabatic, "_fold_chi", recording)
-        chis = _record_search_chis(monkeypatch)
+        monkeypatch.setattr(smilecal.adiabatic, "_fold_point", recording)
+        full, _ = _record_search_chis(monkeypatch)
         points = _table1_points()
         found = [chi_critical_numeric(*p) for p in points]
         assert len(folds) == len(points)
-        assert max(abs(f - c) for f, c in zip(folds, found)) <= 2e-4
+        assert max(abs(chi - c) for (_, chi), c in zip(folds, found)) <= 2e-4
         assert max(steps) <= 5
-        assert smilecal.adiabatic.SCAN_START not in chis
-        assert len(chis) <= 5 * len(points)
+        assert smilecal.adiabatic.SCAN_START not in full
+        assert len(full) <= 5 * len(points)
 
     def test_fold_gradient_matches_central_differences(self):
         # the implicit-function chi partials against central differences of
@@ -523,9 +668,9 @@ class TestFold:
             r, s = adiab._reduced(g, rho * g * g * t, t)
             grad = adiab._fold_gradient(r, s, *adiab._fold_point(r, s))
             central = (
-                (adiab._fold_chi(r * (1 + step), s) - adiab._fold_chi(r * (1 - step), s))
+                (_fold_chi(r * (1 + step), s) - _fold_chi(r * (1 - step), s))
                 / (2 * step * r),
-                (adiab._fold_chi(r, s * (1 + step)) - adiab._fold_chi(r, s * (1 - step)))
+                (_fold_chi(r, s * (1 + step)) - _fold_chi(r, s * (1 - step)))
                 / (2 * step * s),
             )
             assert grad == pytest.approx(central, rel=1e-6), (g, rho, t)
@@ -536,7 +681,7 @@ class TestFold:
         g, n, t = 0.107, 0.05, 0.5
         pin = adiab._fold_pin(t)
         chi, chi_g, chi_n = pin(g, n)
-        assert chi == pytest.approx((1.0 - 1e-3) * adiab._fold_chi(*adiab._reduced(g, n, t)))
+        assert chi == pytest.approx((1.0 - 1e-3) * _fold_chi(*adiab._reduced(g, n, t)))
         step = 1e-5
         by_g = (pin(g * math.exp(step), n)[0] - pin(g * math.exp(-step), n)[0]) / (2 * step)
         by_n = (pin(g, n * math.exp(step))[0] - pin(g, n * math.exp(-step))[0]) / (2 * step)
@@ -548,44 +693,47 @@ class TestFold:
         ids=["above", "below", "nan"],
     )
     def test_wrong_fold_still_matches(self, monkeypatch, fold):
+        real = smilecal.adiabatic._fold_point
         for g, rho, t in [(0.1, 8.0, 0.5), (0.03, 2.5, 4.0), (0.5, 10.0, 1 / 365)]:
             n = rho * g * g * t
             expected = _reference_chi_critical_numeric(g, n, t)
-            monkeypatch.setattr(smilecal.adiabatic, "_fold_chi", lambda rho, s: fold(expected))
+            calls = _fake_fold(monkeypatch, lambda rho, s: (real(rho, s)[0], fold(expected)))
             assert chi_critical_numeric(g, n, t) == expected
+            assert calls
 
     def test_failing_fold_still_matches(self, monkeypatch):
         def failing(*args):
             raise ZeroDivisionError
 
         monkeypatch.setattr(smilecal.adiabatic, "_fold_terms", failing)
-        chis = _record_search_chis(monkeypatch)
+        full, window = _record_search_chis(monkeypatch)
         assert chi_critical_numeric(**FIG1) == _reference_chi_critical_numeric(**FIG1)
-        assert chis[0] == smilecal.adiabatic.SCAN_START
+        assert full[0] == smilecal.adiabatic.SCAN_START
+        assert not window  # no fold, no window to read
 
     @pytest.mark.parametrize(
         "opts, per_search",
         [
-            (ChiSearchSettings(grid_points=8001), 2.0),
-            (ChiSearchSettings(span=20.0), 2.3),
-            (ChiSearchSettings(tol=1e-2), 2.1),
+            (ChiSearchSettings(grid_points=8001), 1.0),
+            (ChiSearchSettings(span=20.0), 1.3),
+            (ChiSearchSettings(tol=1e-2), 1.1),
             # the fold's error exceeds the final bracket's width more often,
             # so more searches retry with a window of real verdicts
-            (ChiSearchSettings(tol=1e-6), 9.5),
+            (ChiSearchSettings(tol=1e-6), 6.9),
         ],
         ids=["grid-8001", "span-20", "tol-1e-2", "tol-1e-6"],
     )
     def test_settings_match_full_scan(self, monkeypatch, opts, per_search):
-        chis = _record_search_chis(monkeypatch)
+        full, _ = _record_search_chis(monkeypatch)
         points = list(product(*default_sweep_axes(3, 3, 3)))
         verdicts = 0
         for g, rho, t in points:
             n = rho * g * g * t
             expected = _reference_chi_critical_numeric(g, n, t, opts)
-            del chis[:]
+            del full[:]
             assert chi_critical_numeric(g, n, t, opts) == expected
-            assert smilecal.adiabatic.SCAN_START not in chis  # no fallback
-            verdicts += len(chis)
+            assert smilecal.adiabatic.SCAN_START not in full  # no fallback
+            verdicts += len(full)
         assert verdicts <= per_search * len(points)
 
     @settings(derandomize=True, max_examples=20, deadline=None)
@@ -892,7 +1040,7 @@ class TestAdiabaticRefit:
     def test_final_chi_is_pinned_to_the_final_fold(self, fig1):
         _, final = fig1
         p = final.params
-        fold = smilecal.adiabatic._fold_chi(*smilecal.adiabatic._reduced(p.g, p.n, p.maturity))
+        fold = _fold_chi(*smilecal.adiabatic._reduced(p.g, p.n, p.maturity))
         assert p.chi == pytest.approx((1.0 - 1e-3) * fold, rel=1e-12)
 
     def test_bound_below_a_free_fit_returns_the_pinned_fit(self, fig1):

@@ -15,7 +15,9 @@ own scratch directory, with the same relative input and output paths:
 * a 3x3x3 ``sweep`` followed by a ``calibrate`` of its CSV, the same
   27-point ``sweep`` with a config file setting ``chi-tol=1e-6`` and with
   ``--span 20``, where the fold is off by more than the final bracket and
-  the search retries with real verdicts around it, and the 216-point
+  the search retries with real verdicts around it, with ``--grid 16001``
+  and with ``--span 4 --grid 101``, the finest and the coarsest grid
+  spacing for the window verdict's slice of the grid, and the 216-point
   Table-1 ``sweep`` with the default settings, with ``--grid 8001`` and
   with a config file setting ``chi-tol=0.01``;
 * the 72-point ``sweep`` with g in 3e-4..3 and rho in 0.3..60 at T = 1,
@@ -148,6 +150,10 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     commands.append({"id": "sweep_small_span_20",
                      "argv": ["sweep", *SMALL_AXES, "--span", "20",
                               "--out", "sweep_small_span_20"]})
+    for name, args in (("grid_16001", ["--grid", "16001"]),
+                       ("span_4_grid_101", ["--span", "4", "--grid", "101"])):
+        commands.append({"id": f"sweep_small_{name}",
+                         "argv": ["sweep", *SMALL_AXES, *args, "--out", f"sweep_small_{name}"]})
     commands.append({"id": "sweep_table1", "argv": ["sweep", "--out", "sweep_table1"]})
     commands.append({"id": "sweep_table1_grid_8001",
                      "argv": ["sweep", "--grid", "8001", "--out", "sweep_table1_grid_8001"]})
