@@ -76,19 +76,99 @@ def _as_float_or_array(out: np.ndarray, *inputs) -> float | np.ndarray:
     return out
 
 
-# scipy.special costs more to import than the rest of the package; it is
-# loaded on the first normal-CDF evaluation, so commands that never price
-# an option or convert a delta do not pay for it.
+# The normal CDF is scipy's ``ndtr``. scipy.special costs more to import
+# than the rest of the package, so it is loaded on the first CDF
+# evaluation, and commands that never price an option do not pay for it.
+# The inverse is Cephes ``ndtri`` (S. L. Moshier, Methods and Programs for
+# Mathematical Functions, 1989), the routine scipy runs, ported term for
+# term: the same coefficients, Horner order and expression order, with
+# libm's ``log`` and ``sqrt`` through ``math`` as in the C, so it equals
+# ``scipy.special.ndtri`` bit for bit and delta conversion needs no scipy.
+# ``ndtr`` is not ported: its ``exp`` would have to be libm's too, and
+# ``np.exp`` differs from it in the last bit on about 4.5% of arguments, so
+# only an element-by-element loop could match scipy, too slow for the
+# pricing grids.
 def _ndtr(z):
     from scipy.special import ndtr
 
     return ndtr(z)
 
 
-def _ndtri(p):
-    from scipy.special import ndtri
+_EXP_M2 = 0.13533528323661269189  # exp(-2), the central range's edge
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+# central range, |y - 1/2| < 1/2 - exp(-2); each Q has an implicit leading 1
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+# tails, in z = 1/x with x = sqrt(-2 ln y) between 2 and 8
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# and x of 8 and beyond (y below exp(-32))
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
-    return ndtri(p)
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri_float(y0: float) -> float:
+    if not 0.0 < y0 < 1.0:
+        return -math.inf if y0 == 0.0 else math.inf if y0 == 1.0 else math.nan
+    y = y0
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return x if upper else -x
+
+
+def _ndtri(p):
+    """Inverse normal CDF: a float for a 0-d input, else an array of its shape."""
+    if np.ndim(p) == 0:
+        return _ndtri_float(float(p))
+    p = np.asarray(p, dtype=float)
+    return np.array([_ndtri_float(v) for v in p.ravel().tolist()]).reshape(p.shape)
 
 
 def std_normal_cdf(z: float | np.ndarray) -> float | np.ndarray:
@@ -225,7 +305,9 @@ def delta_to_x(
     """Convert a call delta to the log-return coordinate.
 
     ``x = vol**2 * T / 2 - vol * sqrt(T) * N^{-1}(delta)``; the quoting
-    convention evaluates it with the quote's own volatility.
+    convention evaluates it with the quote's own volatility. ``N^{-1}`` is
+    the package's own port of Cephes ``ndtri``, bit-identical to
+    ``scipy.special.ndtri``, so a delta conversion does not import scipy.
     """
     delta_a = np.asarray(delta, dtype=float)
     vol_a = np.asarray(vol, dtype=float)

@@ -144,10 +144,13 @@ def sigma_derivatives(
     # an extreme smile overflows here; the caller's finiteness check decides
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = x_arr + 0.5 * g * g * params.maturity
-        den = u * u + n
-        sig = g * (1.0 + height * (u * u) / den)
-        d1 = g * height * 2.0 * n * u / (den * den)
-        d2 = g * height * 2.0 * n * (n - 3.0 * u * u) / (den * den * den)
+        uu = u * u
+        den = uu + n
+        den2 = den * den
+        sig = g * (1.0 + height * uu / den)
+        d1 = g * height * 2.0 * n * u / den2
+        # not 3.0 * uu: (3.0 * u) * u rounds differently
+        d2 = g * height * 2.0 * n * (n - 3.0 * u * u) / (den2 * den)
     return tuple(_as_float_or_array(v, x) for v in (sig, d1, d2))
 
 

@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from smilecal import (
@@ -23,6 +26,7 @@ from smilecal import (
     strike_to_x,
     x_to_strike,
 )
+from smilecal.bs_core import _ndtri
 
 
 def _phi(z: float) -> float:
@@ -116,6 +120,71 @@ class TestStdNormalInvCdf:
     def test_domain(self, p):
         with pytest.raises(DomainError):
             std_normal_inv_cdf(p)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _ndtri_sample() -> np.ndarray:
+    # about 1e5 probabilities over the port's three ranges and both wings
+    rng = np.random.default_rng(20231)
+    e2, e32 = math.exp(-2.0), math.exp(-32.0)
+    edges = [0.5, 5e-324, np.nextafter(1.0, 0.0)]
+    for edge in (e2, 1.0 - e2):
+        edges += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]
+    # where sqrt(-2 ln y) crosses 8 and the tail rational changes
+    edges += [e32 * (1.0 + k * 2.0**-52) for k in range(-64, 65)]
+    edges += [1.0 - e32, np.nextafter(1.0 - e32, 0.0), np.nextafter(1.0 - e32, 1.0)]
+    return np.concatenate([
+        rng.uniform(0.0, 1.0, 40_000),
+        10.0 ** rng.uniform(math.log10(5e-324), 0.0, 30_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 30_000),
+        np.array(edges),
+    ])
+
+
+class TestNdtriPort:
+    """The in-package inverse normal CDF against ``scipy.special.ndtri``, the
+    Cephes routine it ports: equal bit for bit."""
+
+    def test_bitwise_on_sample(self):
+        p = _ndtri_sample()
+        assert p.min() > 0.0 and p.max() < 1.0
+        mismatch = np.flatnonzero(_bits(_ndtri(p)) != _bits(scipy.special.ndtri(p)))
+        assert mismatch.size == 0, p[mismatch[:5]].tolist()
+
+    def test_every_range_is_sampled(self):
+        p = _ndtri_sample()
+        tail = np.minimum(p, 1.0 - p)
+        x = np.sqrt(-2.0 * np.log(tail))
+        central = tail > math.exp(-2.0)
+        for wing in (p < 0.5, p > 0.5):
+            assert np.any(wing & central)
+            assert np.any(wing & ~central & (x < 8.0))
+            assert np.any(wing & (x >= 8.0))
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_bitwise_property(self, p):
+        assert _bits(_ndtri(p)) == _bits(scipy.special.ndtri(p))
+
+    def test_bounds_and_outside(self):
+        p = np.array([0.0, 1.0, -0.5, 1.5, math.nan])
+        np.testing.assert_array_equal(_ndtri(p), scipy.special.ndtri(p))
+
+    def test_scalar_in_float_out(self):
+        for p in (0.3, np.float64(0.3), np.asarray(0.3)):
+            out = _ndtri(p)
+            assert type(out) is float
+            assert out == scipy.special.ndtri(0.3)
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 3), (0,), (3, 0)])
+    def test_array_keeps_shape(self, shape):
+        p = np.linspace(0.05, 0.95, math.prod(shape)).reshape(shape)
+        out = _ndtri(p)
+        assert out.shape == shape and out.dtype == np.float64
+        assert np.array_equal(_bits(out), _bits(scipy.special.ndtri(p)))
 
 
 class TestCallPrice:

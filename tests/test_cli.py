@@ -1065,7 +1065,8 @@ with open(report, "w") as fh:
 class TestColdStart:
     def test_scipy_and_process_pool_load_only_when_used(self, tmp_path):
         # one fresh interpreter: commands that evaluate no normal CDF must
-        # leave scipy unimported, and no command imports the process pool
+        # leave scipy unimported, delta conversion included (its inverse CDF
+        # is the package's own), and no command imports the process pool
         xfile = _write_quotes(tmp_path / "x.csv", NON_ADIABATIC, n_points=15, halfspan=0.45)
         lines = [f"maturity,{TRUTH.maturity!r}", "delta,vol"]
         for x in TRUTH.x_min + np.linspace(-0.1, 0.1, 9):
@@ -1082,8 +1083,11 @@ class TestColdStart:
             ["refit", str(xfile), "--out", out],
             ["sweep", "--g-range", "0.05:0.3:2", "--rho-range", "3:9:2",
              "--t-range", "0.2:1.5:2", "--out", out],
+            ["fit", str(dfile), "--out", out],
+            ["check", str(dfile), "--out", out],
+            ["refit", str(dfile), "--out", out],
         ]
-        last = ["fit", str(dfile), "--out", out]
+        last = ["bl-oracle", "--params", "0.15,1.6,0.07875", "--maturity", "0.5", "--out", out]
         env = dict(os.environ)
         src = str(Path(smilecal.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -1093,7 +1097,8 @@ class TestColdStart:
             env=env, check=True, capture_output=True,
         )
         result = json.loads(report.read_text())
-        assert result["codes"] == [EXIT_NON_ADIABATIC, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert result["codes"] == [EXIT_NON_ADIABATIC, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK,
+                                   EXIT_NEGATIVE_DENSITY, EXIT_OK, EXIT_OK]
         assert result["before"] == []
         assert "scipy.special" in result["after"]
 

@@ -40,6 +40,10 @@ own scratch directory, with the same relative input and output paths:
   ``1e300`` whose ``x`` overflows, which must exit 2, and with one
   subnormal vol, ``5e-324``, or an ``x`` span of ``2e300`` whose start
   half-width overflows, which must exit 3;
+* ``fit``, ``check`` and ``refit`` on delta-quoted files whose deltas
+  fall, on both wings, in each of the three ranges of the inverse normal
+  CDF: central, between ``exp(-32)`` and ``exp(-2)`` from either end, and
+  beyond (down to ``1e-300`` and up to ``1 - 2**-53``);
 * extreme smiles whose numbers overflow: ``fit`` with ``--maturity
   1e300`` on a 5-row x file, which must exit 3, and ``check`` and
   ``density`` with ``--params 1e-200,1.5,1e-300 --maturity 0.5`` and
@@ -95,6 +99,25 @@ HOSTILE_QUOTES = {
         "maturity,0.5\ndelta,vol\n0.2,0.2\n0.4,1e300\n0.6,0.21\n0.8,0.25\n"
     ),
 }
+# delta quotes whose inverse normal CDF falls, on both wings, in the central
+# range (exp(-2) < delta < 1 - exp(-2)), in the near tails (sqrt(-2 ln y) < 8
+# with y = min(delta, 1 - delta)) and in the far tails beyond, from the smile
+# g = 0.2, chi = 1.5, n = 0.04 at T = 0.5; the far file's at-the-money quote
+# lets its fit converge
+DELTA_QUOTES = {
+    "delta_central.csv": (
+        "maturity,0.5\ndelta,vol\n0.15,0.2527\n0.3,0.2214\n0.5,0.201\n0.7,0.2073\n"
+        "0.85,0.2356\n"
+    ),
+    "delta_tail.csv": (
+        "maturity,0.5\ndelta,vol\n1e-12,0.2983\n1e-06,0.2964\n0.01,0.2863\n0.1,0.264\n"
+        "0.9,0.2503\n0.99,0.2825\n0.999999,0.2959\n0.999999999999,0.2981\n"
+    ),
+    "delta_far.csv": (
+        "maturity,0.5\ndelta,vol\n1e-300,0.2999\n1e-20,0.299\n1e-15,0.2986\n0.5,0.201\n"
+        "0.999999999999999,0.2985\n0.9999999999999999,0.2986\n"
+    ),
+}
 EXTREME_QUOTES = "x,vol\n-0.2,0.3\n-0.1,0.25\n0,0.2\n0.1,0.24\n0.2,0.31\n"
 COARSE_TOL_CONFIG = "chi-tol=0.01\n"
 FINE_TOL_CONFIG = "chi-tol=1e-6\n"
@@ -125,7 +148,7 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     files: dict[str, str] = {"flat.csv": FLAT_QUOTES, "collapsing.csv": COLLAPSING_QUOTES,
                              "extreme.csv": EXTREME_QUOTES, "coarse_tol.cfg": COARSE_TOL_CONFIG,
                              "fine_tol.cfg": FINE_TOL_CONFIG,
-                             **HOSTILE_QUOTES, **HOSTILE_CONFIGS}
+                             **HOSTILE_QUOTES, **DELTA_QUOTES, **HOSTILE_CONFIGS}
 
     def add_round(seed: int, root: str, svg: bool, only: str | None = None) -> None:
         _, ops, round_files = gen.desk_round(seed, Path(root))
@@ -193,7 +216,7 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     commands.append({"id": "sweep_grid_150",
                      "argv": ["sweep", "--g-range", "0.1:0.1:1", "--rho-range", "3:3:1",
                               "--t-range", "1:1:1", "--grid", "150", "--out", "sweep_grid_150"]})
-    for name, command in product(HOSTILE_QUOTES, ("fit", "check", "refit")):
+    for name, command in product((*HOSTILE_QUOTES, *DELTA_QUOTES), ("fit", "check", "refit")):
         out = f"{name.removesuffix('.csv')}_{command}"
         commands.append({"id": out, "argv": [command, name, "--out", out]})
     commands.append({"id": "extreme_fit",
