@@ -13,11 +13,12 @@ ways:
   and real ones are made only at the ends of the bracket it gives, unless
   they contradict it; above the fold a slice of the grid around the fold's
   x decides first (:func:`_window_minima`). The fold's Newton step takes its
-  y-derivatives from Taylor jets of the smile, whose derivatives come
-  from a recurrence, and its chi-derivatives from the same jets taken at
-  a complex plateau ratio (the complex step); where Newton from the
-  calibrated surface finds no fold, the fold is continued from the
-  calibrated box,
+  y-derivatives from Taylor coefficients of the density's log-slope,
+  formed in straight-line arithmetic from the smile's derivatives, which
+  come from a recurrence, and its chi-derivatives from the same
+  coefficients at a complex plateau ratio (the complex step); where
+  Newton from the calibrated surface finds no fold, the fold is continued
+  from the calibrated box,
 * an empirical power-law surface in rho = n/(g^2 T) and g*sqrt(T)
   calibrated against sweeps of the numerical search
   (:func:`chi_critical_formula`, :func:`calibrate_critical_fit`).
@@ -30,7 +31,6 @@ the fold.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -256,64 +256,6 @@ def _well_derivatives(u: float, n: float) -> tuple[float, ...]:
     return tuple(out)
 
 
-class _Jet:
-    """A function of y as its Taylor coefficients ``(f, f', f''/2, f'''/6)``
-    at one point.
-
-    Sums, products, quotients and logarithms of jets are exact, so the
-    fold's Newton step gets ``q``, ``q_y`` and ``q_yy`` in closed form from
-    the smile's derivatives. The coefficients may be complex: in a jet
-    built at the plateau ratio ``chi + i h``, each coefficient's imaginary
-    part over ``h`` is its chi-derivative (the complex step, exact to
-    O(h^2) and free of cancellation).
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: tuple) -> None:
-        self.c = c
-
-    def __add__(self, other: _Jet) -> _Jet:
-        a0, a1, a2, a3 = self.c
-        b0, b1, b2, b3 = other.c
-        return _Jet((a0 + b0, a1 + b1, a2 + b2, a3 + b3))
-
-    def __sub__(self, other: _Jet) -> _Jet:
-        a0, a1, a2, a3 = self.c
-        b0, b1, b2, b3 = other.c
-        return _Jet((a0 - b0, a1 - b1, a2 - b2, a3 - b3))
-
-    def __rsub__(self, other: float) -> _Jet:
-        a0, a1, a2, a3 = self.c
-        return _Jet((other - a0, -a1, -a2, -a3))
-
-    def __mul__(self, other: _Jet | float) -> _Jet:
-        a0, a1, a2, a3 = self.c
-        if not isinstance(other, _Jet):
-            return _Jet((a0 * other, a1 * other, a2 * other, a3 * other))
-        b0, b1, b2, b3 = other.c
-        return _Jet((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
-                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0))
-
-    def __truediv__(self, other: _Jet) -> _Jet:
-        a0, a1, a2, a3 = self.c
-        b0, b1, b2, b3 = other.c
-        c0 = a0 / b0
-        c1 = (a1 - c0 * b1) / b0
-        c2 = (a2 - c1 * b1 - c0 * b2) / b0
-        c3 = (a3 - c2 * b1 - c1 * b2 - c0 * b3) / b0
-        return _Jet((c0, c1, c2, c3))
-
-    def log(self) -> _Jet:
-        a0, a1, a2, a3 = self.c
-        if not a0.real > 0.0:  # cmath.log, unlike math.log, would not raise
-            raise ValueError(f"log of a jet whose value {a0} has no positive real part")
-        l1 = a1 / a0
-        l2 = (a2 - 0.5 * l1 * a1) / a0
-        l3 = (a3 - (l1 * a2 + 2.0 * l2 * a1) / 3.0) / a0
-        return _Jet((cmath.log(a0), l1, l2, l3))
-
-
 # The complex step h in chi: its truncation error, relative h^2, and the
 # products of two imaginary parts, of order h^2, are far below rounding.
 _CHI_STEP = 1e-100
@@ -330,33 +272,70 @@ def _log_slope(y: float, chi: complex, rho: complex, s: complex) -> tuple[comple
     sig sig''``. It depends on ``(y, chi, rho, s)`` only, and ``q`` vanishes
     where ``d log p / dx`` does.
 
-    One of ``chi``, ``rho`` and ``s`` may carry a complex step: each term's
-    imaginary part over the step is then its derivative in that argument.
-    Raises ``ValueError`` where ``F`` is not positive.
+    Each factor is carried as its Taylor coefficients ``(f, f', f''/2,
+    f'''/6)`` in ``y``, in straight-line arithmetic on locals: products by
+    the Cauchy rule, the quotient ``y / sig`` and the logarithms by their
+    recurrences. These are exact, so ``q``, ``q_y`` and ``q_yy`` are closed
+    forms in the smile's derivatives. One of ``chi``, ``rho`` and ``s`` may
+    carry a complex step: each term's imaginary part over the step is then
+    its derivative in that argument (exact to O(h^2) and free of
+    cancellation). Raises ``ValueError`` where ``F`` or ``sig`` has no
+    positive real part.
     """
     h = _well_derivatives(y + 0.5 * s, rho)
     c = chi - 1.0
-    w = (1.0 - h[0], -h[1], -h[2], -h[3], -h[4], -h[5])  # sig = 1 + c * w
-
-    def jet(k: int) -> _Jet:  # of the k-th derivative of sig
-        return _Jet((float(k == 0) + c * w[k], c * w[k + 1], c * (w[k + 2] / 2.0),
-                     c * (w[k + 3] / 6.0)))
-
-    sig, sig1, sig2 = jet(0), jet(1), jet(2)
-    z = _Jet((y, 1.0, 0.0, 0.0)) / sig
-    slope = 1.0 - z * sig1
-    prod = sig1 * sig * (0.5 * s)
-    factor = slope * slope - prod * prod + sig * sig2
-    sig_s = sig * (0.5 * s)
-    # all but the linear term -s y / 2, whose slope is added to q
-    _, l1, l2, l3 = (factor.log() - sig.log() - (z * z + sig_s * sig_s) * 0.5).c
-    return l1 - 0.5 * s, 2.0 * l2, 6.0 * l3
+    w0, w1, w2, w3, w4, w5 = 1.0 - h[0], -h[1], -h[2], -h[3], -h[4], -h[5]  # sig = 1 + c * w
+    # the coefficients a of sig, b of sig' and e of sig''
+    a0, a1, a2, a3 = 1.0 + c * w0, c * w1, c * (w2 / 2.0), c * (w3 / 6.0)
+    b0, b1, b2, b3 = 0.0 + a1, c * w2, c * (w3 / 2.0), c * (w4 / 6.0)
+    e0, e1, e2, e3 = 0.0 + b1, c * w3, c * (w4 / 2.0), c * (w5 / 6.0)
+    # z = y / sig
+    z0 = y / a0
+    z1 = (1.0 - z0 * a1) / a0
+    z2 = (0.0 - z1 * a1 - z0 * a2) / a0
+    z3 = (0.0 - z2 * a1 - z1 * a2 - z0 * a3) / a0
+    # l = 1 - z sig', m = sig' sig s / 2 and t = sig s / 2
+    l0 = 1.0 - z0 * b0
+    l1 = -(z0 * b1 + z1 * b0)
+    l2 = -(z0 * b2 + z1 * b1 + z2 * b0)
+    l3 = -(z0 * b3 + z1 * b2 + z2 * b1 + z3 * b0)
+    hs = 0.5 * s
+    m0 = b0 * a0 * hs
+    m1 = (b0 * a1 + b1 * a0) * hs
+    m2 = (b0 * a2 + b1 * a1 + b2 * a0) * hs
+    m3 = (b0 * a3 + b1 * a2 + b2 * a1 + b3 * a0) * hs
+    t0, t1, t2, t3 = a0 * hs, a1 * hs, a2 * hs, a3 * hs
+    # F = l^2 - m^2 + sig sig''
+    f0 = l0 * l0 - m0 * m0 + a0 * e0
+    f1 = (l0 * l1 + l1 * l0) - (m0 * m1 + m1 * m0) + (a0 * e1 + a1 * e0)
+    f2 = ((l0 * l2 + l1 * l1 + l2 * l0) - (m0 * m2 + m1 * m1 + m2 * m0)
+          + (a0 * e2 + a1 * e1 + a2 * e0))
+    f3 = ((l0 * l3 + l1 * l2 + l2 * l1 + l3 * l0) - (m0 * m3 + m1 * m2 + m2 * m1 + m3 * m0)
+          + (a0 * e3 + a1 * e2 + a2 * e1 + a3 * e0))
+    # p of log F and r of log sig, but for their values, which q does not need
+    if not f0.real > 0.0:  # no log is formed, so nothing else would raise
+        raise ValueError(f"log of a curvature factor {f0} with no positive real part")
+    p1 = f1 / f0
+    p2 = (f2 - 0.5 * p1 * f1) / f0
+    p3 = (f3 - (p1 * f2 + 2.0 * p2 * f1) / 3.0) / f0
+    if not a0.real > 0.0:
+        raise ValueError(f"log of a smile {a0} with no positive real part")
+    r1 = a1 / a0
+    r2 = (a2 - 0.5 * r1 * a1) / a0
+    r3 = (a3 - (r1 * a2 + 2.0 * r2 * a1) / 3.0) / a0
+    # log F - log sig - (z^2 + t^2) / 2: all but the linear term -s y / 2,
+    # whose slope is added to q
+    k1 = p1 - r1 - (z0 * z1 + z1 * z0 + (t0 * t1 + t1 * t0)) * 0.5
+    k2 = p2 - r2 - (z0 * z2 + z1 * z1 + z2 * z0 + (t0 * t2 + t1 * t1 + t2 * t0)) * 0.5
+    k3 = p3 - r3 - (z0 * z3 + z1 * z2 + z2 * z1 + z3 * z0
+                    + (t0 * t3 + t1 * t2 + t2 * t1 + t3 * t0)) * 0.5
+    return k1 - hs, 2.0 * k2, 6.0 * k3
 
 
 def _fold_terms(y: float, chi: float, rho: float, s: float) -> tuple[float, ...]:
     """``(q, q_y, q_yy, q_chi, q_ychi)`` of :func:`_log_slope` at ``(y, chi)``.
 
-    The jets are taken at the complex plateau ratio ``chi + i _CHI_STEP``:
+    The terms are taken at the complex plateau ratio ``chi + i _CHI_STEP``:
     the y-terms are their real parts, and ``q_chi`` and ``q_ychi`` the
     imaginary parts of ``q`` and ``q_y`` over ``_CHI_STEP``.
     """

@@ -31,13 +31,12 @@ import numpy as np
 
 from .bs_core import MarketEnv, _as_float_or_array, _bs_value, strike_to_x
 from .errors import DomainError, GridError
-from .smile import SmileParams, sigma_derivatives
+from .smile import SmileParams, _sigma_terms, sigma_derivatives
 
 __all__ = [
     "DensityCurve",
     "StationaryPoint",
     "DensityReport",
-    "gaussian_return_density",
     "perturbation_factor",
     "return_density",
     "bl_density_oracle",
@@ -56,7 +55,7 @@ NEGATIVE_EPS_REL = 1e-12  # negativity threshold relative to the curve peak
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """A return density sampled on a strictly increasing x-grid."""
+    """A return density sampled on a finite, strictly increasing x-grid."""
 
     xs: np.ndarray
     ps: np.ndarray
@@ -68,8 +67,11 @@ class DensityCurve:
             raise DomainError("xs and ps must be 1-d arrays of equal length")
         if xs.size < 3:
             raise DomainError("a density curve needs at least 3 samples")
-        if np.any(np.diff(xs) <= 0.0):
+        # one comparison pass, which a NaN fails too
+        if not np.all(xs[1:] > xs[:-1]):
             raise DomainError("xs must be strictly increasing")
+        if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
+            raise DomainError("xs must be finite")
         if not np.all(np.isfinite(ps)):
             raise DomainError("ps must be finite")
         object.__setattr__(self, "xs", xs)
@@ -124,27 +126,22 @@ class DensityReport:
 def _gaussian_kernel(
     vol: float | np.ndarray, maturity: float, x: np.ndarray
 ) -> np.ndarray:
-    # shared by the flat-vol and smile densities so the chi = 1 reduction
-    # is bitwise exact; a non-finite value is the caller's to reject
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        var = vol * vol * maturity
-        shift = 0.5 * var
-        return np.exp(-((x + shift) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    """Flat-volatility return density: normal with mean ``-vol^2 T / 2``, so
+    that the forward is priced correctly. The smile density evaluates it at
+    the local vol, so at chi = 1 it is this bit for bit. A non-finite value
+    is the caller's to reject, and overflow the caller's to silence."""
+    var = vol * vol * maturity
+    shift = 0.5 * var
+    return np.exp(-((x + shift) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
 
-def gaussian_return_density(
-    vol: float, maturity: float, x: float | np.ndarray
-) -> float | np.ndarray:
-    """Flat-volatility return density: normal with mean -vol^2 T/2.
-
-    This is the zeroth-order density of the constant-vol model; the mean
-    sits below zero by half the variance so that the forward is priced
-    correctly.
-    """
-    if not (vol > 0.0 and maturity > 0.0):
-        raise DomainError("vol and maturity must be positive")
-    x_arr = np.asarray(x, dtype=float)
-    return _as_float_or_array(_gaussian_kernel(float(vol), maturity, x_arr), x)
+def _curvature(sigma, sigma_x, sigma_xx, x, maturity: float):
+    # the formula of perturbation_factor, on arrays and unconverted
+    return (
+        (1.0 - sigma_x / sigma * x) ** 2
+        - (sigma_x * sigma * maturity) ** 2 / 4.0
+        + sigma * sigma_xx * maturity
+    )
 
 
 def perturbation_factor(
@@ -162,13 +159,8 @@ def perturbation_factor(
     smile bends too fast, which is exactly the arbitrage signature the
     density checks look for.
     """
-    sigma_a = np.asarray(sigma, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
-    out = (
-        (1.0 - sigma_x / sigma_a * x_arr) ** 2
-        - (sigma_x * sigma_a * maturity) ** 2 / 4.0
-        + sigma_a * sigma_xx * maturity
-    )
+    out = _curvature(np.asarray(sigma, dtype=float), sigma_x, sigma_xx,
+                     np.asarray(x, dtype=float), maturity)
     return _as_float_or_array(out, x, sigma)
 
 
@@ -182,9 +174,12 @@ def return_density(
     Negative values are reported as-is, never clamped.
     """
     x_arr = np.asarray(x, dtype=float)
-    sig, d1, d2 = sigma_derivatives(params, x_arr)
-    kernel = _gaussian_kernel(sig, params.maturity, x_arr)
-    factor = perturbation_factor(sig, d1, d2, x_arr, params.maturity)
+    # an extreme smile overflows in the smile and the kernel; where the
+    # factor or the product overflows, numpy warns
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sig, d1, d2 = _sigma_terms(params, x_arr)
+        kernel = _gaussian_kernel(sig, params.maturity, x_arr)
+    factor = _curvature(sig, d1, d2, x_arr, params.maturity)
     return _as_float_or_array(kernel * factor, x)
 
 
@@ -320,7 +315,8 @@ def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:
     either end of the curve pairs with nothing. One walk over the few
     places where neighbouring slope signs differ finds every pair.
     """
-    slopes = np.diff(curve.ps)
+    ps = curve.ps
+    slopes = ps[1:] - ps[:-1]  # np.diff, without its dispatch
     signs = (slopes > 0.0).view(np.int8) - (slopes < 0.0).view(np.int8)
     change = np.flatnonzero(signs[:-1] != signs[1:])
     points, left = [], None  # left: the last nonzero slope so far

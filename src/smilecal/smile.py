@@ -138,20 +138,26 @@ def sigma_derivatives(
         At the smile minimum the slope vanishes and the curvature equals
         ``2 g (chi - 1) / n``.
     """
-    x_arr = np.asarray(x, dtype=float)
-    g, chi, n = params.g, params.chi, params.n
-    height = chi - 1.0
     # an extreme smile overflows here; the caller's finiteness check decides
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u = x_arr + 0.5 * g * g * params.maturity
-        uu = u * u
-        den = uu + n
-        den2 = den * den
-        sig = g * (1.0 + height * uu / den)
-        d1 = g * height * 2.0 * n * u / den2
-        # not 3.0 * uu: (3.0 * u) * u rounds differently
-        d2 = g * height * 2.0 * n * (n - 3.0 * u * u) / (den2 * den)
-    return tuple(_as_float_or_array(v, x) for v in (sig, d1, d2))
+        terms = _sigma_terms(params, np.asarray(x, dtype=float))
+    return tuple(_as_float_or_array(v, x) for v in terms)
+
+
+def _sigma_terms(params: SmileParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays of :func:`sigma_derivatives` at the float array ``x``,
+    unconverted. Overflow is the caller's to silence or report."""
+    g, chi, n = params.g, params.chi, params.n
+    height = chi - 1.0
+    u = x + 0.5 * g * g * params.maturity
+    uu = u * u
+    den = uu + n
+    den2 = den * den
+    sig = g * (1.0 + height * uu / den)
+    d1 = g * height * 2.0 * n * u / den2
+    # not 3.0 * uu: (3.0 * u) * u rounds differently
+    d2 = g * height * 2.0 * n * (n - 3.0 * u * u) / (den2 * den)
+    return sig, d1, d2
 
 
 def _quotes_to_arrays(

@@ -3,6 +3,7 @@ closed-form surface, sweeps and their calibration, and the accept/reject
 check.
 """
 
+import cmath
 import importlib.util
 import math
 from itertools import product
@@ -37,12 +38,14 @@ from smilecal import (
     default_sweep_axes,
     density_curve,
     fit_smile,
-    gaussian_return_density,
+    perturbation_factor,
     return_density,
+    sigma_derivatives,
     sigma_of_x,
     sweep,
     sweep_points,
 )
+from smilecal.density import _gaussian_kernel
 
 FIG1 = dict(g=0.1, n=0.04, maturity=0.5)
 FIG2_PARAMS = SmileParams(g=0.1758, chi=1.20, n=0.00030, maturity=1.0 / 365.0)
@@ -520,10 +523,125 @@ class TestWindowVerdict:
             assert calls and window
 
 
+def _kernel_times_factor(params, x):
+    # the smile density as its parts: the Gaussian kernel at the smile vol
+    # times the curvature factor, from the public smile derivatives
+    x = np.asarray(x, dtype=float)
+    sig, d1, d2 = sigma_derivatives(params, x)
+    return (_gaussian_kernel(sig, params.maturity, x)
+            * perturbation_factor(sig, d1, d2, x, params.maturity))
+
+
+class TestOneDensityKernel:
+    def test_density_is_kernel_times_factor(self, monkeypatch):
+        # bit for bit, at both ends of each Table-1 search's final bracket:
+        # on the whole grid, on the window's slice and at the fold's x
+        adiab = smilecal.adiabatic
+        opts = ChiSearchSettings()
+        for g, n, t in _table1_points():
+            y, _ = adiab._fold_point(*adiab._reduced(g, n, t))
+            x = y * g * math.sqrt(t)
+            for chi in _final_bracket(monkeypatch, g, n, t, opts):
+                params = SmileParams(g=g, chi=chi, n=n, maturity=t)
+                xs = density_curve(params).xs
+                assert return_density(params, xs).tobytes() == \
+                    _kernel_times_factor(params, xs).tobytes()
+                slices = []
+                monkeypatch.setattr(adiab, "stationary_points",
+                                    lambda curve: slices.append(curve) or ())
+                adiab._window_minima(params, opts, x)
+                monkeypatch.undo()
+                (part,) = slices
+                assert part.ps.tobytes() == _kernel_times_factor(params, part.xs).tobytes()
+                value = return_density(params, x)
+                assert type(value) is float
+                assert value.hex() == float(_kernel_times_factor(params, x)).hex()
+
+
 def _fake_fold_terms(y_root):
     # q = (y - y_root)^2 + chi - 2, whose fold is at (y_root, 2)
     return lambda y, chi, rho, s: ((y - y_root) ** 2 + chi - 2.0, 2.0 * (y - y_root),
                                    2.0, 1.0, 0.0)
+
+
+class _Jet:
+    # Reference for _log_slope: a function of y as its Taylor coefficients
+    # (f, f', f''/2, f'''/6) at one point, possibly complex, with the
+    # algebra of sums, products, quotients and logarithms that _log_slope
+    # unrolls. _log_slope must form each coefficient with the same
+    # operations in the same order, so the two agree bit for bit.
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+
+    def __add__(self, other):
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = other.c
+        return _Jet((a0 + b0, a1 + b1, a2 + b2, a3 + b3))
+
+    def __sub__(self, other):
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = other.c
+        return _Jet((a0 - b0, a1 - b1, a2 - b2, a3 - b3))
+
+    def __rsub__(self, other):
+        a0, a1, a2, a3 = self.c
+        return _Jet((other - a0, -a1, -a2, -a3))
+
+    def __mul__(self, other):
+        a0, a1, a2, a3 = self.c
+        if not isinstance(other, _Jet):
+            return _Jet((a0 * other, a1 * other, a2 * other, a3 * other))
+        b0, b1, b2, b3 = other.c
+        return _Jet((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0))
+
+    def __truediv__(self, other):
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = other.c
+        c0 = a0 / b0
+        c1 = (a1 - c0 * b1) / b0
+        c2 = (a2 - c1 * b1 - c0 * b2) / b0
+        c3 = (a3 - c2 * b1 - c1 * b2 - c0 * b3) / b0
+        return _Jet((c0, c1, c2, c3))
+
+    def log(self):
+        a0, a1, a2, a3 = self.c
+        if not a0.real > 0.0:  # cmath.log, unlike math.log, would not raise
+            raise ValueError(f"log of a jet whose value {a0} has no positive real part")
+        l1 = a1 / a0
+        l2 = (a2 - 0.5 * l1 * a1) / a0
+        l3 = (a3 - (l1 * a2 + 2.0 * l2 * a1) / 3.0) / a0
+        return _Jet((cmath.log(a0), l1, l2, l3))
+
+
+def _reference_log_slope(y, chi, rho, s):
+    # (q, q_y, q_yy) of _log_slope, by the jet algebra
+    h = smilecal.adiabatic._well_derivatives(y + 0.5 * s, rho)
+    c = chi - 1.0
+    w = (1.0 - h[0], -h[1], -h[2], -h[3], -h[4], -h[5])  # sig = 1 + c * w
+
+    def jet(k):  # of the k-th derivative of sig
+        return _Jet((float(k == 0) + c * w[k], c * w[k + 1], c * (w[k + 2] / 2.0),
+                     c * (w[k + 3] / 6.0)))
+
+    sig, sig1, sig2 = jet(0), jet(1), jet(2)
+    z = _Jet((y, 1.0, 0.0, 0.0)) / sig
+    slope = 1.0 - z * sig1
+    prod = sig1 * sig * (0.5 * s)
+    factor = slope * slope - prod * prod + sig * sig2
+    sig_s = sig * (0.5 * s)
+    _, l1, l2, l3 = (factor.log() - sig.log() - (z * z + sig_s * sig_s) * 0.5).c
+    return l1 - 0.5 * s, 2.0 * l2, 6.0 * l3
+
+
+def _outcome(fn, *args):
+    # each term's real and imaginary parts by float.hex, or the exception type
+    try:
+        return tuple((complex(v).real.hex(), complex(v).imag.hex()) for v in fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
 
 
 class TestFold:
@@ -619,9 +737,25 @@ class TestFold:
         assert _fold_chi(rho, s) == pytest.approx(direct, abs=1e-12)
 
     def test_log_of_a_negative_curvature_factor_raises(self):
-        # F < 0 here; cmath.log would not raise, so _Jet.log must
+        # F < 0 here; cmath.log would not raise, so _log_slope must
         with pytest.raises(ValueError):
             smilecal.adiabatic._fold_terms(-2.0, 4.0, 5.0, 0.3)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(
+        y=st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+        chi=st.floats(1.0, 30.0) | st.floats(-2.0, 1.0),
+        rho_exp=st.floats(-8.0, 8.0) | st.floats(-320.0, 308.0),
+        s_exp=st.floats(-8.0, 2.0) | st.floats(-320.0, 308.0),
+        step_in=st.sampled_from(["chi", "rho", "s"]),
+    )
+    def test_log_slope_matches_the_jet_algebra(self, y, chi, rho_exp, s_exp, step_in):
+        # bit for bit, with the complex step in each argument it takes one
+        # in, and the same exception type where either raises
+        args = {"chi": chi, "rho": 10.0**rho_exp, "s": 10.0**s_exp}
+        args[step_in] = complex(args[step_in], smilecal.adiabatic._CHI_STEP)
+        expected = _outcome(_reference_log_slope, y, *args.values())
+        assert _outcome(smilecal.adiabatic._log_slope, y, *args.values()) == expected
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(rho_exp=st.floats(-300.0, 300.0), s_exp=st.floats(-300.0, 300.0))

@@ -25,7 +25,6 @@ from smilecal import (
     bl_density_oracle,
     chi_critical_numeric,
     density_curve,
-    gaussian_return_density,
     perturbation_factor,
     return_density,
     smile_vol_of_strike,
@@ -33,6 +32,7 @@ from smilecal import (
 )
 from smilecal.adiabatic import TABLE_RANGES
 from smilecal.bs_core import _bs_value
+from smilecal.density import _gaussian_kernel
 
 FIG1 = SmileParams(g=0.1, chi=2.7, n=0.04, maturity=0.5)
 
@@ -45,33 +45,38 @@ def _random_params(rng, chi_lo=1.05, chi_hi=4.0):
     return SmileParams(g=g, chi=chi, n=rho * g * g * t, maturity=t)
 
 
+def _flat_density(sig, t, x):
+    # the chi = 1 smile is flat at g, and its density the flat-vol Gaussian
+    return return_density(SmileParams(g=sig, chi=1.0, n=0.01, maturity=t), x)
+
+
 class TestGaussianDensity:
     def test_peak_location_and_height(self):
         sig, t = 0.2, 1.0
         mode = -0.5 * sig * sig * t
         peak = 1.0 / math.sqrt(2.0 * math.pi * sig * sig * t)
-        assert gaussian_return_density(sig, t, mode) == pytest.approx(peak, rel=1e-15)
+        assert _flat_density(sig, t, mode) == pytest.approx(peak, rel=1e-15)
         eps = 1e-4
-        assert gaussian_return_density(sig, t, mode) > gaussian_return_density(sig, t, mode + eps)
-        assert gaussian_return_density(sig, t, mode) > gaussian_return_density(sig, t, mode - eps)
+        assert _flat_density(sig, t, mode) > _flat_density(sig, t, mode + eps)
+        assert _flat_density(sig, t, mode) > _flat_density(sig, t, mode - eps)
 
     def test_unit_mass(self):
         sig, t = 0.37, 0.8
         width = sig * math.sqrt(t)
         xs = np.linspace(-8 * width, 8 * width, 40001) - 0.5 * sig * sig * t
-        mass = np.trapezoid(gaussian_return_density(sig, t, xs), xs)
+        mass = np.trapezoid(_flat_density(sig, t, xs), xs)
         assert abs(mass - 1.0) < 1e-10
 
     def test_point_value(self):
         # independent arithmetic for sigma=0.2, T=1 at x=0
         expected = math.exp(-(0.02**2) / 0.08) / math.sqrt(2.0 * math.pi * 0.04)
-        assert gaussian_return_density(0.2, 1.0, 0.0) == pytest.approx(expected, rel=1e-15)
+        assert _flat_density(0.2, 1.0, 0.0) == pytest.approx(expected, rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            gaussian_return_density(0.0, 1.0, 0.0)
+            _flat_density(0.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            gaussian_return_density(math.nan, 1.0, 0.0)
+            _flat_density(math.nan, 1.0, 0.0)
 
 
 class TestPerturbationFactor:
@@ -95,7 +100,7 @@ class TestReturnDensity:
             p = SmileParams(g=g, chi=1.0, n=0.01, maturity=t)
             width = g * math.sqrt(t)
             xs = np.linspace(-10 * width, 10 * width, 4001) + p.x_min
-            diff = return_density(p, xs) - gaussian_return_density(g, t, xs)
+            diff = return_density(p, xs) - _gaussian_kernel(g, t, xs)
             assert np.max(np.abs(diff)) == 0.0
 
     def test_fig1_has_relative_minima(self):
@@ -337,6 +342,29 @@ class TestDensityCurveType:
             DensityCurve(xs=np.array([0.0, 0.0, 1.0]), ps=np.zeros(3))
         with pytest.raises(DomainError):
             DensityCurve(xs=np.array([0.0, 1.0, 2.0]), ps=np.array([0.0, math.inf, 0.0]))
+
+    @pytest.mark.parametrize(
+        "xs, message",
+        [
+            ([0.0, math.nan, 2.0], "xs must be strictly increasing"),
+            ([math.nan, 1.0, 2.0], "xs must be strictly increasing"),
+            ([0.0, 1.0, math.nan], "xs must be strictly increasing"),
+            ([-math.inf, 1.0, 2.0], "xs must be finite"),
+            ([0.0, 1.0, math.inf], "xs must be finite"),
+        ],
+        ids=["nan-inside", "nan-first", "nan-last", "inf-first", "inf-last"],
+    )
+    def test_non_finite_xs(self, xs, message):
+        # a NaN compares false both ways, so it must fail the order check
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            DensityCurve(xs=np.array(xs), ps=np.array([1.0, 2.0, 1.0]))
+
+    def test_gaussian_with_a_nan_x_is_rejected(self):
+        xs = np.linspace(-5.0, 5.0, 201)
+        ps = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
+        xs[100] = math.nan
+        with pytest.raises(DomainError, match="strictly increasing"):
+            analyze(DensityCurve(xs=xs, ps=ps))
 
     def test_mass_recorded(self):
         xs = np.linspace(-5.0, 5.0, 1001)
