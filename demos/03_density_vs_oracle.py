@@ -41,7 +41,7 @@ print(f"  martingale gap  = {report.martingale_gap:.2e}")
 env = MarketEnv(spot=1.0, rate=0.0, maturity=bad.maturity)
 keep = curve.ps > 1e-3 * curve.ps.max()
 strikes = np.exp(curve.xs[keep])
-oracle = bl_density_oracle(env, smile_vol_of_strike(env, bad), strikes) * strikes
+oracle = bl_density_oracle(env, smile_vol_of_strike(env, bad), strikes)[0] * strikes
 rel = np.max(np.abs(oracle - curve.ps[keep]) / curve.ps[keep])
 print(f"\nclosed form vs strike-space oracle: max rel diff = {rel:.2e}")
 

@@ -232,9 +232,10 @@ def _reduced(g: float, n: float, maturity: float) -> tuple[float, float] | None:
     return (rho, s) if 0.0 < rho < math.inf and 0.0 < s < math.inf else None
 
 
-def _in_calibrated_box(g: float, n: float, maturity: float) -> bool:
-    rho, s = _reduced(g, n, maturity) or (math.nan, math.nan)  # NaN is outside
-    return _BOX_RHO[0] <= rho <= _BOX_RHO[1] and _BOX_S[0] <= s <= _BOX_S[1]
+def _box_point(rho: float, s: float) -> tuple[float, float]:
+    """The point of the calibrated box nearest ``(rho, s)``, which is
+    ``(rho, s)`` itself exactly when that lies in the box."""
+    return min(max(rho, _BOX_RHO[0]), _BOX_RHO[1]), min(max(s, _BOX_S[0]), _BOX_S[1])
 
 
 def _well_derivatives(u: float, n: float) -> tuple[float, ...]:
@@ -397,7 +398,7 @@ def _fold_point(rho: float, s: float) -> tuple[float, float] | None:
         point = _fold_newton(rho, s, *_fold_seed(rho, s))
         if point is not None:
             return point
-        box = (min(max(rho, _BOX_RHO[0]), _BOX_RHO[1]), min(max(s, _BOX_S[0]), _BOX_S[1]))
+        box = _box_point(rho, s)
         if box == (rho, s):
             return None
         step_r, step_s = (math.log(a / b) / _FOLD_CONTINUATION_STEPS
@@ -526,11 +527,16 @@ def chi_critical_formula(g: float, n: float, maturity: float) -> float:
 
     ``chi_c = alpha * rho**beta + gamma * sqrt(T) * g * rho**delta`` with
     rho = n / (g^2 T) and the constants of ``DEFAULT_CRITICAL_FIT``.
+    Raises :class:`DomainError` unless g, n and T are positive and ``g^2 T``
+    is not 0 in floating point.
     """
     if g <= 0.0 or n <= 0.0 or maturity <= 0.0:
         raise DomainError("g, n and maturity must be positive")
     p = DEFAULT_CRITICAL_FIT
-    rho = n / (g * g * maturity)
+    scale = g * g * maturity
+    if scale == 0.0:
+        raise DomainError(f"g^2 T underflows to 0 at g={g}, T={maturity}")
+    rho = n / scale
     return (
         p.alpha * rho**p.beta
         + p.gamma * math.sqrt(maturity) * g * rho**p.delta
@@ -680,7 +686,9 @@ def adiabatic_check(
     if mode not in ("formula", "numeric"):
         raise DomainError(f"mode must be 'formula' or 'numeric', got {mode!r}")
     g, n, maturity = params.g, params.n, params.maturity
-    if mode == "formula" and (params.chi == 1.0 or _in_calibrated_box(g, n, maturity)):
+    point = _reduced(g, n, maturity)
+    if mode == "formula" and (params.chi == 1.0
+                              or point is not None and _box_point(*point) == point):
         chi_c, source = chi_critical_formula(g, n, maturity), "formula"
     else:
         chi_c, source = chi_critical_numeric(g, n, maturity, settings), "numeric"

@@ -184,14 +184,14 @@ def _d1_d2(env: MarketEnv, strike: np.ndarray, vol: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         d1 = (np.log(env.spot / strike) + (env.rate + 0.5 * vol * vol) * env.maturity) / srt
         d2 = d1 - srt
-    return d1, d2, srt
+    return d1, d2
 
 
 def _bs_value(env: MarketEnv, strike: np.ndarray, vol: np.ndarray, put=False) -> np.ndarray:
     # the one Black-Scholes kernel, sign * (S0 N(sign d1) - K e^-rT N(sign d2))
     # with sign = -1 where ``put``: flipping a sign and negating a difference
     # are exact, so each branch is its textbook formula (a zero put is -0.0)
-    d1, d2, _ = _d1_d2(env, strike, vol)
+    d1, d2 = _d1_d2(env, strike, vol)
     sign = np.where(put, -1.0, 1.0)
     return sign * (env.spot * _ndtr(sign * d1) - strike * env.discount * _ndtr(sign * d2))
 
@@ -236,13 +236,13 @@ def bs_delta(
         raise DomainError("strike must be positive")
     if not np.all(vol_a > 0.0):
         raise DomainError("vol must be positive")
-    d1, _, _ = _d1_d2(env, strike_a, vol_a)
+    d1, _ = _d1_d2(env, strike_a, vol_a)
     return _as_float_or_array(_ndtr(d1), strike_a, vol_a)
 
 
 def _bs_vega(env: MarketEnv, strike: float, vol: float) -> float:
     """dC/dvol, for the implied-vol solver."""
-    d1, _, _ = _d1_d2(env, np.asarray(strike, float), np.asarray(vol, float))
+    d1, _ = _d1_d2(env, np.asarray(strike, float), np.asarray(vol, float))
     return float(
         env.spot
         * math.sqrt(env.maturity)
@@ -323,11 +323,14 @@ def delta_to_x(
 
 
 def strike_to_x(env: MarketEnv, strike: float | np.ndarray) -> float | np.ndarray:
-    """Map strike to x = ln(K/S0) - r*T."""
+    """Map strike to x = ln(K/S0) - r*T; a ratio K/S0 that underflows to 0
+    or overflows gives an infinite x, without a warning, for the caller to
+    reject."""
     strike_a = np.asarray(strike, dtype=float)
     if not np.all(strike_a > 0.0):
         raise DomainError("strike must be positive")
-    out = np.log(strike_a / env.spot) - env.rate * env.maturity
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.log(strike_a / env.spot) - env.rate * env.maturity
     return _as_float_or_array(out, strike_a)
 
 

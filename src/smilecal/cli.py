@@ -129,9 +129,10 @@ _CONFIG_KEYS = {f.name.replace("_", "-"): f for f in fields(RunConfig)}
 
 
 def _read_text(path: str, what: str) -> str:
-    """The UTF-8 text of an input file; any failure is a :class:`QuoteFormatError`."""
+    """The UTF-8 text of an input file, less a leading byte-order mark; any
+    failure is a :class:`QuoteFormatError`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise QuoteFormatError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -650,7 +651,7 @@ def cmd_bl_oracle(args, cfg: RunConfig, out: Path) -> int:
     strikes = x_to_strike(env, curve.xs)
     vol_fn = dens.smile_vol_of_strike(env, params)
     step = None if cfg.step_frac is None else strikes * cfg.step_frac
-    oracle, err = dens.bl_density_oracle(env, vol_fn, strikes, step=step, with_error=True)
+    oracle, err = dens.bl_density_oracle(env, vol_fn, strikes, step=step)
     oracle_x = oracle * strikes  # convert price-space density to x-space
     analytic = curve.ps
     denom = np.maximum(np.abs(analytic), 1e-300)

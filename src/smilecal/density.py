@@ -37,7 +37,6 @@ __all__ = [
     "DensityCurve",
     "StationaryPoint",
     "DensityReport",
-    "perturbation_factor",
     "return_density",
     "bl_density_oracle",
     "smile_vol_of_strike",
@@ -136,32 +135,20 @@ def _gaussian_kernel(
 
 
 def _curvature(sigma, sigma_x, sigma_xx, x, maturity: float):
-    # the formula of perturbation_factor, on arrays and unconverted
-    return (
-        (1.0 - sigma_x / sigma * x) ** 2
-        - (sigma_x * sigma * maturity) ** 2 / 4.0
-        + sigma * sigma_xx * maturity
-    )
-
-
-def perturbation_factor(
-    sigma: float | np.ndarray,
-    sigma_x: float | np.ndarray,
-    sigma_xx: float | np.ndarray,
-    x: float | np.ndarray,
-    maturity: float,
-) -> float | np.ndarray:
     """Curvature multiplier on the Gaussian kernel from a non-flat smile.
 
     ``F = (1 - (sigma'/sigma) x)^2 - (sigma' sigma T)^2 / 4 + sigma sigma'' T``
 
     equals 1 identically for a flat smile and may go negative when the
     smile bends too fast, which is exactly the arbitrage signature the
-    density checks look for.
+    density checks look for. Takes floats or arrays and returns them as the
+    arithmetic gives them.
     """
-    out = _curvature(np.asarray(sigma, dtype=float), sigma_x, sigma_xx,
-                     np.asarray(x, dtype=float), maturity)
-    return _as_float_or_array(out, x, sigma)
+    return (
+        (1.0 - sigma_x / sigma * x) ** 2
+        - (sigma_x * sigma * maturity) ** 2 / 4.0
+        + sigma * sigma_xx * maturity
+    )
 
 
 def return_density(
@@ -198,11 +185,11 @@ def bl_density_oracle(
     vol_fn: Callable,
     strike: float | np.ndarray,
     step: float | np.ndarray | None = None,
-    with_error: bool = False,
-) -> float | np.ndarray | tuple:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Finite-difference density: exp(rT) times the second strike-derivative
     of the smile-priced option, Richardson-extrapolated from the h and h/2
-    stencils to O(h^4).
+    stencils to O(h^4). Returns ``(density, error)``, the error proxy being
+    the disagreement between the extrapolated and the finest plain stencil.
 
     Parameters
     ----------
@@ -217,9 +204,6 @@ def bl_density_oracle(
         truncation error far below the comparison tolerances over the
         whole parameter range this package sweeps. Raises
         :class:`DomainError` if ``K + h/2 == K``, ``(h/2)**2 == 0`` or ``h**2 == inf``.
-    with_error : bool
-        Also return the disagreement between the extrapolated and the
-        finest plain stencil, an error proxy.
     """
     k = np.asarray(strike, dtype=float)
     if not np.all(k > 0.0):
@@ -258,8 +242,7 @@ def bl_density_oracle(
     growth = math.exp(env.rate * env.maturity)
     value = growth * extrapolated
     err = growth * np.abs(extrapolated - d_h2)
-    value, err = (_as_float_or_array(v, strike) for v in (value, err))
-    return (value, err) if with_error else value
+    return _as_float_or_array(value, strike), _as_float_or_array(err, strike)
 
 
 def _check_grid(points: int, span: float) -> None:

@@ -272,21 +272,17 @@ def fit_smile(quotes: list[VolQuote], maturity: float) -> SmileFitResult:
     (g, chi, n) via damped Gauss-Newton on (ln g, ln(chi-1), ln n), which
     enforces positivity without explicit bounds. Delta-quoted points are
     converted to x once, using each quote's own vol; the conversion is not
-    iterated against the fitted curve.
+    iterated against the fitted curve. The fit starts at the lowest vol,
+    chi = highest / lowest vol and a half-width of a quarter of the quoted
+    span.
 
     A flat quote set (all vols equal) short-circuits to the exact chi = 1
-    solution. Raises :class:`ConvergenceError` if the iteration diverges
-    beyond the range of floats, by overflow or by underflow, or collapses
-    to a smile whose derivatives are not finite.
+    solution. Raises :class:`ConvergenceError` if a start chi or half-width
+    overflows, or the iteration diverges beyond the range of floats, by
+    overflow or by underflow, or collapses to a smile whose derivatives are
+    not finite.
     """
-    return _fit_arrays(*_quotes_to_arrays(quotes, maturity), maturity)
-
-
-def _fit_arrays(xs: np.ndarray, vols: np.ndarray, maturity: float) -> SmileFitResult:
-    """:func:`fit_smile` on quotes already converted by :func:`_quotes_to_arrays`,
-    started at the lowest vol, chi = highest / lowest vol and a half-width of
-    a quarter of the quoted span; a start chi or half-width that overflows has
-    diverged."""
+    xs, vols = _quotes_to_arrays(quotes, maturity)
     with np.errstate(over="ignore"):
         quarter = float(xs.max() - xs.min()) / 4.0  # inf, no warning
     try:
@@ -314,12 +310,12 @@ def constrained_fit_smile(
     and (g, n) are re-optimized; for a single scalar bound this active-set
     treatment is exact.
     """
-    xs, vols = _quotes_to_arrays(quotes, maturity)
-    free = _fit_arrays(xs, vols, maturity)
+    free = fit_smile(quotes, maturity)
     if not chi_max >= 1.0:
         raise DomainError(f"chi_max must be >= 1, got {chi_max}")
     if free.params.chi <= chi_max:
         return free
+    xs, vols = _quotes_to_arrays(quotes, maturity)
     if chi_max == 1.0:
         # degenerate cap: best flat curve is the plain mean of the vols
         g = float(vols.mean())

@@ -79,7 +79,7 @@ def test_criterion_2_oracle_equivalence():
         keep = curve.ps > 1e-3 * curve.ps.max()
         strikes = env.spot * np.exp(curve.xs[keep])
         vol_fn = smile_vol_of_strike(env, p)
-        oracle = bl_density_oracle(env, vol_fn, strikes) * strikes
+        oracle = bl_density_oracle(env, vol_fn, strikes)[0] * strikes
         rel = np.max(np.abs(oracle - curve.ps[keep]) / np.abs(curve.ps[keep]))
         worst = max(worst, float(rel))
     elapsed = time.perf_counter() - start

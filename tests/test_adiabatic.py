@@ -38,14 +38,13 @@ from smilecal import (
     default_sweep_axes,
     density_curve,
     fit_smile,
-    perturbation_factor,
     return_density,
     sigma_derivatives,
     sigma_of_x,
     sweep,
     sweep_points,
 )
-from smilecal.density import _gaussian_kernel
+from smilecal.density import _curvature, _gaussian_kernel
 
 FIG1 = dict(g=0.1, n=0.04, maturity=0.5)
 FIG2_PARAMS = SmileParams(g=0.1758, chi=1.20, n=0.00030, maturity=1.0 / 365.0)
@@ -267,13 +266,17 @@ def _table1_points():
     return [(g, rho * g * g * t, t) for g, rho, t in product(*default_sweep_axes())]
 
 
+def _inside_box(g, n, t):
+    # inside exactly when the box's nearest point is the point itself
+    point = smilecal.adiabatic._reduced(g, n, t)
+    return point is not None and smilecal.adiabatic._box_point(*point) == point
+
+
 class TestJumpedStart:
     # the fold-guided search, which makes its verdicts next to the fold
     def test_table1_lies_in_the_box(self):
         # rounding puts some lattice points just outside the exact bounds
-        assert all(
-            smilecal.adiabatic._in_calibrated_box(*p) for p in _table1_points()
-        )
+        assert all(_inside_box(*p) for p in _table1_points())
 
     @pytest.mark.parametrize(
         "g, n, t",
@@ -287,7 +290,7 @@ class TestJumpedStart:
         ],
     )
     def test_box_rejects(self, g, n, t):
-        assert not smilecal.adiabatic._in_calibrated_box(g, n, t)
+        assert not _inside_box(g, n, t)
 
 
 class TestFoldGuidedSearch:
@@ -334,7 +337,7 @@ class TestFoldGuidedSearch:
         adiab = smilecal.adiabatic
         g, t = s, 1.0
         n = rho * g * g * t
-        assert not adiab._in_calibrated_box(g, n, t)
+        assert not _inside_box(g, n, t)
         assert (adiab._fold_newton(rho, s, *adiab._fold_seed(rho, s)) is not None) == direct
         expected = _reference_chi_critical_numeric(g, n, t)
         full, _ = _record_search_chis(monkeypatch)
@@ -362,7 +365,7 @@ class TestFoldGuidedSearch:
         points = [
             (s, rho * s * s, 1.0)
             for rho, s in product(np.geomspace(0.3, 60, 9), np.geomspace(3e-4, 3, 8))
-            if not smilecal.adiabatic._in_calibrated_box(s, rho * s * s, 1.0)
+            if not _inside_box(s, rho * s * s, 1.0)
         ]
         assert len(points) == 62
         expected = [_reference_chi_critical_numeric(*p) for p in points]
@@ -529,7 +532,7 @@ def _kernel_times_factor(params, x):
     x = np.asarray(x, dtype=float)
     sig, d1, d2 = sigma_derivatives(params, x)
     return (_gaussian_kernel(sig, params.maturity, x)
-            * perturbation_factor(sig, d1, d2, x, params.maturity))
+            * _curvature(sig, d1, d2, x, params.maturity))
 
 
 class TestOneDensityKernel:
@@ -949,6 +952,11 @@ class TestChiCriticalFormula:
     def test_domain(self):
         with pytest.raises(DomainError):
             chi_critical_formula(-0.1, 0.04, 0.5)
+
+    def test_underflowing_rho_denominator_is_out_of_domain(self):
+        # a flat fit at maturity 5e-324 reaches the formula through check
+        with pytest.raises(DomainError, match="underflows"):
+            chi_critical_formula(0.2, 0.0036, 5e-324)
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -1027,6 +1028,53 @@ class TestUnreadableInputs:
         assert main(["check", "--params-file", str(path),
                      "--out", str(tmp_path / "out")]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestByteOrderMark:
+    """An input file that starts with a UTF-8 byte-order mark, with LF or
+    CRLF line ends, reads as the plain file does: the same exit code,
+    stdout, stderr and output bytes."""
+
+    SWEEP = ["sweep", "--g-range", "0.1:0.1:1", "--rho-range", "3:5:2",
+             "--t-range", "0.5:0.5:1"]
+
+    def _case(self, tmp_path, capsys, reader):
+        # (input path, its plain text, argv, the plain file's exit code)
+        path = tmp_path / "input"
+        if reader == "quote":
+            text = _write_quotes(path, TRUTH).read_text(encoding="utf-8")
+            return path, text, ["fit", str(path)], EXIT_OK
+        params = ["--params", "0.1,2.7,0.04", "--maturity", "0.5"]
+        if reader == "config":
+            text = "# search settings\n\nchi-max = 5\nmode=numeric\n"
+            return path, text, ["check", *params, "--config", str(path)], EXIT_NON_ADIABATIC
+        if reader == "params":
+            text = "g=0.1\nchi=2.7\nn=0.04\nmaturity=0.5\n"
+            return path, text, ["check", "--params-file", str(path)], EXIT_NON_ADIABATIC
+        # a sweep resumes from its own CSV, here with its last row to compute
+        assert main([*self.SWEEP, "--out", str(tmp_path / "first")]) == EXIT_OK
+        capsys.readouterr()
+        text = (tmp_path / "first" / "sweep.csv").read_text(encoding="utf-8")
+        return tmp_path / "out" / "sweep.csv", text[:text.rindex("\n", 0, -1) + 1], \
+            self.SWEEP, EXIT_OK
+
+    @pytest.mark.parametrize("reader", ["quote", "config", "params", "sweep"])
+    def test_reads_as_the_plain_file(self, tmp_path, capsys, reader):
+        path, text, argv, code = self._case(tmp_path, capsys, reader)
+        out = tmp_path / "out"
+        results = []
+        for prefix, newline in (("", "\n"), ("\ufeff", "\n"), ("\ufeff", "\r\n")):
+            shutil.rmtree(out, ignore_errors=True)
+            out.mkdir()
+            path.write_bytes((prefix + text.replace("\n", newline)).encode("utf-8"))
+            result = main([*argv, "--out", str(out)])
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            results.append((result, captured.out, captured.err, files))
+        assert results[0][0] == code
+        assert reader != "sweep" or "1 reused, 1 to compute" in results[0][1]
+        assert results[1] == results[0]
+        assert results[2] == results[0]
 
 
 @pytest.mark.parametrize("name", [n for n in errors.__all__ if n != "SmilecalError"])

@@ -25,14 +25,13 @@ from smilecal import (
     bl_density_oracle,
     chi_critical_numeric,
     density_curve,
-    perturbation_factor,
     return_density,
     smile_vol_of_strike,
     stationary_points,
 )
 from smilecal.adiabatic import TABLE_RANGES
 from smilecal.bs_core import _bs_value
-from smilecal.density import _gaussian_kernel
+from smilecal.density import _curvature, _gaussian_kernel
 
 FIG1 = SmileParams(g=0.1, chi=2.7, n=0.04, maturity=0.5)
 
@@ -81,17 +80,17 @@ class TestGaussianDensity:
 
 class TestPerturbationFactor:
     def test_flat_smile_gives_one(self):
-        assert perturbation_factor(0.2, 0.0, 0.0, 0.37, 1.0) == 1.0
+        assert _curvature(0.2, 0.0, 0.0, 0.37, 1.0) == 1.0
 
     def test_at_zero_return(self):
         sig, d1, d2, t = 0.25, 0.4, -3.0, 0.5
         expected = 1.0 - (d1 * sig * t) ** 2 / 4.0 + sig * d2 * t
-        assert perturbation_factor(sig, d1, d2, 0.0, t) == pytest.approx(expected, rel=1e-15)
+        assert _curvature(sig, d1, d2, 0.0, t) == pytest.approx(expected, rel=1e-15)
 
     def test_general_point(self):
         sig, d1, d2, x, t = 0.3, -0.2, 5.0, -0.15, 2.0
         expected = (1.0 - d1 / sig * x) ** 2 - (d1 * sig * t) ** 2 / 4.0 + sig * d2 * t
-        assert perturbation_factor(sig, d1, d2, x, t) == pytest.approx(expected, rel=1e-15)
+        assert _curvature(sig, d1, d2, x, t) == pytest.approx(expected, rel=1e-15)
 
 
 class TestReturnDensity:
@@ -133,7 +132,7 @@ class TestBlOracle:
         def vol_fn(k):
             return np.full_like(np.asarray(k, dtype=float), sig)
 
-        got = bl_density_oracle(env, vol_fn, 100.0)
+        got, _ = bl_density_oracle(env, vol_fn, 100.0)
         expected = math.exp(-((0.0 - (-0.5 * sig * sig)) ** 2) / (2 * sig * sig)) / (
             100.0 * sig * math.sqrt(2 * math.pi)
         )
@@ -145,7 +144,7 @@ class TestBlOracle:
         curve = density_curve(FIG1, points=801)
         keep = curve.ps > 1e-3 * curve.ps.max()
         strikes = env.spot * np.exp(curve.xs[keep] + env.rate * env.maturity)
-        oracle = bl_density_oracle(env, vol_fn, strikes) * strikes
+        oracle = bl_density_oracle(env, vol_fn, strikes)[0] * strikes
         assert np.max(np.abs(oracle / curve.ps[keep] - 1.0)) < 1e-4
 
     def test_oracle_sees_the_dips(self):
@@ -156,7 +155,7 @@ class TestBlOracle:
         for pt in report.minima:
             k = math.exp(pt.x)
             around = np.array([k * 0.97, k, k * 1.03])
-            vals = bl_density_oracle(env, vol_fn, around) * around
+            vals = bl_density_oracle(env, vol_fn, around)[0] * around
             assert vals[1] < vals[0] and vals[1] < vals[2]
 
     def test_richardson_stencil_is_fourth_order(self):
@@ -170,7 +169,7 @@ class TestBlOracle:
             100.0 * sig * math.sqrt(2 * math.pi)
         )
         hs = np.array([8.0, 4.0, 2.0, 1.0])
-        errs = [abs(bl_density_oracle(env, vol_fn, 100.0, step=h) - exact) for h in hs]
+        errs = [abs(bl_density_oracle(env, vol_fn, 100.0, step=h)[0] - exact) for h in hs]
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.2)
 
@@ -182,9 +181,9 @@ class TestBlOracle:
             return np.full_like(np.asarray(k, dtype=float), sig)
 
         # the stencil disagreement that bl-oracle flags above 1e-3 relative
-        value, err = bl_density_oracle(env, vol_fn, 100.0, step=15.0, with_error=True)
+        value, err = bl_density_oracle(env, vol_fn, 100.0, step=15.0)
         assert err > 1e-3 * abs(value)
-        value, err = bl_density_oracle(env, vol_fn, 100.0, with_error=True)
+        value, err = bl_density_oracle(env, vol_fn, 100.0)
         assert err < 1e-3 * abs(value)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -242,13 +241,13 @@ class TestBlOracle:
         curve = density_curve(FIG1, points=801)
         strikes = env.spot * np.exp(curve.xs + rate * env.maturity)
         step = None if step_frac is None else strikes * step_frac
-        got = bl_density_oracle(env, vol_fn, strikes, step=step, with_error=True)
-        want = _reference_bl_density_oracle(env, vol_fn, strikes, step=step, with_error=True)
+        got = bl_density_oracle(env, vol_fn, strikes, step=step)
+        want = _reference_bl_density_oracle(env, vol_fn, strikes, step=step)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
 
-def _reference_bl_density_oracle(env, vol_fn, strike, step=None, with_error=False):
+def _reference_bl_density_oracle(env, vol_fn, strike, step=None):
     # the stencils as first written, each evaluating the centre vol and price
     # itself; kept as the oracle for the shared-centre version
     otm = _bs_value
@@ -272,7 +271,7 @@ def _reference_bl_density_oracle(env, vol_fn, strike, step=None, with_error=Fals
     growth = math.exp(env.rate * env.maturity)
     value = growth * extrapolated
     err = growth * np.abs(extrapolated - d_h2)
-    return (value, err) if with_error else value
+    return value, err
 
 
 class TestAnalyze:
