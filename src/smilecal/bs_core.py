@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * volatilities are annualized (1/sqrt(year)), maturities in years.
 
 All functions are pure; array arguments broadcast and scalar arguments
-return plain floats.
+return plain floats. Numpy arithmetic runs under ``np.errstate(all="ignore")``:
+a value that leaves the float range is rejected by a named check, not warned of.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def std_normal_cdf(z: float | np.ndarray) -> float | np.ndarray:
 
 def _d1_d2(env: MarketEnv, strike: np.ndarray, vol: np.ndarray):
     srt = vol * math.sqrt(env.maturity)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         d1 = (np.log(env.spot / strike) + (env.rate + 0.5 * vol * vol) * env.maturity) / srt
         d2 = d1 - srt
     return d1, d2
@@ -317,19 +318,18 @@ def delta_to_x(
         raise DomainError("vol must be positive")
     if not maturity > 0.0:
         raise DomainError("maturity must be positive")
-    with np.errstate(over="ignore"):  # an infinite x is the caller's to reject
+    with np.errstate(all="ignore"):
         out = 0.5 * vol_a * vol_a * maturity - vol_a * math.sqrt(maturity) * _ndtri(delta_a)
     return _as_float_or_array(out, delta_a, vol_a)
 
 
 def strike_to_x(env: MarketEnv, strike: float | np.ndarray) -> float | np.ndarray:
     """Map strike to x = ln(K/S0) - r*T; a ratio K/S0 that underflows to 0
-    or overflows gives an infinite x, without a warning, for the caller to
-    reject."""
+    or overflows gives an infinite x, for the caller to reject."""
     strike_a = np.asarray(strike, dtype=float)
     if not np.all(strike_a > 0.0):
         raise DomainError("strike must be positive")
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         out = np.log(strike_a / env.spot) - env.rate * env.maturity
     return _as_float_or_array(out, strike_a)
 
@@ -337,5 +337,6 @@ def strike_to_x(env: MarketEnv, strike: float | np.ndarray) -> float | np.ndarra
 def x_to_strike(env: MarketEnv, x: float | np.ndarray) -> float | np.ndarray:
     """Inverse of :func:`strike_to_x`."""
     x_a = np.asarray(x, dtype=float)
-    out = env.spot * np.exp(x_a + env.rate * env.maturity)
+    with np.errstate(all="ignore"):
+        out = env.spot * np.exp(x_a + env.rate * env.maturity)
     return _as_float_or_array(out, x_a)

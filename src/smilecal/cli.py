@@ -88,8 +88,8 @@ class RunConfig:
     grid: int = dens.STANDARD_GRID_POINTS
     span: float = dens.STANDARD_SPAN
     step_frac: float | None = None  # oracle step / strike; None -> adaptive
-    chi_tol: float = 1e-4
-    chi_max: float = 20.0
+    chi_tol: float = adiab.ChiSearchSettings.tol
+    chi_max: float = adiab.ChiSearchSettings.chi_max
     mode: str = "formula"
     out: str | None = None  # None: SMILECAL_OUT if set, else "."
     svg: bool = False
@@ -286,7 +286,8 @@ def _market_context(args, qf: QuoteFile | None = None) -> tuple[float, float]:
 
 
 def _params_from_args(args) -> SmileParams | None:
-    """Smile parameters from --params G,CHI,N or a --params-file report."""
+    """Smile parameters from --params G,CHI,N or a --params-file report;
+    ``None`` only for a ``check`` that fits its quote file instead."""
     if args.params:
         parts = args.params.split(",")
         if len(parts) != 3:
@@ -307,6 +308,10 @@ def _params_from_args(args) -> SmileParams | None:
         except ValueError as exc:
             raise QuoteFormatError(f"{args.params_file}: {exc}") from exc
         return SmileParams(**values)
+    if args.command != "check":
+        raise QuoteFormatError(f"{args.command} needs --params G,CHI,N with --maturity, or --params-file")
+    if not args.quotefile:
+        raise QuoteFormatError("check needs a quote file, --params or --params-file")
     return None
 
 
@@ -398,8 +403,6 @@ def cmd_fit(args, cfg: RunConfig, out: Path) -> int:
 def cmd_check(args, cfg: RunConfig, out: Path) -> int:
     params = _params_from_args(args)
     if params is None:
-        if not args.quotefile:
-            raise QuoteFormatError("check needs a quote file, --params or --params-file")
         _, fit_result = _fit_from_quote_args(args)
         if not fit_result.converged:
             print("fit did not converge", file=sys.stderr)
@@ -485,8 +488,6 @@ def cmd_refit(args, cfg: RunConfig, out: Path) -> int:
 
 def cmd_density(args, cfg: RunConfig, out: Path) -> int:
     params = _params_from_args(args)
-    if params is None:
-        raise QuoteFormatError("density needs --params G,CHI,N with --maturity, or --params-file")
     _density_report(out, cfg, params, "density.txt", [])
     return EXIT_OK
 
@@ -642,8 +643,6 @@ def cmd_calibrate(args, cfg: RunConfig, out: Path) -> int:
 
 def cmd_bl_oracle(args, cfg: RunConfig, out: Path) -> int:
     params = _params_from_args(args)
-    if params is None:
-        raise QuoteFormatError("bl-oracle needs --params G,CHI,N with --maturity, or --params-file")
     spot, rate = _market_context(args)
     env = MarketEnv(spot=spot, rate=rate, maturity=params.maturity)
 

@@ -17,7 +17,8 @@ the curve dips negative.
 
 :func:`analyze` inspects a sampled curve for the two arbitrage signatures
 this package exists to detect: interior relative minima and negative
-values.
+values. Numpy arithmetic runs under ``np.errstate(all="ignore")``: the checks
+of :class:`DensityCurve` and the oracle reject a value that leaves the float range.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class DensityReport:
         # samples there are 0, so a zero sample weighs 0 and takes no exp;
         # where exp(x) p(x) or the integral still overflows, the gap is inf
         xs, ps = self.curve.xs, self.curve.ps
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             weighted = np.exp(xs, out=np.zeros_like(xs), where=ps != 0.0) * ps
             gap = abs(np.trapezoid(weighted, xs) - 1.0)
         return math.inf if math.isnan(gap) else float(gap)
@@ -127,8 +128,7 @@ def _gaussian_kernel(
 ) -> np.ndarray:
     """Flat-volatility return density: normal with mean ``-vol^2 T / 2``, so
     that the forward is priced correctly. The smile density evaluates it at
-    the local vol, so at chi = 1 it is this bit for bit. A non-finite value
-    is the caller's to reject, and overflow the caller's to silence."""
+    the local vol, so at chi = 1 it is this bit for bit."""
     var = vol * vol * maturity
     shift = 0.5 * var
     return np.exp(-((x + shift) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
@@ -161,13 +161,11 @@ def return_density(
     Negative values are reported as-is, never clamped.
     """
     x_arr = np.asarray(x, dtype=float)
-    # an extreme smile overflows in the smile and the kernel; where the
-    # factor or the product overflows, numpy warns
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         sig, d1, d2 = _sigma_terms(params, x_arr)
         kernel = _gaussian_kernel(sig, params.maturity, x_arr)
-    factor = _curvature(sig, d1, d2, x_arr, params.maturity)
-    return _as_float_or_array(kernel * factor, x)
+        p = kernel * _curvature(sig, d1, d2, x_arr, params.maturity)
+    return _as_float_or_array(p, x)
 
 
 def smile_vol_of_strike(env: MarketEnv, params: SmileParams) -> Callable:
@@ -218,7 +216,7 @@ def bl_density_oracle(
     if np.any(k - h <= 0.0):
         raise DomainError("stencil leaves the positive strike axis; reduce step")
     half = h / 2.0
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         resolvable = (k + half != k) & (half * half > 0.0) & np.isfinite(h * h)
     if not np.all(resolvable):
         raise DomainError("stencil step not resolvable in floating point")
@@ -281,10 +279,14 @@ def density_curve(
 
 
 def _grid(params: SmileParams, points: int, span: float) -> np.ndarray:
-    """The x-grid of :func:`density_curve`, unchecked: ``points`` uniform
-    samples over ``x_min +- span * g * chi * sqrt(T)``."""
+    """The x-grid of :func:`density_curve`: ``points`` uniform samples over
+    ``x_min +- span * g * chi * sqrt(T)``. A width that is not finite raises
+    the :class:`DensityCurve` error that its NaN samples would."""
     scale = params.sigma_plateau * math.sqrt(params.maturity)
-    return np.linspace(params.x_min - span * scale, params.x_min + span * scale, points)
+    lo, hi = params.x_min - span * scale, params.x_min + span * scale
+    if not math.isfinite(hi - lo):
+        raise DomainError("xs must be strictly increasing")
+    return np.linspace(lo, hi, points)
 
 
 def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:

@@ -7,7 +7,9 @@ The smile is parametrized by a floor volatility ``g``, a plateau ratio
 
 so the curve attains its minimum ``g`` at ``x = -g^2 T / 2``, reaches the
 half-height ``g * (1 + (chi - 1)/2)`` at distance ``sqrt(n)`` from the
-minimum, and saturates at ``g * chi`` far out on either wing.
+minimum, and saturates at ``g * chi`` far out on either wing. Numpy
+arithmetic runs under ``np.errstate(all="ignore")``, and the finiteness checks
+of the fit and of its callers reject a value that leaves the float range.
 """
 
 from __future__ import annotations
@@ -138,15 +140,14 @@ def sigma_derivatives(
         At the smile minimum the slope vanishes and the curvature equals
         ``2 g (chi - 1) / n``.
     """
-    # an extreme smile overflows here; the caller's finiteness check decides
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         terms = _sigma_terms(params, np.asarray(x, dtype=float))
     return tuple(_as_float_or_array(v, x) for v in terms)
 
 
 def _sigma_terms(params: SmileParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays of :func:`sigma_derivatives` at the float array ``x``,
-    unconverted. Overflow is the caller's to silence or report."""
+    unconverted, for a caller inside ``np.errstate``."""
     g, chi, n = params.g, params.chi, params.n
     height = chi - 1.0
     u = x + 0.5 * g * g * params.maturity
@@ -226,15 +227,12 @@ def _solve(
     zero, a pin with no value at the fitted (g, n), or a fitted smile whose
     derivatives are not finite at its own minimum, raises
     :class:`ConvergenceError`: the fit diverged, the input need not be at fault.
-
-    Trial steps may overflow or divide by zero in numpy; the LM core rejects
-    a step whose cost is not finite, so those floating-point warnings are
-    silenced rather than reported."""
+    The LM core rejects a trial step whose cost is not finite."""
     logs = [math.log(start.g), math.log(start.n)]
     if chi_fixed is None:
         logs.insert(1, math.log(max(start.chi - 1.0, 0.0) + _CHI_FLOOR_EPS))
     maturity = start.maturity
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         result = levenberg_marquardt(
             lambda th: _residuals_and_jacobian(th, xs, vols, maturity, chi_fixed),
             np.array(logs),
@@ -283,7 +281,7 @@ def fit_smile(quotes: list[VolQuote], maturity: float) -> SmileFitResult:
     not finite.
     """
     xs, vols = _quotes_to_arrays(quotes, maturity)
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         quarter = float(xs.max() - xs.min()) / 4.0  # inf, no warning
     try:
         n0 = max(quarter**2, 1e-12)

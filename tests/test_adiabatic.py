@@ -272,8 +272,8 @@ def _inside_box(g, n, t):
     return point is not None and smilecal.adiabatic._box_point(*point) == point
 
 
-class TestJumpedStart:
-    # the fold-guided search, which makes its verdicts next to the fold
+class TestCalibratedBox:
+    # the box of (rho, s) on which the surface is calibrated
     def test_table1_lies_in_the_box(self):
         # rounding puts some lattice points just outside the exact bounds
         assert all(_inside_box(*p) for p in _table1_points())

@@ -1030,6 +1030,105 @@ class TestUnreadableInputs:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestErrorLines:
+    """Each input fault below ends in its exit code and its one ``error:``
+    line; ``{path}`` in a line is the input file."""
+
+    SWEEP_HEADER = "g,T,n,rho,chi_c,status\n"
+    CASES = {
+        "duplicate header": (["fit", "{path}", "--maturity", "0.5"],
+                             "x,vol\n0.0,0.2\nx,vol\n", "{path}: line 3: duplicate header"),
+        "no header": (["fit", "{path}"], "maturity,0.5\n# context only\n",
+                      "{path}: missing header row"),
+        "bad context value": (["fit", "{path}"], "maturity,0.5\nspot,abc\nstrike,vol\n",
+                              "{path}: line 2: bad spot value"),
+        "two params": (["density", "--params", "0.1,2.7", "--maturity", "0.5"], None,
+                       "--params expects G,CHI,N"),
+        "non-number param": (["bl-oracle", "--params", "0.1,abc,0.04", "--maturity", "0.5"],
+                             None, "--params: could not convert string to float: 'abc'"),
+        "params file without n": (["check", "--params-file", "{path}"],
+                                  "g=0.1\nchi=2.7\nmaturity=0.5\n", "{path}: missing key 'n'"),
+        "two-part axis": (["sweep", "--g-range", "0.1:0.2"], None,
+                          "axis spec must be LO:HI:COUNT, got '0.1:0.2'"),
+        "non-number axis": (["sweep", "--rho-range", "3:x:2"], None,
+                            "bad axis spec '3:x:2': could not convert string to float: 'x'"),
+        "sweep header": (["calibrate", "{path}"], "g,T,n\n",
+                         "{path}: expected header g,T,n,rho,chi_c,status"),
+        "sweep row width": (["calibrate", "{path}"], SWEEP_HEADER + "0.1,1,0.03,3,2.0\n",
+                            "{path}: line 2: expected 6 fields"),
+        "sweep number": (["calibrate", "{path}"], SWEEP_HEADER + "0.1,1,abc,3,2.0,ok\n",
+                         "{path}: line 2: could not convert string to float: 'abc'"),
+        "density without smile": (["density"], None,
+                                  "density needs --params G,CHI,N with --maturity, "
+                                  "or --params-file"),
+        "bl-oracle without smile": (["bl-oracle"], None,
+                                    "bl-oracle needs --params G,CHI,N with --maturity, "
+                                    "or --params-file"),
+        "check without smile": (["check"], None,
+                                "check needs a quote file, --params or --params-file"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_with_its_error_line(self, tmp_path, capsys, case):
+        argv, text, line = self.CASES[case]
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        argv = [a.format(path=path) for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {line.format(path=path)}\n"
+
+    def test_blank_sweep_line_is_skipped(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", "--g-range", "0.1:0.1:1", "--rho-range", "3:3:1", "--t-range", "1:1:1",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        path = out / "sweep.csv"
+        path.write_text(path.read_text().replace("\n", "\n\n", 1), encoding="utf-8")
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("sweep: 1 rows, 1 reused, 0 to compute\n")
+
+
+class TestUnconvergedFreeFit:
+    """A parabola ``vol = 0.2 (1 + 2 u^2)``, ``u = x + 0.02``, is the limit of
+    the smile family as chi and n grow: the free fit stops unconverged at
+    200 iterations, and ``check`` and ``refit`` stop there."""
+
+    @pytest.mark.parametrize("command", ["check", "refit"])
+    def test_exit_3(self, tmp_path, capsys, command):
+        path = tmp_path / "q.csv"
+        rows = [f"{x!r},{0.2 * (1.0 + 2.0 * (x + 0.02) ** 2)!r}"
+                for x in np.linspace(-0.5, 0.5, 9).tolist()]
+        path.write_text("maturity,1.0\nx,vol\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONVERGENCE
+        assert capsys.readouterr().err == "fit did not converge\n"
+
+
+class TestSvgOutputs:
+    """The SVG plots of ``fit``, ``refit`` and ``sweep`` are written, and a
+    rerun writes them byte for byte."""
+
+    @pytest.mark.parametrize("command, names", [
+        ("fit", ["smile.svg"]),
+        ("refit", ["refit_density.svg", "refit_smile.svg"]),
+        ("sweep", ["boundary.svg"]),
+    ])
+    def test_rerun_is_byte_identical(self, tmp_path, command, names):
+        if command == "sweep":
+            argv = ["sweep", "--g-range", "0.05:0.3:2", "--rho-range", "3:9:2",
+                    "--t-range", "0.2:1.5:2"]
+        else:
+            argv = [command, str(_write_quotes(tmp_path / "q.csv", NON_ADIABATIC, n_points=15,
+                                               halfspan=0.45))]
+        svgs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main([*argv, "--svg", "--out", str(out)]) == EXIT_OK
+            svgs.append([(out / name).read_bytes() for name in names])
+        assert svgs[0] == svgs[1]
+        assert all(svg.startswith(b"<svg") and b"polyline" in svg for svg in svgs[0])
+
+
 class TestByteOrderMark:
     """An input file that starts with a UTF-8 byte-order mark, with LF or
     CRLF line ends, reads as the plain file does: the same exit code,

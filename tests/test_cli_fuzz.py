@@ -1,11 +1,15 @@
-"""Hostile text variants of valid quote and config files, run through
-``smilecal.cli.main`` in-process: every case ends in a documented exit code
-(0-5), with no exception escaping ``main`` and no ``RuntimeWarning``."""
+"""Hostile text variants of valid quote and config files, and hostile
+smile numbers, run through ``smilecal.cli.main`` in-process: every case
+ends in a documented exit code (0-5), with no exception escaping ``main``
+and no ``RuntimeWarning``. The package's one floating-point rule, every
+``np.errstate`` spelled ``all="ignore"``, is checked on the source."""
 
+import ast
 import contextlib
 import io
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,7 +147,10 @@ def test_every_case_ends_in_a_documented_exit_code(fuzz_dir, case):
     argv, files = case
     for name, text in files.items():
         (fuzz_dir / name).write_bytes(text.encode("utf-8"))
-    argv = [str(fuzz_dir / a) if a in files else a for a in argv]
+    _assert_documented_exit(fuzz_dir, [str(fuzz_dir / a) if a in files else a for a in argv])
+
+
+def _assert_documented_exit(fuzz_dir, argv: list[str]) -> None:
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -151,3 +158,55 @@ def test_every_case_ends_in_a_documented_exit_code(fuzz_dir, case):
         code = main([*argv, "--out", str(fuzz_dir / "out")])
     assert code in range(6), stderr.getvalue()
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+WIDE = st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e))  # log-uniform, 1e-300..1e300
+
+
+@st.composite
+def _smile_numbers(draw) -> list[str]:
+    """``check`` (either mode), ``density`` or ``bl-oracle`` argv on a
+    201-point grid, with g, chi, n and T log-uniform over the float range;
+    chi is either drawn so or 1 plus such a number, and ``bl-oracle`` also
+    draws ``--spot``."""
+    command = draw(st.sampled_from(["check", "density", "bl-oracle"]))
+    chi = draw(st.one_of(WIDE, WIDE.map(lambda c: repr(1.0 + float(c)))))
+    argv = [command, "--params", f"{draw(WIDE)},{chi},{draw(WIDE)}", "--maturity", draw(WIDE),
+            "--grid", "201"]
+    if command == "check":
+        argv += ["--mode", draw(st.sampled_from(["formula", "numeric"]))]
+    if command == "bl-oracle":
+        argv += ["--spot", draw(WIDE)]
+    return argv
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_smile_numbers())
+# a spot far from the strikes overflows d1, and a strike grid whose
+# strikes underflow to 0; both once warned from bs_core
+@example(argv=["bl-oracle", "--params", "1.0000001,1.0000001,640.0552019112725",
+               "--maturity", "846.7202085880854", "--spot", "1e200"])
+@example(argv=["bl-oracle", "--params", "0.5,20,1", "--maturity", "100"])
+# the curvature factor overflows or divides inf by inf, and the grid's
+# width is not finite; each once warned from density
+@example(argv=["density", "--params", "1e10,1e150,1e10", "--maturity", "1e10", "--grid", "201"])
+@example(argv=["density", "--params", "1e300,210.54654510770922,919.5924988003864",
+               "--maturity", "0.1", "--grid", "201"])
+@example(argv=["check", "--params", "24.444074325898978,1e300,24.444074325898978",
+               "--maturity", "721.831930458675", "--mode", "numeric", "--grid", "201"])
+def test_every_smile_ends_in_a_documented_exit_code(fuzz_dir, argv):
+    _assert_documented_exit(fuzz_dir, argv)
+
+
+def test_every_errstate_ignores_all():
+    # one rule: numpy stays silent, and the named finiteness checks decide
+    src = Path(__file__).resolve().parents[1] / "src" / "smilecal"
+    calls = [node for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "errstate"]
+    assert calls
+    for call in calls:
+        assert not call.args
+        assert [(k.arg, ast.literal_eval(k.value)) for k in call.keywords] == [("all", "ignore")]

@@ -13,13 +13,14 @@ own scratch directory, with the same relative input and output paths:
   ``--svg``;
 * every ``refit`` of the desk rounds of seeds 1-40;
 * a 3x3x3 ``sweep`` followed by a ``calibrate`` of its CSV, the same
-  27-point ``sweep`` with a config file setting ``chi-tol=1e-6`` and with
-  ``--span 20``, where the fold is off by more than the final bracket and
-  the search retries with real verdicts around it, with ``--grid 16001``
-  and with ``--span 4 --grid 101``, the finest and the coarsest grid
-  spacing for the window verdict's slice of the grid, and the 216-point
-  Table-1 ``sweep`` with the default settings, with ``--grid 8001`` and
-  with a config file setting ``chi-tol=0.01``;
+  27-point ``sweep`` with ``--svg``, with a config file setting
+  ``chi-tol=1e-6`` and with ``--span 20``, where the fold is off by more
+  than the final bracket and the search retries with real verdicts
+  around it, with ``--grid 16001`` and with ``--span 4 --grid 101``, the
+  finest and the coarsest grid spacing for the window verdict's slice of
+  the grid, and the 216-point Table-1 ``sweep`` with the default
+  settings, with ``--grid 8001`` and with a config file setting
+  ``chi-tol=0.01``;
 * the 72-point ``sweep`` with g in 3e-4..3 and rho in 0.3..60 at T = 1,
   62 of whose points lie outside the calibrated box, and ``check --mode
   numeric`` on two ``--params`` smiles outside the box (rho 40 and 60);
@@ -48,6 +49,12 @@ own scratch directory, with the same relative input and output paths:
   1e300`` on a 5-row x file, which must exit 3, and ``check`` and
   ``density`` with ``--params 1e-200,1.5,1e-300 --maturity 0.5`` and
   ``--params 1e-150,1.5,1e300 --maturity 1``, which must exit 2;
+* five smiles whose numbers leave the float range, each of which once
+  printed a numpy ``RuntimeWarning``: ``bl-oracle`` with ``--spot 1e200``
+  far from its strikes (exit 0) and with strikes that underflow to 0,
+  ``density`` whose curvature factor overflows and whose grid width is not
+  finite, and ``check --mode numeric`` whose factor divides inf by inf
+  (each exit 2);
 * ``check --params-file`` on the report of an earlier ``fit``, with a
   ``#`` comment and a blank line appended to it, and ``check --params``
   with a ``--config`` file holding a line without ``=``, an unknown key,
@@ -134,6 +141,17 @@ OUT_OF_BOX_SMILES = {"rho40": ["--params", "0.1,4.0,0.2", "--maturity", "0.5"],
                      "rho60": ["--params", "0.8,2.0,38.4", "--maturity", "1"]}
 EXTREME_SMILES = {"tiny": ["--params", "1e-200,1.5,1e-300", "--maturity", "0.5"],
                   "huge_n": ["--params", "1e-150,1.5,1e300", "--maturity", "1"]}
+FLOAT_RANGE_SMILES = {
+    "oracle_spot_far": ["bl-oracle", "--params", "1.0000001,1.0000001,640.0552019112725",
+                        "--maturity", "846.7202085880854", "--spot", "1e200"],
+    "density_factor_overflow": ["density", "--params", "1e10,1e150,1e10", "--maturity", "1e10",
+                                "--grid", "201"],
+    "density_grid_width": ["density", "--params", "1e300,210.54654510770922,919.5924988003864",
+                           "--maturity", "0.1", "--grid", "201"],
+    "check_factor_nan": ["check", "--params", "24.444074325898978,1e300,24.444074325898978",
+                         "--maturity", "721.831930458675", "--mode", "numeric", "--grid", "201"],
+    "oracle_strike_underflow": ["bl-oracle", "--params", "0.5,20,1", "--maturity", "100"],
+}
 
 
 def command_set() -> tuple[list[dict], dict[str, str]]:
@@ -167,6 +185,8 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
                      "argv": ["sweep", *SMALL_AXES, "--out", "sweep_small"]})
     commands.append({"id": "sweep_small/calibrate",
                      "argv": ["calibrate", "sweep_small/sweep.csv", "--out", "sweep_small"]})
+    commands.append({"id": "sweep_small_svg",
+                     "argv": ["sweep", *SMALL_AXES, "--svg", "--out", "sweep_small_svg"]})
     commands.append({"id": "sweep_small_fine_tol",
                      "argv": ["sweep", *SMALL_AXES, "--config", "fine_tol.cfg",
                               "--out", "sweep_small_fine_tol"]})
@@ -225,6 +245,8 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     for (name, args), command in product(EXTREME_SMILES.items(), ("check", "density")):
         out = f"extreme_{name}_{command}"
         commands.append({"id": out, "argv": [command, *args, "--out", out]})
+    for name, argv in FLOAT_RANGE_SMILES.items():
+        commands.append({"id": name, "argv": [*argv, "--out", name]})
     commands.append({"id": "params_file_fit",
                      "argv": ["fit", "extreme.csv", "--maturity", "0.5", "--out", "params_file"]})
     commands.append({"id": "params_file_append",
