@@ -28,10 +28,12 @@ Settings come, in order of precedence, from flags, a ``--config`` file of
 ``key=value`` lines, the SMILECAL_OUT environment variable (output
 directory only) and built-in defaults. Each setting is one
 :class:`RunConfig` field, named by its config key with ``_`` for ``-``:
-config key ``chi-max`` is field ``chi_max`` and flag ``--chi-max``.
-``chi-tol`` is config-only. An input file that cannot be read or is not
-UTF-8 text, or an output directory that cannot be created, exits 2, like
-an input that cannot be parsed.
+config key ``chi-max`` is field ``chi_max`` and flag ``--chi-max``. A flag
+exists on the commands that read it; a config file may set any key for
+any command. ``chi-tol`` is config-only. An input file that cannot be read
+or is not UTF-8 text, or an output directory that cannot be created, exits
+2, like an input that cannot be parsed, a flag the command does not take
+or two smile sources given at once.
 
 ``refit`` hands the free fit and the check's ``chi_c`` to
 :func:`smilecal.adiabatic.adiabatic_refit`, which keeps the fit or pins chi
@@ -277,17 +279,23 @@ def quotes_from_file(
 # ----------------------------------------------------------------------
 
 
-def _market_context(args, qf: QuoteFile | None = None) -> tuple[float, float]:
+def _market_context(args, context: dict) -> tuple[float, float]:
     """Spot and rate: the flag, else the quote file's context row, else 1 and 0."""
-    context = {} if qf is None else qf.context
     spot = context.get("spot", 1.0) if args.spot is None else args.spot
     rate = context.get("rate", 0.0) if args.rate is None else args.rate
     return spot, rate
 
 
 def _params_from_args(args) -> SmileParams | None:
-    """Smile parameters from --params G,CHI,N or a --params-file report;
-    ``None`` only for a ``check`` that fits its quote file instead."""
+    """Smile parameters from one source, --params G,CHI,N or a --params-file
+    report; ``None`` only for a ``check`` that fits its quote file instead."""
+    quotefile = getattr(args, "quotefile", None)
+    given = [name for name, value in [(f"quote file {quotefile}", quotefile),
+             ("--params", args.params), ("--params-file", args.params_file)] if value]
+    if len(given) > 1:
+        raise QuoteFormatError(f"{given[0]} and {given[1]} both give the smile; pass one")
+    if args.params_file and args.maturity is not None:
+        raise QuoteFormatError("--params-file and --maturity both give the maturity; pass one")
     if args.params:
         parts = args.params.split(",")
         if len(parts) != 3:
@@ -310,7 +318,7 @@ def _params_from_args(args) -> SmileParams | None:
         return SmileParams(**values)
     if args.command != "check":
         raise QuoteFormatError(f"{args.command} needs --params G,CHI,N with --maturity, or --params-file")
-    if not args.quotefile:
+    if not quotefile:
         raise QuoteFormatError("check needs a quote file, --params or --params-file")
     return None
 
@@ -320,7 +328,7 @@ def _fit_from_quote_args(args) -> tuple[list[VolQuote], SmileFitResult]:
     maturity = qf.context.get("maturity") if args.maturity is None else args.maturity
     if maturity is None:
         raise QuoteFormatError("maturity required: pass --maturity or a maturity context row")
-    quotes = quotes_from_file(qf, maturity, *_market_context(args, qf))
+    quotes = quotes_from_file(qf, maturity, *_market_context(args, qf.context))
     return quotes, fit_smile(quotes, maturity)
 
 
@@ -643,11 +651,14 @@ def cmd_calibrate(args, cfg: RunConfig, out: Path) -> int:
 
 def cmd_bl_oracle(args, cfg: RunConfig, out: Path) -> int:
     params = _params_from_args(args)
-    spot, rate = _market_context(args)
+    spot, rate = _market_context(args, {})
     env = MarketEnv(spot=spot, rate=rate, maturity=params.maturity)
 
     curve = dens.density_curve(params, points=cfg.grid, span=cfg.span)
     strikes = x_to_strike(env, curve.xs)
+    if not (strikes[0] > 0.0 and math.isfinite(strikes[-1])):
+        raise DomainError(f"grid x in [{curve.xs[0]}, {curve.xs[-1]}] with rT = "
+                          f"{rate * params.maturity} maps to strikes of 0 or inf")
     vol_fn = dens.smile_vol_of_strike(env, params)
     step = None if cfg.step_frac is None else strikes * cfg.step_frac
     oracle, err = dens.bl_density_oracle(env, vol_fn, strikes, step=step)
@@ -672,26 +683,43 @@ def cmd_bl_oracle(args, cfg: RunConfig, out: Path) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--maturity", type=float, default=None, help="time to maturity in years")
-    p.add_argument("--spot", type=float, default=None, help="spot price (default 1)")
-    p.add_argument("--rate", type=float, default=None, help="risk-free rate (default 0)")
-    p.add_argument("--grid", type=int, default=None, help="density grid points")
-    p.add_argument("--span", type=float, default=None, help="grid half-width in smile scales")
-    p.add_argument("--chi-max", type=float, default=None, help="upper end of the chi search")
-    p.add_argument("--mode", choices=("formula", "numeric"), default=None,
-                   help="how to evaluate the critical ratio")
-    p.add_argument("--step-frac", type=float, default=None,
-                   help="oracle stencil step as a fraction of strike")
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--svg", action="store_true", default=None, help="also render SVG plots")
-    p.add_argument("--config", type=str, default=None, help="key=value config file")
-
-
-def _add_params_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--params", type=str, default=None, help="smile parameters G,CHI,N")
-    p.add_argument("--params-file", type=str, default=None,
-                   help="key=value file with g, chi, n, maturity")
+# each flag's argparse settings, in the order usage lists them
+_FLAGS = {
+    "--params": dict(help="smile parameters G,CHI,N"),
+    "--params-file": dict(help="key=value file with g, chi, n, maturity"),
+    "--g-range": dict(help="LO:HI:COUNT (default 0.03:0.5:6)"),
+    "--rho-range": dict(help="LO:HI:COUNT (default 2.5:10:6)"),
+    "--t-range": dict(help="LO:HI:COUNT (default 1/365:4:6)"),
+    "--maturity": dict(type=float, help="time to maturity in years"),
+    "--spot": dict(type=float, help="spot price (default 1)"),
+    "--rate": dict(type=float, help="risk-free rate (default 0)"),
+    "--grid": dict(type=int, help="density grid points"),
+    "--span": dict(type=float, help="grid half-width in smile scales"),
+    "--chi-max": dict(type=float, help="upper end of the chi search"),
+    "--mode": dict(choices=("formula", "numeric"), help="how to evaluate the critical ratio"),
+    "--step-frac": dict(type=float, help="oracle stencil step as a fraction of strike"),
+    "--out": dict(help="output directory"),
+    "--svg": dict(action="store_true", default=None, help="also render SVG plots"),
+    "--config": dict(help="key=value config file"),
+}
+_FIT = ("--maturity", "--spot", "--rate", "--svg")
+_GRID = ("--grid", "--span")
+_SEARCH = (*_GRID, "--chi-max", "--mode")
+_SMILE = ("--params", "--params-file", "--maturity")
+# command: (help, its positional argument, "?" marking it optional, or None,
+# and the flags the command reads besides --out and --config)
+_COMMANDS = {
+    "fit": ("fit the smile to a quote file", "quotefile", _FIT),
+    "check": ("adiabatic check and density report", "quotefile?", (*_SMILE, *_FIT, *_SEARCH)),
+    "refit": ("fit, check, and constrain if needed", "quotefile", (*_FIT, *_SEARCH)),
+    "density": ("evaluate the implied density on the standard grid", None,
+                (*_SMILE, *_GRID, "--svg")),
+    "sweep": ("map the critical ratio over a parameter lattice", None,
+              ("--g-range", "--rho-range", "--t-range", *_GRID, "--chi-max", "--svg")),
+    "calibrate": ("fit the critical-ratio surface to a sweep CSV", "sweepfile", ()),
+    "bl-oracle": ("finite-difference density vs the closed form", None,
+                  (*_SMILE, "--spot", "--rate", *_GRID, "--step-frac")),
+}
 
 
 @cache
@@ -701,41 +729,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="volatility smile calibration with risk-neutral density validation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="fit the smile to a quote file")
-    p.add_argument("quotefile")
-    _add_common(p)
-
-    p = sub.add_parser("check", help="adiabatic check and density report")
-    p.add_argument("quotefile", nargs="?")
-    _add_params_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("refit", help="fit, check, and constrain if needed")
-    p.add_argument("quotefile")
-    _add_common(p)
-
-    p = sub.add_parser("density", help="evaluate the implied density on the standard grid")
-    _add_params_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="map the critical ratio over a parameter lattice")
-    p.add_argument("--g-range", type=str, default="",
-                   help="LO:HI:COUNT (default 0.03:0.5:6)")
-    p.add_argument("--rho-range", type=str, default="",
-                   help="LO:HI:COUNT (default 2.5:10:6)")
-    p.add_argument("--t-range", type=str, default="",
-                   help="LO:HI:COUNT (default 1/365:4:6)")
-    _add_common(p)
-
-    p = sub.add_parser("calibrate", help="fit the critical-ratio surface to a sweep CSV")
-    p.add_argument("sweepfile")
-    _add_common(p)
-
-    p = sub.add_parser("bl-oracle", help="finite-difference density vs the closed form")
-    _add_params_flags(p)
-    _add_common(p)
-
+    for name, (help_text, positional, reads) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if positional:
+            p.add_argument(positional.rstrip("?"), nargs="?" if positional[-1] == "?" else None)
+        for flag, settings in _FLAGS.items():
+            if flag in reads or flag in ("--out", "--config"):
+                p.add_argument(flag, **settings)
     return parser
 
 

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -966,19 +967,23 @@ class TestConfigAndDeterminism:
         key = field.replace("_", "-")
         path = tmp_path / "c.cfg"
         path.write_text(f"{key}={config_value}\n", encoding="utf-8")
-        argv = ["check", "--config", str(path)]
-
-        def resolved(*extra):
-            return getattr(cli.resolve_config(cli.build_parser().parse_args([*argv, *extra])),
-                           field)
-
-        assert config_sets != getattr(cli.RunConfig(), field)
-        assert resolved() == config_sets  # svg=yes survives a command line without --svg
-        has_flag = f"--{key}" in _subparsers()["check"]._option_string_actions
-        assert has_flag == (flag is not None)
+        readers = {c for c, reads in COMMAND_FLAGS.items() if f"--{key}" in reads | EVERY_COMMAND}
+        assert bool(readers) == (flag is not None)
         assert flag is None or flag[0] == f"--{key}"
-        if flag is not None:
-            assert resolved(*flag) == flag_sets  # the flag overrides the config key
+        assert config_sets != getattr(cli.RunConfig(), field)
+        for command, sub in _subparsers().items():
+            argv = [command, *POSITIONALS.get(command, ()), "--config", str(path)]
+
+            def resolved(*extra):
+                args = cli.build_parser().parse_args([*argv, *extra])
+                return getattr(cli.resolve_config(args), field)
+
+            # any command's config file sets any key; svg=yes survives a
+            # command line without --svg
+            assert resolved() == config_sets, command
+            assert (f"--{key}" in sub._option_string_actions) == (command in readers), command
+            if command in readers:
+                assert resolved(*flag) == flag_sets, command  # the flag overrides the key
 
     def test_svg_flag_overrides_config_no(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -988,9 +993,93 @@ class TestConfigAndDeterminism:
         assert cli.resolve_config(cli.build_parser().parse_args([*args, "--svg"])).svg is True
 
     def test_usage_names_grid_and_out(self):
-        for name, sub in _subparsers().items():
-            usage = sub.format_usage()
-            assert "[--grid GRID]" in usage and "[--out OUT]" in usage, name
+        # each usage names exactly the flags its command reads, --out and --config
+        subparsers = _subparsers()
+        assert subparsers.keys() == COMMAND_FLAGS.keys()
+        for name, sub in subparsers.items():
+            named = set(re.findall(r"\[(--[a-z-]+)", sub.format_usage()))
+            assert named == COMMAND_FLAGS[name] | EVERY_COMMAND, name
+
+
+_FIT_FLAGS = {"--maturity", "--spot", "--rate", "--svg"}
+_SEARCH_FLAGS = {"--grid", "--span", "--chi-max", "--mode"}
+# the flags each command reads, besides those of EVERY_COMMAND
+COMMAND_FLAGS = {
+    "fit": _FIT_FLAGS,
+    "check": _FIT_FLAGS | _SEARCH_FLAGS | {"--params", "--params-file"},
+    "refit": _FIT_FLAGS | _SEARCH_FLAGS,
+    "density": {"--params", "--params-file", "--maturity", "--grid", "--span", "--svg"},
+    "sweep": {"--g-range", "--rho-range", "--t-range", "--grid", "--span", "--chi-max", "--svg"},
+    "calibrate": set(),
+    "bl-oracle": {"--params", "--params-file", "--maturity", "--spot", "--rate", "--grid",
+                  "--span", "--step-frac"},
+}
+EVERY_COMMAND = {"--out", "--config"}
+# the market-context and setting flags; a command takes those it reads and
+# refuses the rest
+SHARED_FLAGS = ("--maturity", "--spot", "--rate", "--grid", "--span", "--chi-max", "--mode",
+                "--step-frac", "--out", "--svg", "--config")
+# the positional arguments a command needs to parse; no file is read
+POSITIONALS = {"fit": ("q.csv",), "refit": ("q.csv",), "calibrate": ("sweep.csv",)}
+
+
+class TestFlagsPerCommand:
+    """A flag a command does not read exits 2 in argparse, with
+    ``unrecognized arguments``; a flag it takes changes its outcome."""
+
+    # the command of each name, run on a strike-quoted file, a sweep CSV
+    # holding only its header, or the smile of Figure 1
+    BASE = {
+        "fit": ["fit", "{quotes}"],
+        "check": ["check", "{quotes}"],
+        "refit": ["refit", "{quotes}"],
+        "density": ["density", "--params", "0.1,2.7,0.04", "--maturity", "0.5"],
+        "sweep": ["sweep", "--g-range", "0.1:0.1:1", "--rho-range", "3:3:1", "--t-range", "1:1:1"],
+        "calibrate": ["calibrate", "{sweep}"],
+        "bl-oracle": ["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "0.5"],
+    }
+    # each flag with a value that makes a command reading it exit 2 (a
+    # hostile value), write an SVG file or change its report
+    PROBES = {
+        "--maturity": ["--maturity", "-1"],
+        "--spot": ["--spot", "-1"],
+        "--rate": ["--rate", "nan"],
+        "--grid": ["--grid", "5"],
+        "--span": ["--span", "nan"],
+        "--chi-max": ["--chi-max", "inf"],
+        "--mode": ["--mode", "numeric"],
+        "--step-frac": ["--step-frac", "0"],
+        "--out": ["--out", "{afile}"],
+        "--svg": ["--svg"],
+        "--config": ["--config", "{missing}"],
+    }
+
+    @pytest.mark.parametrize("flag", SHARED_FLAGS)
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_flag_is_read_or_refused(self, tmp_path, capsys, command, flag):
+        lines = ["maturity,0.5", "strike,vol"]
+        for x in ADIABATIC.x_min + np.linspace(-0.15, 0.15, 11):
+            lines.append(f"{math.exp(float(x))!r},{sigma_of_x(ADIABATIC, float(x))!r}")
+        paths = {"quotes": tmp_path / "k.csv", "sweep": tmp_path / "sweep.csv",
+                 "afile": tmp_path / "afile", "missing": tmp_path / "missing.cfg"}
+        paths["quotes"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        paths["sweep"].write_text("g,T,n,rho,chi_c,status\n", encoding="utf-8")
+        paths["afile"].write_text("not a directory\n", encoding="utf-8")
+        probe = [a.format(**paths) for a in self.PROBES[flag]]
+
+        def outcome(extra, out):
+            argv = [a.format(**paths) for a in self.BASE[command]]
+            code = main([*argv, "--out", str(out), *extra])
+            files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+            return code, files
+
+        if flag in COMMAND_FLAGS[command] | EVERY_COMMAND:
+            assert outcome(probe, tmp_path / "probe") != outcome([], tmp_path / "base")
+        else:
+            with pytest.raises(SystemExit) as exc:
+                outcome(probe, tmp_path / "probe")
+            assert exc.value.code == EXIT_PARSE
+            assert f"error: unrecognized arguments: {' '.join(probe)}\n" in capsys.readouterr().err
 
 
 def _subparsers() -> dict:
@@ -1066,6 +1155,33 @@ class TestErrorLines:
                                     "or --params-file"),
         "check without smile": (["check"], None,
                                 "check needs a quote file, --params or --params-file"),
+        "quote file and params": (["check", "{path}", "--params", "0.1,2.7,0.04",
+                                   "--maturity", "0.5"], "maturity,0.5\nx,vol\n0.0,0.2\n",
+                                  "quote file {path} and --params both give the smile; pass one"),
+        "quote file and params file": (["check", "{path}", "--params-file", "{path}"],
+                                       "g=0.1\nchi=2.7\nn=0.04\nmaturity=0.5\n",
+                                       "quote file {path} and --params-file both give the "
+                                       "smile; pass one"),
+        "params and params file": (["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity",
+                                    "0.5", "--params-file", "{path}"],
+                                   "g=0.1\nchi=2.7\nn=0.04\nmaturity=0.5\n",
+                                   "--params and --params-file both give the smile; pass one"),
+        "maturity and params file": (["density", "--params-file", "{path}", "--maturity", "99"],
+                                     "g=0.1\nchi=2.7\nn=0.04\nmaturity=0.5\n",
+                                     "--params-file and --maturity both give the maturity; "
+                                     "pass one"),
+        # bl-oracle's strikes spot * exp(x + rT) leave the floats on the grid
+        "oracle strikes underflow": (["bl-oracle", "--params", "0.5,20,1", "--maturity", "100"],
+                                     None, "grid x in [-1012.5, 987.5] with rT = 0.0 maps to "
+                                     "strikes of 0 or inf"),
+        "oracle rate underflow": (["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "10",
+                                   "--rate=-8.783151347764393e+237"], None,
+                                  "grid x in [-8.588149682454626, 8.488149682454624] with rT = "
+                                  "-8.783151347764392e+238 maps to strikes of 0 or inf"),
+        "oracle rate overflow": (["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "10",
+                                  "--rate=1689.2999866616678"], None,
+                                 "grid x in [-8.588149682454626, 8.488149682454624] with rT = "
+                                 "16892.99986661668 maps to strikes of 0 or inf"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -9,8 +9,8 @@ each tree's demos are read from the ``demos`` directory next to its
 ``src``. One fresh interpreter per tree runs the same command set in its
 own scratch directory, with the same relative input and output paths:
 
-* the desk commands of ``bench/gen.py`` seeds 3 and 7, with and without
-  ``--svg``;
+* the desk commands of ``bench/gen.py`` seeds 3 and 7, without ``--svg``
+  and with it on each command that reads it (all but ``bl-oracle``);
 * every ``refit`` of the desk rounds of seeds 1-40;
 * a 3x3x3 ``sweep`` followed by a ``calibrate`` of its CSV, the same
   27-point ``sweep`` with ``--svg``, with a config file setting
@@ -55,10 +55,17 @@ own scratch directory, with the same relative input and output paths:
   ``density`` whose curvature factor overflows and whose grid width is not
   finite, and ``check --mode numeric`` whose factor divides inf by inf
   (each exit 2);
+* ``bl-oracle`` whose strikes ``spot * exp(x + rT)`` overflow to inf or
+  underflow to 0 at a hostile ``--rate``, which must exit 2;
 * ``check --params-file`` on the report of an earlier ``fit``, with a
   ``#`` comment and a blank line appended to it, and ``check --params``
   with a ``--config`` file holding a line without ``=``, an unknown key,
   ``chi_tol=abc`` or `` CHI-MAX = 5 ``;
+* a flag the command does not read (``bl-oracle --svg``, ``fit --grid
+  201``, ``calibrate --maturity 1``, ``density --spot 2``, ``sweep --mode
+  numeric``), and two smile sources at once (``check`` on a quote file
+  with ``--params``, ``density`` with ``--params`` and ``--params-file``,
+  and with ``--params-file`` and ``--maturity``), which must exit 2;
 * demos 01-05, each from its own working directory.
 
 Commands run in-process through ``smilecal.cli.main``. Every warning is
@@ -152,6 +159,28 @@ FLOAT_RANGE_SMILES = {
                          "--maturity", "721.831930458675", "--mode", "numeric", "--grid", "201"],
     "oracle_strike_underflow": ["bl-oracle", "--params", "0.5,20,1", "--maturity", "100"],
 }
+STRIKE_RANGE = {
+    "oracle_rate_underflow": ["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "10",
+                              "--rate=-8.783151347764393e+237"],
+    "oracle_rate_overflow": ["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "10",
+                             "--rate=1689.2999866616678"],
+}
+# the commands that take --svg
+SVG_COMMANDS = ("fit", "check", "refit", "density", "sweep")
+# flags a command does not read, and two smile sources at once; run after
+# params_file/fit.txt and sweep_small/sweep.csv are written
+REFUSED = {
+    "refused_oracle_svg": ["bl-oracle", *FIG1_ARGS, "--svg"],
+    "refused_fit_grid": ["fit", "extreme.csv", "--maturity", "0.5", "--grid", "201"],
+    "refused_calibrate_maturity": ["calibrate", "sweep_small/sweep.csv", "--maturity", "1"],
+    "refused_density_spot": ["density", *FIG1_ARGS, "--spot", "2"],
+    "refused_sweep_mode": ["sweep", *SMALL_AXES, "--mode", "numeric"],
+    "conflict_quotes_params": ["check", "extreme.csv", *FIG1_ARGS],
+    "conflict_params_params_file": ["density", *FIG1_ARGS, "--params-file",
+                                    "params_file/fit.txt"],
+    "conflict_params_file_maturity": ["density", "--params-file", "params_file/fit.txt",
+                                      "--maturity", "99"],
+}
 
 
 def command_set() -> tuple[list[dict], dict[str, str]]:
@@ -173,7 +202,7 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
         files.update(round_files)
         for op in ops:
             if only is None or op.command == only:
-                argv = list(op.argv) + (["--svg"] if svg else [])
+                argv = list(op.argv) + (["--svg"] if svg and op.command in SVG_COMMANDS else [])
                 commands.append({"id": op.out, "argv": argv})
 
     for seed in (3, 7):
@@ -245,7 +274,7 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     for (name, args), command in product(EXTREME_SMILES.items(), ("check", "density")):
         out = f"extreme_{name}_{command}"
         commands.append({"id": out, "argv": [command, *args, "--out", out]})
-    for name, argv in FLOAT_RANGE_SMILES.items():
+    for name, argv in {**FLOAT_RANGE_SMILES, **STRIKE_RANGE}.items():
         commands.append({"id": name, "argv": [*argv, "--out", name]})
     commands.append({"id": "params_file_fit",
                      "argv": ["fit", "extreme.csv", "--maturity", "0.5", "--out", "params_file"]})
@@ -254,6 +283,8 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     commands.append({"id": "params_file_check",
                      "argv": ["check", "--params-file", "params_file/fit.txt",
                               "--out", "params_file/check"]})
+    for name, argv in REFUSED.items():
+        commands.append({"id": name, "argv": [*argv, "--out", name]})
     for name in HOSTILE_CONFIGS:
         out = name.removesuffix(".cfg")
         commands.append({"id": out, "argv": ["check", *FIG1_ARGS, "--config", name,
