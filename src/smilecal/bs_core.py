@@ -10,6 +10,10 @@ Conventions used throughout the package:
 All functions are pure; array arguments broadcast and scalar arguments
 return plain floats. Numpy arithmetic runs under ``np.errstate(all="ignore")``:
 a value that leaves the float range is rejected by a named check, not warned of.
+
+The normal CDF and its inverse are ports of Cephes ``ndtr`` and ``ndtri``,
+equal to ``scipy.special.ndtr`` and ``ndtri`` bit for bit; the package
+imports no scipy.
 """
 
 from __future__ import annotations
@@ -77,23 +81,32 @@ def _as_float_or_array(out: np.ndarray, *inputs) -> float | np.ndarray:
     return out
 
 
-# The normal CDF is scipy's ``ndtr``. scipy.special costs more to import
-# than the rest of the package, so it is loaded on the first CDF
-# evaluation, and commands that never price an option do not pay for it.
-# The inverse is Cephes ``ndtri`` (S. L. Moshier, Methods and Programs for
-# Mathematical Functions, 1989), the routine scipy runs, ported term for
-# term: the same coefficients, Horner order and expression order, with
-# libm's ``log`` and ``sqrt`` through ``math`` as in the C, so it equals
-# ``scipy.special.ndtri`` bit for bit and delta conversion needs no scipy.
-# ``ndtr`` is not ported: its ``exp`` would have to be libm's too, and
-# ``np.exp`` differs from it in the last bit on about 4.5% of arguments, so
-# only an element-by-element loop could match scipy, too slow for the
-# pricing grids.
-def _ndtr(z):
-    from scipy.special import ndtr
-
-    return ndtr(z)
-
+# The normal CDF and its inverse are Cephes ``ndtr`` and ``ndtri`` (S. L.
+# Moshier, Methods and Programs for Mathematical Functions, 1989), the
+# routines scipy runs, ported term for term: the same coefficients, Horner
+# order, expression order and branch edges, so each equals scipy's bit for
+# bit. ``ndtri`` runs per float, with libm's ``log`` and ``sqrt`` through
+# ``math`` as in the C. ``ndtr`` runs on arrays, one boolean-selected branch
+# at a time: numpy's elementwise add, multiply and divide round as C's do.
+_SQRT1_2 = 7.07106781186547524401e-1  # 1/sqrt(2)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX); erfc is 0 past exp(-MAXLOG)
+# erf on |x| < 1, x * T(x^2) / U(x^2); each U, Q and S has an implicit leading 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+# erfc on 1 <= x < 8, exp(-x^2) P(x) / Q(x)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# and on x >= 8, exp(-x^2) R(x) / S(x)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 
 _EXP_M2 = 0.13533528323661269189  # exp(-2), the central range's edge
 _S2PI = 2.50662827463100050242  # sqrt(2 pi)
@@ -127,18 +140,57 @@ _NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
              2.89247864745380683936e-6, 6.79019408009981274425e-9)
 
 
-def _polevl(x: float, coef: tuple) -> float:
+# Horner steps ans = ans * x + c, in place: an array step makes no temporary
+def _polevl(x, coef: tuple):
     ans = coef[0]
     for c in coef[1:]:
-        ans = ans * x + c
+        ans *= x
+        ans += c
     return ans
 
 
-def _p1evl(x: float, coef: tuple) -> float:
+def _p1evl(x, coef: tuple):
     ans = x + coef[0]
     for c in coef[1:]:
-        ans = ans * x + c
+        ans *= x
+        ans += c
     return ans
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Cephes ``erfc`` on an array of x >= 1 (NaN passes through)."""
+    z = -x * x
+    # libm's exp, as in the C: numpy's real exp differs from it in the last
+    # bit on some arguments, but numpy's complex exp calls libm's cexp, which
+    # for a zero imaginary part and a real part of at most 709 (here z <= -1)
+    # returns exp(re) * 1.0
+    e = np.exp(z.astype(complex)).real
+    y = np.empty_like(x)
+    near = x < 8.0
+    for sel, p, q in ((near, _ERFC_P, _ERFC_Q), (~near, _ERFC_R, _ERFC_S)):
+        s = x[sel]
+        y[sel] = e[sel] * _polevl(s, p) / _p1evl(s, q)
+    y[z < -_MAXLOG] = 0.0
+    return y
+
+
+def _ndtr(a):
+    """Normal CDF: ``np.float64`` for a 0-d input, else an array of its shape."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(all="ignore"):
+        x = a * _SQRT1_2
+        z = np.abs(x)
+        y = np.empty_like(x)
+        # 0.5 + 0.5 erf(x) where |x| < 1 (erf is odd, so the C's -erf(-x) for
+        # x < 0 has the same bits), else 0.5 erfc(|x|), taken from 1 if x > 0
+        mid = z < 1.0
+        xm = x[mid]
+        zz = xm * xm
+        y[mid] = 0.5 + 0.5 * (xm * _polevl(zz, _ERF_T) / _p1evl(zz, _ERF_U))
+        tail = ~mid
+        half = 0.5 * _erfc(z[tail])
+        y[tail] = np.where(x[tail] > 0.0, 1.0 - half, half)
+    return y[()]
 
 
 def _ndtri_float(y0: float) -> float:
@@ -308,7 +360,7 @@ def delta_to_x(
     ``x = vol**2 * T / 2 - vol * sqrt(T) * N^{-1}(delta)``; the quoting
     convention evaluates it with the quote's own volatility. ``N^{-1}`` is
     the package's own port of Cephes ``ndtri``, bit-identical to
-    ``scipy.special.ndtri``, so a delta conversion does not import scipy.
+    ``scipy.special.ndtri``.
     """
     delta_a = np.asarray(delta, dtype=float)
     vol_a = np.asarray(vol, dtype=float)

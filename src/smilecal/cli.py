@@ -199,17 +199,25 @@ def write_csv(path: Path, header: list[str], columns) -> None:
 
     Each column's format is chosen once from its dtype: ``%.17g`` for
     floats, ``%s`` for anything else, the same text :func:`_fmt` gives
-    value by value. Rows are formatted and written 1024 at a time, so only
-    one block's values are held as Python objects.
+    value by value. A float column object passed more than once is
+    formatted once and its text written at each place. Rows are formatted
+    and written 1024 at a time, so only one block's values are held as
+    Python objects.
     """
     columns = [np.asarray(c) for c in columns]
-    row_fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    ids = [id(c) for c in columns]
+    shared = {i for i, c in zip(ids, columns) if c.dtype.kind == "f" and ids.count(i) > 1}
+    row_fmt = ",".join("%.17g" if c.dtype.kind == "f" and i not in shared else "%s"
+                       for i, c in zip(ids, columns)) + "\n"
     rows = len(columns[0]) if columns else 0
     with path.open("w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, rows, 1024):
-            block = [c[start:start + 1024].tolist() for c in columns]
-            f.write((row_fmt * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
+            block = {i: c[start:start + 1024].tolist() for i, c in zip(ids, columns)}
+            for i in shared:
+                block[i] = list(map("%.17g".__mod__, block[i]))
+            f.write((row_fmt * len(block[ids[0]]))
+                    % tuple(chain.from_iterable(zip(*map(block.get, ids)))))
 
 
 def parse_quote_file(path: str) -> QuoteFile:
@@ -462,9 +470,12 @@ def cmd_refit(args, cfg: RunConfig, out: Path) -> int:
     free_curve = dens.density_curve(free.params, points=cfg.grid, span=cfg.span)
     xs = free_curve.xs
     vol_free = sigma_of_x(free.params, xs)
-    vol_final = sigma_of_x(final.params, xs)
     p_free = free_curve.ps
-    p_final = dens.return_density(final.params, xs)
+    if final is free:  # the same arrays, so write_csv formats each once
+        vol_final, p_final = vol_free, p_free
+    else:
+        vol_final = sigma_of_x(final.params, xs)
+        p_final = dens.return_density(final.params, xs)
     write_csv(
         out / "refit_comparison.csv",
         ["x", "vol_unconstrained", "vol_constrained", "density_unconstrained", "density_constrained"],
@@ -722,13 +733,24 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser refuses the arguments it does not take itself, so
+    the error names the command and shows its usage, not the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smilecal",
         description="volatility smile calibration with risk-neutral density validation",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, (help_text, positional, reads) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if positional:

@@ -5,6 +5,7 @@ this file or frozen from them.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from smilecal import (
     strike_to_x,
     x_to_strike,
 )
-from smilecal.bs_core import _ndtri
+from smilecal.bs_core import _ndtr, _ndtri
 
 
 def _phi(z: float) -> float:
@@ -185,6 +186,83 @@ class TestNdtriPort:
         out = _ndtri(p)
         assert out.shape == shape and out.dtype == np.float64
         assert np.array_equal(_bits(out), _bits(scipy.special.ndtri(p)))
+
+
+# Cephes' MAXLOG: past x^2 = MAXLOG its erfc returns 0
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
+
+def _ndtr_sample() -> np.ndarray:
+    # about 1e5 arguments: normal, uniform over both erfc ranges and random
+    # bit patterns (NaN, inf and subnormals included), and the branch edges
+    rng = np.random.default_rng(20232)
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]
+    # |a| / sqrt(2) crosses 1 (erf to erfc) and 8 (erfc's P/Q to R/S)
+    for edge in (math.sqrt(2.0), 8.0 * math.sqrt(2.0)):
+        for a in (edge, -edge):
+            edges += [a, np.nextafter(a, 0.0), np.nextafter(a, 2.0 * a)]
+    # a^2 / 2 passes MAXLOG near |a| = 37.7
+    cut = math.sqrt(2.0 * _LOG_DBL_MAX)
+    near_cut = cut * (1.0 + np.arange(-64, 65) * 2.0**-52)
+    return np.concatenate([
+        rng.normal(0.0, 3.0, 35_000),
+        rng.uniform(-40.0, 40.0, 35_000),
+        rng.integers(-(2**63), 2**63 - 1, 30_000, dtype=np.int64).view(float),
+        np.array(edges), near_cut, -near_cut,
+    ])
+
+
+class TestNdtrPort:
+    """The in-package normal CDF against ``scipy.special.ndtr``, the Cephes
+    routine it ports: equal bit for bit."""
+
+    def test_bitwise_on_sample(self):
+        a = _ndtr_sample()
+        mismatch = np.flatnonzero(_bits(_ndtr(a)) != _bits(scipy.special.ndtr(a)))
+        assert mismatch.size == 0, a[mismatch[:5]].tolist()
+
+    def test_every_branch_is_sampled(self):
+        a = _ndtr_sample()
+        a = a[np.isfinite(a)]
+        x = np.abs(a) / math.sqrt(2.0)
+        square = np.minimum(x, 1e150) ** 2
+        for wing in (a < 0.0, a > 0.0):
+            assert np.any(wing & (x < 1.0))
+            assert np.any(wing & (x >= 1.0) & (x < 8.0))
+            assert np.any(wing & (x >= 8.0) & (square <= _LOG_DBL_MAX))
+            assert np.any(wing & (square > _LOG_DBL_MAX))
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_bitwise_property(self, a):
+        assert _bits(_ndtr(a)) == _bits(scipy.special.ndtr(a))
+
+    def test_specials(self):
+        out = _ndtr(np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 40.0, -40.0]))
+        assert math.isnan(out[0])
+        assert out[1:].tolist() == [1.0, 0.0, 0.5, 0.5, 1.0, 0.0]
+
+    def test_scalar_in_float64_out(self):
+        for a in (0.3, np.float64(0.3), np.asarray(0.3)):
+            out = _ndtr(a)
+            assert type(out) is np.float64
+            assert _bits(out) == _bits(scipy.special.ndtr(0.3))
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 3), (0,), (3, 0)])
+    def test_array_keeps_shape(self, shape):
+        a = np.linspace(-12.0, 12.0, math.prod(shape)).reshape(shape)
+        out = _ndtr(a)
+        assert out.shape == shape and out.dtype == np.float64
+        assert np.array_equal(_bits(out), _bits(scipy.special.ndtr(a)))
+
+    def test_complex_exp_is_libm_exp(self):
+        # the port takes libm's exp as the real part of numpy's complex exp;
+        # a platform whose cexp differs fails here, not in a written byte
+        v = np.random.default_rng(20233).uniform(-745.0, -1.0, 20_000)
+        v = np.concatenate([v, [-1.0, -745.0, -_LOG_DBL_MAX]])
+        assert _bits(np.exp(v.astype(complex)).real).tolist() == [
+            _bits(math.exp(t)) for t in v.tolist()
+        ]
 
 
 class TestCallPrice:

@@ -32,6 +32,10 @@ own scratch directory, with the same relative input and output paths:
   a ``sweep`` whose g axis has an infinite bound, and ``bl-oracle`` with
   a stencil that floats cannot resolve (``--step-frac 1e-300`` and
   ``1e-150``, ``--spot 1e-200`` and ``1e200``);
+* ``bl-oracle --params 0.2,1.8,0.05 --maturity 0.5 --span 40 --grid
+  801``, whose normal CDF arguments reach |a| = 40.2 and so every branch
+  of ``ndtr``: erf, erfc below 8 and from 8 on, and erfc's cut to 0 past
+  ``MAXLOG`` (no desk ``bl-oracle`` passes |a| = 10.2);
 * grids that break the density grid rule, which must end in exit 2:
   ``density`` and ``bl-oracle`` with ``--span`` ``nan``, ``-5``, ``3``
   and ``1e308``, ``bl-oracle --grid 150`` and a 1-point
@@ -252,6 +256,9 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
         commands.append({"id": out,
                          "argv": ["bl-oracle", "--params", "0.1,2.7,0.04", "--maturity", "0.5",
                                   flag, value, "--out", out]})
+    commands.append({"id": "oracle_span_40",
+                     "argv": ["bl-oracle", "--params", "0.2,1.8,0.05", "--maturity", "0.5",
+                              "--span", "40", "--grid", "801", "--out", "oracle_span_40"]})
     commands.append({"id": "sweep_inf_axis",
                      "argv": ["sweep", "--g-range", "0.1:inf:2", "--rho-range", "3:3:1",
                               "--t-range", "1:1:1", "--out", "sweep_inf_axis"]})
