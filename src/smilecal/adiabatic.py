@@ -49,8 +49,7 @@ from .errors import (
     IdentifiabilityError,
     SmilecalError,
 )
-from .smile import SmileFitResult, SmileParams, VolQuote
-from .smile import Pin, _quotes_to_arrays, _solve
+from .smile import Pin, SmileFitResult, SmileParams, VolQuote, constrained_fit_smile
 
 __all__ = [
     "CriticalFitParams",
@@ -792,6 +791,5 @@ def adiabatic_refit(
         raise ConvergenceError(
             f"no fold to pin chi to at g={params.g}, n={params.n}, T={params.maturity}"
         )
-    xs, vols = _quotes_to_arrays(quotes, params.maturity)
-    fit = _solve(xs, vols, params, pin)
+    fit = constrained_fit_smile(quotes, params, pin)
     return fit, _verdict(fit.params, opts)

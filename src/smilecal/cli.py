@@ -4,7 +4,8 @@ Exit codes are a stable contract:
 
     0  success / density passes (adiabatic)
     1  density has interior relative minima (non-adiabatic)
-    2  input could not be read or parsed, or is out of domain
+    2  input could not be read or parsed, or is out of domain; output
+       could not be written
     3  a fit or search failed to converge / calibration not identifiable
     4  density goes negative beyond round-off
     5  the refit's final fit still has a non-unimodal density
@@ -30,10 +31,11 @@ directory only) and built-in defaults. Each setting is one
 :class:`RunConfig` field, named by its config key with ``_`` for ``-``:
 config key ``chi-max`` is field ``chi_max`` and flag ``--chi-max``. A flag
 exists on the commands that read it; a config file may set any key for
-any command. ``chi-tol`` is config-only. An input file that cannot be read
-or is not UTF-8 text, or an output directory that cannot be created, exits
-2, like an input that cannot be parsed, a flag the command does not take
-or two smile sources given at once.
+any command. ``chi-tol`` is config-only; ``svg`` takes ``1/true/yes/on`` or
+``0/false/no/off``. An input file that cannot be read or is not UTF-8
+text, or an output directory or file that cannot be written, exits 2,
+like an input that cannot be parsed, a flag the command does not take or
+two smile sources given at once.
 
 ``refit`` hands the free fit and the check's ``chi_c`` to
 :func:`smilecal.adiabatic.adiabatic_refit`, which keeps the fit or pins chi
@@ -118,6 +120,16 @@ class QuoteFile:
 # configuration and small-file I/O
 # ----------------------------------------------------------------------
 
+
+def _parse_bool(text: str) -> bool:
+    """True for ``1/true/yes/on`` and false for ``0/false/no/off``, in any
+    case; any other text, the empty one too, is a ``ValueError``."""
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected a bool, got {text!r}")
+    return word in ("1", "true", "yes", "on")
+
+
 # config value parser, keyed by the text of a RunConfig field's annotation
 _PARSERS = {
     "int": int,
@@ -125,7 +137,7 @@ _PARSERS = {
     "float | None": float,
     "str": str,
     "str | None": str,
-    "bool": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
+    "bool": _parse_bool,
 }
 _CONFIG_KEYS = {f.name.replace("_", "-"): f for f in fields(RunConfig)}
 
@@ -773,7 +785,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise QuoteFormatError(f"cannot create output directory {out}: {exc}") from exc
         return command(args, cfg, out)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:  # OSError: an output file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ConvergenceError as exc:

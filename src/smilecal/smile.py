@@ -299,28 +299,12 @@ def fit_smile(quotes: list[VolQuote], maturity: float) -> SmileFitResult:
 
 
 def constrained_fit_smile(
-    quotes: list[VolQuote], maturity: float, chi_max: float
+    quotes: list[VolQuote], start: SmileParams, pin: Pin
 ) -> SmileFitResult:
-    """Fit with the plateau ratio capped at ``chi_max``.
-
-    If the unconstrained optimum already satisfies the cap the result is
-    identical to :func:`fit_smile`. Otherwise chi is clamped to the bound
-    and (g, n) are re-optimized; for a single scalar bound this active-set
-    treatment is exact.
-    """
-    free = fit_smile(quotes, maturity)
-    if not chi_max >= 1.0:
-        raise DomainError(f"chi_max must be >= 1, got {chi_max}")
-    if free.params.chi <= chi_max:
-        return free
-    xs, vols = _quotes_to_arrays(quotes, maturity)
-    if chi_max == 1.0:
-        # degenerate cap: best flat curve is the plain mean of the vols
-        g = float(vols.mean())
-        params = SmileParams(g=g, chi=1.0, n=free.params.n, maturity=maturity)
-        rms = math.sqrt(float(np.mean((vols - g) ** 2)))
-        return SmileFitResult(params, residual_rms=rms, converged=True, constrained=True)
-    return _solve(xs, vols, free.params, lambda g, n: (chi_max, 0.0, 0.0))
+    """The least-squares fit of (g, n) from ``start``, with chi pinned by
+    ``pin``: a fixed cap ``c`` is the pin ``lambda g, n: (c, 0.0, 0.0)``.
+    Raises :class:`ConvergenceError` as :func:`_solve` does."""
+    return _solve(*_quotes_to_arrays(quotes, start.maturity), start, pin)
 
 
 def scaling_fit(smiles: list[SmileParams]) -> ScalingFitResult:

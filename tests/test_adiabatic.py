@@ -1171,7 +1171,9 @@ class TestAdiabaticRefit:
     def test_fig1_ends_pinned_below_its_own_fold(self, fig1):
         chi_max, final = fig1
         # the fit capped at the surface bound is not clean, so chi is pinned
-        assert not _unimodal(constrained_fit_smile(self.QUOTES, 0.5, chi_max))
+        capped = constrained_fit_smile(self.QUOTES, self.FREE.params,
+                                       lambda g, n: (chi_max, 0.0, 0.0))
+        assert not _unimodal(capped)
         assert final.constrained and final.converged and _unimodal(final)
         assert BL_ORACLE.density_verdict(*_fit_values(final)) == 0
         # re-optimizing (g, n) moves the fold above the bound of the free fit

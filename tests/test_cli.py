@@ -435,7 +435,6 @@ class TestRefit:
             monkeypatch.setattr(module, "analyze", analyze)
 
         monkeypatch.setattr(smile, "_solve", solve)
-        monkeypatch.setattr(adiabatic, "_solve", solve)
         counted(adiabatic)
         counted(density)
         out = tmp_path / "out"
@@ -473,12 +472,15 @@ class TestRefit:
         assert capsys.readouterr().err.startswith("error: no fold to pin chi to")
 
     def test_unconverged_final_fit_exits_3(self, tmp_path, monkeypatch, capsys):
-        real_solve = adiabatic._solve
+        from smilecal import smile
 
-        def unconverged(*args):
-            return dataclasses.replace(real_solve(*args), converged=False)
+        real_solve = smile._solve
 
-        monkeypatch.setattr(adiabatic, "_solve", unconverged)
+        def unconverged(xs, vols, start, chi_fixed):
+            fit = real_solve(xs, vols, start, chi_fixed)
+            return fit if chi_fixed is None else dataclasses.replace(fit, converged=False)
+
+        monkeypatch.setattr(smile, "_solve", unconverged)
         out = tmp_path / "out"
         code = main(["refit", str(self._nonadiabatic_quotes(tmp_path)), "--out", str(out)])
         assert code == EXIT_CONVERGENCE
@@ -508,7 +510,8 @@ class TestCollapsingFit:
         qfile.write_text(COLLAPSING_QUOTES, encoding="utf-8")
         quotes = cli.quotes_from_file(parse_quote_file(str(qfile)), 4.0, 1.0, 0.0)
         with pytest.raises(errors.ConvergenceError, match="smile fit diverged"):
-            smilecal.constrained_fit_smile(quotes, 4.0, 1.0053515625)
+            smilecal.constrained_fit_smile(quotes, smilecal.fit_smile(quotes, 4.0).params,
+                                           lambda g, n: (1.0053515625, 0.0, 0.0))
         out = tmp_path / "out"
         assert main(["refit", str(qfile), "--mode", mode, "--out", str(out)]) == EXIT_OK
         report = read_report(out / "refit.txt")
@@ -1187,6 +1190,12 @@ class TestErrorLines:
                                   "--rate=1689.2999866616678"], None,
                                  "grid x in [-8.588149682454626, 8.488149682454624] with rT = "
                                  "16892.99986661668 maps to strikes of 0 or inf"),
+        "mistyped bool": (["density", "--params", "0.1,2.7,0.04", "--maturity", "0.5",
+                           "--config", "{path}"], "svg=ture\n",
+                          "{path}:1: bad value for svg: expected a bool, got 'ture'"),
+        "empty bool": (["density", "--params", "0.1,2.7,0.04", "--maturity", "0.5",
+                        "--config", "{path}"], "svg=\n",
+                       "{path}:1: bad value for svg: expected a bool, got ''"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1198,6 +1207,20 @@ class TestErrorLines:
         argv = [a.format(path=path) for a in argv]
         assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {line.format(path=path)}\n"
+
+    @pytest.mark.parametrize("argv, name", [
+        (["fit", "{path}"], "fit.txt"),
+        (["density", "--params", "0.1,2.7,0.04", "--maturity", "0.5"], "density.csv"),
+        (["fit", "{path}", "--svg"], "smile.svg"),
+    ])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv, name):
+        # a directory in the place of an output file
+        path = _write_quotes(tmp_path / "q.csv", TRUTH)
+        blocked = tmp_path / "out" / name
+        blocked.mkdir(parents=True)
+        argv = [a.format(path=path) for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{blocked}'\n"
 
     def test_blank_sweep_line_is_skipped(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -25,9 +25,9 @@ def test_package_exports_the_module_lists():
 
 
 def _used_names(tree: ast.AST) -> set[str]:
-    """Names read, attributes and imported names in ``tree``, less each use
-    of a function's or class's name inside its own definition. Comments and
-    strings, ``__all__`` entries among them, are not names."""
+    """Names read and attributes in ``tree``, less each use of a function's
+    or class's name inside its own definition. Imports, comments and
+    strings, ``__all__`` entries among them, are not uses."""
     used = set()
 
     def visit(node, enclosing):
@@ -38,8 +38,6 @@ def _used_names(tree: ast.AST) -> set[str]:
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
-        elif isinstance(node, ast.alias):
-            name = node.name
         if name is not None and name not in enclosing:
             used.add(name)
         for child in ast.iter_child_nodes(node):

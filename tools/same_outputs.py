@@ -65,6 +65,10 @@ own scratch directory, with the same relative input and output paths:
   ``#`` comment and a blank line appended to it, and ``check --params``
   with a ``--config`` file holding a line without ``=``, an unknown key,
   ``chi_tol=abc`` or `` CHI-MAX = 5 ``;
+* outputs that cannot be written, which must exit 2: ``fit`` whose
+  ``fit.txt``, ``fit --svg`` whose ``smile.svg`` and ``density`` whose
+  ``density.csv`` is a directory, and ``density`` with a ``--config``
+  file setting ``svg=ture``;
 * a flag the command does not read (``bl-oracle --svg``, ``fit --grid
   201``, ``calibrate --maturity 1``, ``density --spot 2``, ``sweep --mode
   numeric``), and two smile sources at once (``check`` on a quote file
@@ -145,6 +149,12 @@ HOSTILE_CONFIGS = {
                        ("bad_value", "chi_tol=abc"), ("spaced_key", " CHI-MAX = 5 "))
 }
 FIG1_ARGS = ["--params", "0.1,2.7,0.04", "--maturity", "0.5"]
+# each output directory holds a directory in the place of the named file
+UNWRITABLE = {
+    "unwritable_fit": (["fit", "extreme.csv", "--maturity", "0.5"], "fit.txt"),
+    "unwritable_fit_svg": (["fit", "extreme.csv", "--maturity", "0.5", "--svg"], "smile.svg"),
+    "unwritable_density": (["density", *FIG1_ARGS], "density.csv"),
+}
 SMALL_AXES = ["--g-range", "0.03:0.5:3", "--rho-range", "2.5:10:3",
               "--t-range", "0.0027397260273972603:4:3"]
 OUT_OF_BOX_AXES = ["--g-range", "3e-4:3:8", "--rho-range", "0.3:60:9", "--t-range", "1:1:1"]
@@ -198,7 +208,7 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
     commands: list[dict] = []
     files: dict[str, str] = {"flat.csv": FLAT_QUOTES, "collapsing.csv": COLLAPSING_QUOTES,
                              "extreme.csv": EXTREME_QUOTES, "coarse_tol.cfg": COARSE_TOL_CONFIG,
-                             "fine_tol.cfg": FINE_TOL_CONFIG,
+                             "fine_tol.cfg": FINE_TOL_CONFIG, "bool_typo.cfg": "svg=ture\n",
                              **HOSTILE_QUOTES, **DELTA_QUOTES, **HOSTILE_CONFIGS}
 
     def add_round(seed: int, root: str, svg: bool, only: str | None = None) -> None:
@@ -292,6 +302,12 @@ def command_set() -> tuple[list[dict], dict[str, str]]:
                               "--out", "params_file/check"]})
     for name, argv in REFUSED.items():
         commands.append({"id": name, "argv": [*argv, "--out", name]})
+    for name, (argv, blocked) in UNWRITABLE.items():
+        files[f"{name}/{blocked}/.keep"] = ""
+        commands.append({"id": name, "argv": [*argv, "--out", name]})
+    commands.append({"id": "density_bool_typo",
+                     "argv": ["density", *FIG1_ARGS, "--config", "bool_typo.cfg",
+                              "--out", "density_bool_typo"]})
     for name in HOSTILE_CONFIGS:
         out = name.removesuffix(".cfg")
         commands.append({"id": out, "argv": ["check", *FIG1_ARGS, "--config", name,
