@@ -52,11 +52,12 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from functools import cache
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
+from . import _csv
 from . import adiabatic as adiab
 from . import density as dens
 from ._svg import write_line_plot
@@ -203,33 +204,23 @@ def read_report(path: str) -> dict:
 
 
 def _csv_line(row) -> str:
+    # one line as write_csv writes it: the sweep appends each row as its
+    # point completes, where a numpy pass would cost about 20 times more
     return ",".join(_fmt(v) for v in row) + "\n"
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length 1-D columns under a one-line header.
 
-    Each column's format is chosen once from its dtype: ``%.17g`` for
-    floats, ``%s`` for anything else, the same text :func:`_fmt` gives
-    value by value. A float column object passed more than once is
-    formatted once and its text written at each place. Rows are formatted
-    and written 1024 at a time, so only one block's values are held as
-    Python objects.
+    Floats are written ``%.17g``, bools ``True``/``False`` and anything else
+    ``%s``: the bytes :func:`_fmt` gives value by value. The rows are formed
+    by numpy, 1024 at a time, with each column object that is passed more
+    than once formatted once; see :mod:`smilecal._csv`.
     """
     columns = [np.asarray(c) for c in columns]
-    ids = [id(c) for c in columns]
-    shared = {i for i, c in zip(ids, columns) if c.dtype.kind == "f" and ids.count(i) > 1}
-    row_fmt = ",".join("%.17g" if c.dtype.kind == "f" and i not in shared else "%s"
-                       for i, c in zip(ids, columns)) + "\n"
-    rows = len(columns[0]) if columns else 0
-    with path.open("w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for start in range(0, rows, 1024):
-            block = {i: c[start:start + 1024].tolist() for i, c in zip(ids, columns)}
-            for i in shared:
-                block[i] = list(map("%.17g".__mod__, block[i]))
-            f.write((row_fmt * len(block[ids[0]]))
-                    % tuple(chain.from_iterable(zip(*map(block.get, ids)))))
+    with path.open("wb") as f:
+        f.write((",".join(header) + "\n").encode("utf-8"))
+        f.writelines(_csv.rows(columns))
 
 
 def parse_quote_file(path: str) -> QuoteFile:

@@ -27,7 +27,7 @@ from smilecal import (
     strike_to_x,
     x_to_strike,
 )
-from smilecal.bs_core import _ndtr, _ndtri
+from smilecal.bs_core import _ndtr, _ndtr_float, _ndtri
 
 
 def _phi(z: float) -> float:
@@ -241,6 +241,13 @@ class TestNdtrPort:
         out = _ndtr(np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 40.0, -40.0]))
         assert math.isnan(out[0])
         assert out[1:].tolist() == [1.0, 0.0, 0.5, 0.5, 1.0, 0.0]
+
+    def test_float_path_matches_array_path(self):
+        # a 0-d input runs _ndtr_float; it must equal the array path's bits
+        a = _ndtr_sample()
+        mismatch = [v for v, y in zip(a.tolist(), _bits(_ndtr(a)).tolist())
+                    if _bits(_ndtr_float(v)) != y]
+        assert mismatch == [], mismatch[:5]
 
     def test_scalar_in_float64_out(self):
         for a in (0.3, np.float64(0.3), np.asarray(0.3)):

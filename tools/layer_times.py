@@ -19,11 +19,16 @@ time. The layers, each timed per call:
 * ``density_curve`` and ``analyze`` of its curve;
 * ``_window_minima`` at the fold's ``x``;
 * ``_fold_point`` at the point's ``(rho, s)``;
-* one ``sweep`` row: the point's whole ``chi_c`` search.
+* one ``sweep`` row: the point's whole ``chi_c`` search;
+* ``cli.write_csv`` of the desk's three big layouts at the grid's 4001
+  rows, on every 27th point: ``density.csv`` (2 columns),
+  ``refit_comparison.csv`` (5, the constrained smile at 0.99 chi) and
+  ``bl_oracle.csv`` (6, one of them bools), as the CLI builds them.
 
 Prints, per layer and tree, the median and the quartiles over the rounds of
 the mean time per call in microseconds, and the ratio of the medians, new
-over old. Writes nothing.
+over old. Each child writes its CSVs into a temporary directory that it
+removes when it exits.
 """
 
 from __future__ import annotations
@@ -34,13 +39,16 @@ import math
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import namedtuple
 from itertools import product
 from pathlib import Path
 
 LAYERS = ("sigma_derivatives 4001", "return_density 4001", "return_density 201",
-          "density_curve", "analyze", "_window_minima", "_fold_point", "sweep row")
+          "density_curve", "analyze", "_window_minima", "_fold_point", "sweep row",
+          "write density.csv", "write refit_comparison.csv", "write bl_oracle.csv")
+WRITE_STRIDE = 27  # the write layers run on every 27th lattice point
 # one lattice point: its smile at chi_c, fold x, curve and the grid's slice
 Case = namedtuple("Case", "g rho t params reduced x curve part")
 
@@ -52,8 +60,10 @@ def serve(src: str) -> None:
     import numpy as np
 
     import smilecal.adiabatic as adiab
-    from smilecal import (ChiSearchSettings, SmileParams, analyze, density_curve,
-                          return_density, sigma_derivatives)
+    from smilecal import (ChiSearchSettings, MarketEnv, SmileParams, analyze,
+                          bl_density_oracle, density_curve, return_density,
+                          sigma_derivatives, sigma_of_x, smile_vol_of_strike, x_to_strike)
+    from smilecal.cli import write_csv
 
     if not Path(adiab.__file__).resolve().is_relative_to(Path(src).resolve()):
         sys.exit(f"smilecal was imported from {adiab.__file__}, not from {src}")
@@ -67,7 +77,7 @@ def serve(src: str) -> None:
         curve = density_curve(params)
         start = min(max(int(np.searchsorted(curve.xs, x)) - 100, 0), curve.xs.size - 201)
         cases.append(Case(g, rho, t, params, reduced, x, curve, curve.xs[start:start + 201]))
-    calls = dict(zip(LAYERS, (
+    calls = {name: (cases, call) for name, call in zip(LAYERS, (
         lambda c: sigma_derivatives(c.params, c.curve.xs),
         lambda c: return_density(c.params, c.curve.xs),
         lambda c: return_density(c.params, c.part),
@@ -76,16 +86,41 @@ def serve(src: str) -> None:
         lambda c: adiab._window_minima(c.params, settings, c.x),
         lambda c: adiab._fold_point(*c.reduced),
         lambda c: adiab._sweep_one(c.g, c.rho, c.t, settings),
-    )))
-    print(json.dumps(adiab.__file__), flush=True)
-    for _ in sys.stdin:
-        out = {}
-        for name, call in calls.items():
-            start = time.perf_counter()
-            for case in cases:
-                call(case)
-            out[name] = (time.perf_counter() - start) / len(cases)
-        print(json.dumps(out), flush=True)
+    ))}
+    # each written file's header and columns, as cmd_density, cmd_refit and
+    # cmd_bl_oracle build them
+    files = {name: [] for name in LAYERS[-3:]}
+    for c in cases[::WRITE_STRIDE]:
+        xs, ps = c.curve.xs, c.curve.ps
+        files["write density.csv"].append((["x", "density"], [xs, ps]))
+        capped = SmileParams(g=c.g, chi=1.0 + 0.99 * (c.params.chi - 1.0), n=c.params.n,
+                             maturity=c.t)
+        files["write refit_comparison.csv"].append((
+            ["x", "vol_unconstrained", "vol_constrained", "density_unconstrained",
+             "density_constrained"],
+            [xs, sigma_of_x(c.params, xs), sigma_of_x(capped, xs), ps,
+             return_density(capped, xs)]))
+        env = MarketEnv(spot=100.0, rate=0.0, maturity=c.t)
+        strikes = x_to_strike(env, xs)
+        oracle, err = bl_density_oracle(env, smile_vol_of_strike(env, c.params), strikes)
+        oracle_x = oracle * strikes
+        rel = np.abs(oracle_x - ps) / np.maximum(np.abs(ps), 1e-300)
+        files["write bl_oracle.csv"].append((
+            ["strike", "x", "density_oracle", "density_analytic", "rel_diff", "flagged"],
+            [strikes, xs, oracle_x, ps, rel, (err * strikes) > 1e-3 * np.abs(oracle_x)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, layouts in files.items():
+            path = Path(tmp) / name.split()[1]
+            calls[name] = (layouts, lambda layout, path=path: write_csv(path, *layout))
+        print(json.dumps(adiab.__file__), flush=True)
+        for _ in sys.stdin:
+            out = {}
+            for name, (items, call) in calls.items():
+                start = time.perf_counter()
+                for item in items:
+                    call(item)
+                out[name] = (time.perf_counter() - start) / len(items)
+            print(json.dumps(out), flush=True)
 
 
 def _summary(values: list[float]) -> tuple[float, float, float]:
@@ -127,11 +162,11 @@ def main(argv: list[str]) -> int:
             child.wait()
     print(f"{args.rounds} rounds per tree over the 216-point Table-1 lattice; "
           "us per call, median [quartiles]")
-    print(f"{'layer':<24}{'old':>26}{'new':>26}{'new/old':>9}")
+    print(f"{'layer':<28}{'old':>28}{'new':>28}{'new/old':>9}")
     for name in LAYERS:
         old, new = (_summary(s[name]) for s in samples)
-        cells = [f"{m:9.1f} [{a:6.1f}, {b:6.1f}]" for m, a, b in (old, new)]
-        print(f"{name:<24}{cells[0]:>26}{cells[1]:>26}{new[0] / old[0]:9.3f}")
+        cells = [f"{m:9.1f} [{a:7.1f}, {b:7.1f}]" for m, a, b in (old, new)]
+        print(f"{name:<28}{cells[0]:>28}{cells[1]:>28}{new[0] / old[0]:9.3f}")
     return 0
 
 
