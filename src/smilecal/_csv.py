@@ -1,11 +1,16 @@
 """CSV text at numpy speed, each float written byte for byte as ``'%.17g' %``.
 
-:func:`rows` turns equal-length 1-D columns into CSV lines, 1024 rows at a
-time. In a block each distinct column object becomes one byte matrix, a
-text a row, padded with 0xFF, a byte no UTF-8 text holds: floats through
-:func:`g17`, bools through a ``True``/``False`` table and anything else
-through ``%s``. The matrices and the separators are concatenated and the
-padding is deleted.
+:func:`rows` turns equal-length 1-D columns into CSV lines, a block of rows
+at a time. A block holds every column for at most ``CAP`` values, and each
+distinct column object is formatted once in it: all of its float columns
+through one :func:`g17` call, bools through a ``True``/``False`` table and
+anything else through ``%s``. Each text is a row of a byte matrix, padded
+with 0xFF, a byte no UTF-8 text holds, and its last padding byte becomes
+the ``,`` or ``\n`` after it; the padding is then deleted. ``CAP`` is set by
+two limits measured on a 2-vCPU Xeon VM: above it a temporary of
+:func:`g17` passes glibc's 128 KiB mmap threshold and is faulted in afresh
+at each call, and far above it the temporaries leave the L2 cache. A block
+of fewer than ``SMALL`` values is formatted by Python's ``%`` instead.
 
 :func:`g17` forms the correctly rounded 17 significant digits that Gay's
 ``dtoa`` gives ``'%.17g' %``, for a whole array at once. For ``1e-280 <=
@@ -26,15 +31,15 @@ from functools import cache
 
 import numpy as np
 
-BLOCK = 1024  # rows per block: only one block's text is held at a time
+CAP = 2240  # values a block formats: g17's (CAP, 48) byte matrices stay under 128 KiB
+SMALL = 100  # a block of fewer values is formatted by Python's '%', faster there
 _LO, _HI = 1e-280, 1e280  # every partial product of the scaling stays normal
 _BAND = 1e-6  # a rounding fraction this close to 1/2 is left to '%.17g' %
-_K0, _K1 = -267, 300  # the power table holds 10**k for _K0 <= k < _K1
-_E0 = 300  # the exponent tables hold E for -_E0 <= E < _E0
-_HEAD, _TAIL = 10000, 10020 + _E0  # in the word table, the head of 0 and the tail of E = 0
+_E0 = 283  # the tables hold E = floor(log10 |x|) for -_E0 <= E <= _E0, a row by E + _E0
+_HEAD, _TAIL = 10000, 10020  # in the word table, the head of 0 and the tail of E = -_E0
 _PLACE = np.array([[0], [4], [8], [12]], np.int8)  # the digit index before each group
 _PAD = b"\xff"  # no UTF-8 text holds this byte
-_BOOL = np.frombuffer(b"FalseTrue" + _PAD, np.uint8).reshape(2, 5)
+_BOOL = np.frombuffer(b"False" + _PAD + b"True" + _PAD * 2, np.uint8).reshape(2, 6)
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -45,31 +50,32 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _powers() -> np.ndarray:
-    """``10**k``, its halves and its residual, by ``k - _K0``.
+    """``10**(16 - E)``, its halves and its residual, a row by ``E + _E0``.
 
     The power and the residual are correctly rounded, from integer
     arithmetic only: CPython's ``float(int)`` and ``int / int`` round
     correctly, and ``ldexp`` of a normal result is exact.
     """
     table = []
-    q = 10 ** -_K0
-    for _ in range(_K0, 0):
+    q = 10 ** (_E0 - 16)
+    for _ in range(_E0 - 16):
         h = 1 / q
         num, den = h.as_integer_ratio()  # den is a power of 2
         table.append([h, math.ldexp((den - num * q) / q, 1 - den.bit_length())])
         q //= 10
-    for _ in range(_K1):
+    for _ in range(_E0 + 17):
         h = float(q)
         table.append([h, float(q - int(h))])
         q *= 10
     hi, lo = np.array(table).T
-    return np.stack([hi, *_split(hi), lo])
+    return np.stack([hi, *_split(hi), lo], axis=1)[::-1].copy()
 
 
 def _words() -> tuple[np.ndarray, np.ndarray]:
     """Every 4-digit group, then the head by its first digit and sign, then
-    the tail by E, each as one 8-byte word; and, by group, the place of its
-    last digit that is not 0, or -32 for a group of zeros.
+    the tail by ``E + _E0``, each as one 8-byte word; and, by group, the
+    place of its last digit that is not 0, or -12 for a group of zeros, which
+    is at most 0 after any group's offset in ``_PLACE``.
 
     A text is laid out in six words, padded where it has no character::
 
@@ -88,12 +94,12 @@ def _words() -> tuple[np.ndarray, np.ndarray]:
     heads = np.tile(np.frombuffer(b"-0.000d.", np.uint8), (20, 1))  # by d0, then by -d0
     heads[:10, 0] = _PAD[0]
     heads[:, 6] = np.tile(digit, 2)
-    exps = np.arange(-_E0, _E0)
-    tails = np.zeros((2 * _E0, 8), np.uint8)
+    exps = np.arange(-_E0, _E0 + 1)
+    tails = np.zeros((2 * _E0 + 1, 8), np.uint8)
     tails[:, 0] = ord("e")
     tails[:, 1] = np.where(exps < 0, ord("-"), ord("+"))
     tails[:, 2:5] = groups[np.abs(exps), 2::2]
-    place = np.where(groups[:, ::2] > ord("0"), np.arange(1, 5, dtype=np.int8), -32)
+    place = np.where(groups[:, ::2] > ord("0"), np.arange(1, 5, dtype=np.int8), -12)
     return (np.concatenate([groups, heads, tails]).view(np.uint64).ravel(),
             place.max(axis=1))
 
@@ -101,7 +107,7 @@ def _words() -> tuple[np.ndarray, np.ndarray]:
 def _drop() -> tuple[np.ndarray, np.ndarray]:
     """The bytes each text pads, past its sign, as rows of six words, by
     ``layout + last``, with ``last`` the index of the last digit that is not
-    0; and the layout by E.
+    0, or 0 if there is none; and the layout by ``E + _E0``.
 
     A layout is ``17 * (E + 4)`` for fixed notation, ``-4 <= E < 17``, and
     ``17 * 21`` and ``17 * 22`` for ``d.ddde±XX`` with two and with three
@@ -121,7 +127,7 @@ def _drop() -> tuple[np.ndarray, np.ndarray]:
             | ((e < 0) & (b >= 1) & (b < 2 - e))  # 0.000
             | (~fixed & (b >= 40) & (b <= 44) & ((b != 42) | (layout == 22)))
             | (b == 0))
-    exps = np.arange(-_E0, _E0)
+    exps = np.arange(-_E0, _E0 + 1)
     by_e = np.where(np.abs(exps) >= 100, 22, np.where(exps < -4, 21, np.minimum(exps + 4, 21)))
     return (~keep * np.uint8(_PAD[0])).view(np.uint64).reshape(-1, 6), 17 * by_e
 
@@ -134,38 +140,41 @@ def _tables() -> tuple[np.ndarray, ...]:
 
 
 def _scaled(a: np.ndarray, e: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a * 10**(16 - e)`` as its integer part and its fraction."""
-    h, hh, hl, lo = powers[:, 16 - _K0 - e]
+    """``a * 10**(16 - E)`` as its integer part and its fraction.
+
+    The product ``p`` is an integer wherever it reaches 2**53, as it does
+    for the right E. For an E one too high it is below 10**16, and so is
+    the integer part given, which is all the caller needs to see.
+    """
+    h, hh, hl, lo = powers.take(e, axis=0).T
     p = a * h
     ah, al = _split(a)
     err = ((ah * hh - p) + ah * hl + al * hh) + al * hl  # p + err is a * h exactly
-    pf = np.floor(p)  # p is an integer from 2**53 up, not always below
-    t = (p - pf) + (err + a * lo)
+    t = err + a * lo
     tf = np.floor(t)
-    return pf.astype(np.int64) + tf.astype(np.int64), t - tf
+    return p.astype(np.int64) + tf.astype(np.int64), t - tf
 
 
 def g17(x: np.ndarray) -> np.ndarray:
     """``'%.17g' % v`` for each float ``v`` of the 1-D ``x``, as the rows of
-    a ``(len(x), 48)`` byte matrix padded with ``_PAD``."""
+    a ``(len(x), 48)`` byte matrix padded with ``_PAD``; the last byte of
+    each row is always padding."""
     powers, word_table, last_place, drop, layout = _tables()
-    a = np.abs(x)
-    fast = (a >= _LO) & (a <= _HI)
-    a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int64)
+    ax = np.abs(x)
+    a = np.fmax(np.fmin(ax, _HI), _LO)  # NaN too becomes a number in the fast range
+    e = (np.log10(a) + _E0).astype(np.intp)  # E + _E0, truncated as it is positive
     d, frac = _scaled(a, e, powers)
-    # log10 can be one off next to a power of ten, as the digit count shows
-    low, high = d < 10**16, d >= 10**17
-    fix = low | high
-    if fix.any():
-        e += high
-        e -= low
+    # log10 and the sum can be one off next to a power of ten, as the digit count shows
+    fix = np.flatnonzero((d - 10**16).view(np.uint64) >= 9 * 10**16)
+    if fix.size:
+        e[fix] += np.where(d[fix] < 10**16, -1, 1)
         d[fix], frac[fix] = _scaled(a[fix], e[fix], powers)
-    fast &= np.abs(frac - 0.5) >= _BAND
+    slow = np.flatnonzero((a != ax) | (np.abs(frac - 0.5) < _BAND))
     d += frac > 0.5
-    carry = d == 10**17
-    d[carry] = 10**16
-    e += carry
+    carry = np.flatnonzero(d == 10**17)
+    if carry.size:
+        d[carry] = 10**16
+        e[carry] += 1
 
     # each text's six words, as indices in the word table
     words = np.empty((6, len(x)), np.intp)
@@ -179,13 +188,12 @@ def g17(x: np.ndarray) -> np.ndarray:
     np.subtract(r, words[3] * 10**4, out=words[4])
     words[0] += _HEAD + 10 * np.signbit(x)
     np.add(e, _TAIL, out=words[5])
-    last = last_place[words[1:5]] + _PLACE
-    last = np.maximum(np.maximum(last[0], last[1]), np.maximum(last[2], last[3]))
-    out = np.take(word_table, words.T, out=np.empty((len(x), 6), np.uint64))
-    out |= drop[layout[e + _E0] + np.maximum(last, 0)]
+    last = np.maximum.reduce(last_place.take(words[1:5]) + _PLACE)
+    # a take on a contiguous index is several times faster than fancy indexing
+    out = word_table.take(words.T.copy())
+    out |= drop.take(layout.take(e) + last, axis=0)
     out = out.view(np.uint8)
 
-    slow = np.flatnonzero(~fast)
     if slow.size:
         texts = b"".join((b"%.17g" % v).ljust(48, _PAD) for v in x[slow].tolist())
         out[slow] = np.frombuffer(texts, np.uint8).reshape(-1, 48)
@@ -193,31 +201,64 @@ def g17(x: np.ndarray) -> np.ndarray:
 
 
 def _cells(part: np.ndarray) -> np.ndarray:
-    """The padded texts of one column's block."""
-    if part.dtype.kind == "f":
-        return g17(part.astype(np.float64, copy=False))
+    """The texts of one column's block that is not float, a row each, with
+    one spare padding byte after the longest."""
     if part.dtype.kind == "b":
-        return _BOOL[part.view(np.uint8)]
+        return _BOOL.take(part.view(np.uint8), axis=0)
     texts = [str(v).encode("utf-8") for v in part.tolist()]
-    width = max(map(len, texts))
+    width = max(map(len, texts)) + 1
     texts = b"".join(t.ljust(width, _PAD) for t in texts)
     return np.frombuffer(texts, np.uint8).reshape(len(part), width)
 
 
-def _block(columns: list[np.ndarray], start: int) -> np.ndarray:
-    """The padded lines of the block of rows from ``start``, each distinct
-    column object formatted once."""
-    cells = {}
-    for c in columns:
-        if id(c) not in cells:
-            cells[id(c)] = _cells(c[start:start + BLOCK])
-    ends = np.full((min(BLOCK, len(columns[0]) - start), len(columns)), ord(","), np.uint8)
-    ends[:, -1] = ord("\n")
-    return np.concatenate([a for j, c in enumerate(columns)
-                           for a in (cells[id(c)], ends[:, j:j + 1])], axis=1)
+def _block(columns: list[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """The padded lines of rows ``start`` to ``stop``, each distinct column
+    object formatted once and every float of the block in one :func:`g17`.
+
+    Each cell ends in a padding byte, which becomes its ``,`` or ``\\n``.
+    """
+    floats = {id(c): c for c in columns if c.dtype.kind == "f"}
+    n = stop - start
+    x = np.empty((n, len(floats)))
+    for k, c in enumerate(floats.values()):
+        x[:, k] = c[start:stop]
+    cells = g17(x.ravel()).reshape(n, len(floats), 48) if floats else None
+    if len(floats) == len(columns):  # distinct floats only: the cells are the lines
+        cells[:, :, -1] = ord(",")
+        cells[:, -1, -1] = ord("\n")
+        return cells.reshape(n, -1)
+    slot = {key: k for k, key in enumerate(floats)}
+    others = {id(c): _cells(c[start:stop]) for c in columns if id(c) not in slot}
+    parts = [cells[:, slot[id(c)]] if id(c) in slot else others[id(c)] for c in columns]
+    block = np.concatenate(parts, axis=1)
+    block[:, np.cumsum([p.shape[1] for p in parts]) - 1] = ord(",")
+    block[:, -1] = ord("\n")
+    return block
 
 
-def rows(columns: list[np.ndarray]) -> Iterator[bytes]:
-    """The CSV lines of equal-length 1-D ``columns``, one block at a time."""
-    for start in range(0, len(columns[0]) if columns else 0, BLOCK):
-        yield _block(columns, start).tobytes().translate(None, _PAD)
+def _small(columns: list[np.ndarray], start: int, stop: int) -> bytes:
+    """The lines of rows ``start`` to ``stop`` formatted by Python's ``%``."""
+    line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    values = zip(*(c[start:stop].tolist() for c in columns))
+    return "".join(line % row for row in values).encode("utf-8")
+
+
+def rows(columns) -> Iterator[bytes]:
+    """The CSV lines of equal-length 1-D ``columns``, one block at a time.
+
+    A block holds ``CAP // len(columns)`` rows, one at least, so that no
+    :func:`g17` call formats more than ``CAP`` values unless a row holds
+    more. A block of fewer than ``SMALL`` values is formatted by Python's
+    ``%``, which is faster there and gives the same bytes.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if not columns:
+        return
+    size = len(columns[0])
+    step = max(CAP // len(columns), 1)
+    for start in range(0, size, step):
+        stop = min(start + step, size)
+        if (stop - start) * len(columns) < SMALL:
+            yield _small(columns, start, stop)
+        else:
+            yield _block(columns, start, stop).tobytes().translate(None, _PAD)

@@ -203,21 +203,18 @@ def read_report(path: str) -> dict:
     return {key: value for _, _, key, value in _key_value_lines(path, "report")}
 
 
-def _csv_line(row) -> str:
-    # one line as write_csv writes it: the sweep appends each row as its
-    # point completes, where a numpy pass would cost about 20 times more
-    return ",".join(_fmt(v) for v in row) + "\n"
-
-
 def write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length 1-D columns under a one-line header.
 
     Floats are written ``%.17g``, bools ``True``/``False`` and anything else
     ``%s``: the bytes :func:`_fmt` gives value by value. The rows are formed
-    by numpy, 1024 at a time, with each column object that is passed more
-    than once formatted once; see :mod:`smilecal._csv`.
+    by numpy in blocks of every column for at most ``_csv.CAP`` values, each
+    column object that is passed more than once formatted once, and the
+    block's floats in one call. The cap has two limits: every temporary stays
+    under glibc's 128 KiB mmap threshold, and the block's temporaries stay in
+    the L2 cache. A block of few values is formatted by Python's ``%``; see
+    :mod:`smilecal._csv`.
     """
-    columns = [np.asarray(c) for c in columns]
     with path.open("wb") as f:
         f.write((",".join(header) + "\n").encode("utf-8"))
         f.writelines(_csv.rows(columns))
@@ -599,9 +596,9 @@ def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
     # rows reach the file as they complete, so an interrupted sweep resumes
     # from what it finished; the final rewrite restores lattice order
     write_csv(path, _SWEEP_HEADER, zip(*map(_sweep_fields, done.values())))
-    with path.open("a", encoding="utf-8") as fh:
+    with path.open("ab") as fh:
         for row in adiab.sweep_points(missing, settings):
-            fh.write(_csv_line(_sweep_fields(row)))
+            fh.writelines(_csv.rows([(v,) for v in _sweep_fields(row)]))
             fh.flush()
             done[_row_key(row.g, row.rho, row.maturity)] = row
 

@@ -447,6 +447,34 @@ class TestCoordinates:
         with pytest.raises(DomainError):
             delta_to_x(delta, vol, maturity)
 
+    def test_float_path_equals_the_array_path(self):
+        # floats run their own path; each result must carry the array path's bits
+        rng = np.random.default_rng(23)
+        deltas = np.concatenate([rng.uniform(size=400), [1e-300, 1e-20, 1e-10, 0.01, 0.5,
+                                                         0.99, 1.0 - 1e-10, 1.0 - 2.0**-53]])
+        deltas = np.concatenate([deltas, 1.0 - deltas[:100]])
+        vols = np.exp(rng.uniform(-8.0, 6.0, deltas.size))
+        vols[:4] = [5e-324, 1e-300, 1e150, 1e300]  # a product that underflows or overflows
+        ts = np.exp(rng.uniform(-6.0, 3.0, deltas.size))
+        ts[4] = 1e300
+        for d, v, t in zip(deltas.tolist(), vols.tolist(), ts.tolist()):
+            want = delta_to_x(np.array([d]), np.array([v]), t)[0]
+            got = delta_to_x(d, v, t)
+            assert type(got) is float
+            assert _bits(got) == _bits(want), (d, v, t)
+            assert _bits(delta_to_x(np.float64(d), np.float64(v), np.float64(t))) == _bits(want)
+
+    @pytest.mark.parametrize("delta, vol, maturity", [
+        (0.0, 0.2, 1.0), (1.0, 0.2, 1.0), (-0.5, 0.2, 1.0), (math.nan, 0.2, 1.0),
+        (0.5, 0.0, 1.0), (0.5, -0.2, 1.0), (0.5, math.nan, 1.0),
+        (0.5, 0.2, 0.0), (0.5, 0.2, -1.0), (0.5, 0.2, math.nan), (0.0, 0.0, 0.0)])
+    def test_float_path_raises_as_the_array_path(self, delta, vol, maturity):
+        with pytest.raises(DomainError) as arrays:
+            delta_to_x(np.array(delta), np.array(vol), maturity)
+        with pytest.raises(DomainError) as floats:
+            delta_to_x(delta, vol, maturity)
+        assert str(floats.value) == str(arrays.value)
+
     def test_forward_strike_maps_to_zero(self):
         env = MarketEnv(spot=100.0, rate=0.03, maturity=2.0)
         assert strike_to_x(env, env.forward) == pytest.approx(0.0, abs=1e-15)

@@ -27,8 +27,14 @@ time. The layers, each timed per call:
 
 Prints, per layer and tree, the median and the quartiles over the rounds of
 the mean time per call in microseconds, and the ratio of the medians, new
-over old. Each child writes its CSVs into a temporary directory that it
-removes when it exits.
+over old. It also prints that ratio normalised by a reference layer,
+``return_density 4001``, whose code the trees should share: in each round
+a layer's time is divided by the reference's time in the same child, and
+the column gives the median of those quotients, new over old. On a loaded
+shared machine a child can run slower as a whole, and the normalised
+ratio cancels that, so that a layer that did not change reads about 1.
+Each child writes its CSVs into a temporary directory that it removes
+when it exits.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ LAYERS = ("sigma_derivatives 4001", "return_density 4001", "return_density 201",
           "density_curve", "analyze", "_window_minima", "_fold_point", "sweep row",
           "write density.csv", "write refit_comparison.csv", "write bl_oracle.csv")
 WRITE_STRIDE = 27  # the write layers run on every 27th lattice point
+REFERENCE = "return_density 4001"  # the layer the normalised ratio divides by
 # one lattice point: its smile at chi_c, fold x, curve and the grid's slice
 Case = namedtuple("Case", "g rho t params reduced x curve part")
 
@@ -162,11 +169,14 @@ def main(argv: list[str]) -> int:
             child.wait()
     print(f"{args.rounds} rounds per tree over the 216-point Table-1 lattice; "
           "us per call, median [quartiles]")
-    print(f"{'layer':<28}{'old':>28}{'new':>28}{'new/old':>9}")
+    print(f"{'layer':<28}{'old':>28}{'new':>28}{'new/old':>9}{'norm':>9}")
     for name in LAYERS:
         old, new = (_summary(s[name]) for s in samples)
         cells = [f"{m:9.1f} [{a:7.1f}, {b:7.1f}]" for m, a, b in (old, new)]
-        print(f"{name:<28}{cells[0]:>28}{cells[1]:>28}{new[0] / old[0]:9.3f}")
+        old_rel, new_rel = (statistics.median(t / r for t, r in zip(s[name], s[REFERENCE]))
+                            for s in samples)
+        print(f"{name:<28}{cells[0]:>28}{cells[1]:>28}{new[0] / old[0]:9.3f}"
+              f"{new_rel / old_rel:9.3f}")
     return 0
 
 
