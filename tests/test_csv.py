@@ -103,7 +103,7 @@ def _reference(columns) -> bytes:
 @pytest.fixture
 def capped(monkeypatch):
     """Wrap ``g17`` to check that no call formats more than ``CAP`` values;
-    yields the sizes of the calls made."""
+    returns the list of the sizes of the calls made."""
     sizes = []
 
     def wrapped(x):
@@ -168,9 +168,11 @@ def test_zero_rows():
 @pytest.mark.parametrize("ncols", [1, 3, 7])
 def test_both_sides_of_the_small_block_cutoff(ncols, capped):
     # a block of fewer than SMALL values is formatted by Python's '%'
-    for size in (SMALL // ncols - 1, -(-SMALL // ncols) - 1, -(-SMALL // ncols)):
+    first = -(-SMALL // ncols)  # the fewest rows that reach the cutoff
+    for size in (first - 1, first):
         columns = [_hard_floats(size, k) for k in range(ncols)]
-        columns[1:2] = [columns[0] > 0.0] if ncols > 1 else []
+        if ncols > 1:
+            columns[1] = columns[0] > 0.0  # a bool column too
         capped.clear()
         assert b"".join(rows(columns)) == _reference(columns)
         assert bool(capped) == (size * ncols >= SMALL)
