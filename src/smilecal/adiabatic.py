@@ -40,7 +40,7 @@ import numpy as np
 
 from ._lm import levenberg_marquardt
 from .density import STANDARD_GRID_POINTS, STANDARD_SPAN, DensityCurve, DensityReport
-from .density import StationaryPoint, _check_grid, _grid, analyze, density_curve
+from .density import StationaryPoint, _check_grid, _grid_slice, analyze, density_curve
 from .density import return_density, stationary_points
 from .errors import (
     ConvergenceError,
@@ -197,16 +197,14 @@ def _window_minima(
     """The density's minima on a slice of ``_WINDOW_POINTS`` samples of the
     ``settings`` grid, centred on ``x`` and clipped to the grid.
 
-    Each sample is elementwise, so the slice's samples are the full grid
+    The slice's x are the full grid's bit for bit (:func:`_grid_slice`), and
+    each density sample is elementwise, so its samples are the full grid
     curve's bit for bit. A ``-`` slope, zero slopes only and a ``+`` slope
     in the slice are the same run in the full curve, so each minimum found
     here is one of :func:`_verdict`'s, at the same ``x``. A slice with none
     says nothing about the rest of the grid.
     """
-    xs = _grid(params, settings.grid_points, settings.span)
-    start = int(np.searchsorted(xs, x)) - _WINDOW_POINTS // 2  # a NaN x sorts last
-    start = min(max(start, 0), max(xs.size - _WINDOW_POINTS, 0))
-    xs = xs[start:start + _WINDOW_POINTS]
+    xs = _grid_slice(params, settings.grid_points, settings.span, x, _WINDOW_POINTS)
     points = stationary_points(DensityCurve(xs=xs, ps=return_density(params, xs)))
     return tuple(p for p in points if p.kind == "minimum")
 

@@ -46,6 +46,7 @@ converge exits 3 after its outputs are written.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -54,13 +55,12 @@ from dataclasses import dataclass, fields, replace
 from functools import cache
 from itertools import product
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _csv
-from . import adiabatic as adiab
 from . import density as dens
-from ._svg import write_line_plot
 from .bs_core import MarketEnv, strike_to_x, x_to_strike
 from .errors import ConvergenceError, DomainError, IdentifiabilityError, QuoteFormatError
 from .smile import (
@@ -71,6 +71,11 @@ from .smile import (
     fit_smile,
     sigma_of_x,
 )
+
+# the commands that search or refit import adiabatic, and --svg imports
+# _svg, so a fresh process compiles neither unless its command runs them
+if TYPE_CHECKING:
+    from . import adiabatic as adiab
 
 EXIT_OK = 0
 EXIT_NON_ADIABATIC = 1
@@ -93,18 +98,20 @@ class RunConfig:
     grid: int = dens.STANDARD_GRID_POINTS
     span: float = dens.STANDARD_SPAN
     step_frac: float | None = None  # oracle step / strike; None -> adaptive
-    chi_tol: float = adiab.ChiSearchSettings.tol
-    chi_max: float = adiab.ChiSearchSettings.chi_max
+    chi_tol: float | None = None  # None: ChiSearchSettings' own default
+    chi_max: float | None = None  # None: ChiSearchSettings' own default
     mode: str = "formula"
     out: str | None = None  # None: SMILECAL_OUT if set, else "."
     svg: bool = False
 
     def search_settings(self) -> adiab.ChiSearchSettings:
+        from . import adiabatic as adiab
+
+        given = {"tol": self.chi_tol, "chi_max": self.chi_max}
         return adiab.ChiSearchSettings(
-            tol=self.chi_tol,
-            chi_max=self.chi_max,
             grid_points=self.grid,
             span=self.span,
+            **{key: value for key, value in given.items() if value is not None},
         )
 
 
@@ -372,6 +379,8 @@ def _density_report(
         ("unimodal", report.unimodal),
     ])
     if cfg.svg:
+        from ._svg import write_line_plot
+
         write_line_plot(
             out / "density.svg",
             [("density", curve.xs, curve.ps)],
@@ -399,6 +408,8 @@ def cmd_fit(args, cfg: RunConfig, out: Path) -> int:
         [xs, vols, fitted, fitted - vols],
     )
     if cfg.svg:
+        from ._svg import write_line_plot
+
         dense_x = np.linspace(xs.min(), xs.max(), 401)
         write_line_plot(
             out / "smile.svg",
@@ -417,6 +428,8 @@ def cmd_fit(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_check(args, cfg: RunConfig, out: Path) -> int:
+    from . import adiabatic as adiab
+
     params = _params_from_args(args)
     if params is None:
         _, fit_result = _fit_from_quote_args(args)
@@ -447,6 +460,8 @@ def cmd_check(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_refit(args, cfg: RunConfig, out: Path) -> int:
+    from . import adiabatic as adiab
+
     settings = cfg.search_settings()
     quotes, free = _fit_from_quote_args(args)
     if not free.converged:
@@ -482,6 +497,8 @@ def cmd_refit(args, cfg: RunConfig, out: Path) -> int:
         [xs, vol_free, vol_final, p_free, p_final],
     )
     if cfg.svg:
+        from ._svg import write_line_plot
+
         write_line_plot(
             out / "refit_density.svg",
             [("unconstrained", xs, p_free), ("constrained", xs, p_final)],
@@ -535,8 +552,18 @@ def _parse_axis(spec: str) -> tuple[float, float, int] | None:
 _SWEEP_HEADER = ["g", "T", "n", "rho", "chi_c", "status"]
 
 
-def read_sweep_csv(path: str) -> list[adiab.SweepRow]:
-    lines = _read_text(path, "sweep file").splitlines()
+def read_sweep_csv(path: str, resume: bool = False) -> list[adiab.SweepRow]:
+    """The rows of a sweep CSV. Every line must parse, except that with
+    ``resume`` a last row without its ``\\n``, which a kill inside the sweep's
+    append leaves, is dropped and named on stdout, so its point is computed
+    again."""
+    from . import adiabatic as adiab
+
+    text = _read_text(path, "sweep file")
+    lines = text.splitlines()
+    if resume and len(lines) > 1 and not text.endswith("\n"):
+        print(f"sweep: {path}: line {len(lines)} has no newline; dropped as torn")
+        lines.pop()
     if not lines or [f.strip() for f in lines[0].split(",")] != _SWEEP_HEADER:
         raise QuoteFormatError(f"{path}: expected header {','.join(_SWEEP_HEADER)}")
     rows = []
@@ -567,6 +594,8 @@ def _row_key(g: float, rho: float, maturity: float) -> tuple[str, str, str]:
 
 
 def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
+    from . import adiabatic as adiab
+
     settings = cfg.search_settings()  # bad settings exit 2 before the CSV is touched
     specs = [_parse_axis(s) for s in (args.g_range, args.rho_range, args.t_range)]
     defaults = adiab.default_sweep_axes()
@@ -580,7 +609,7 @@ def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
 
     done: dict[tuple[str, str, str], adiab.SweepRow] = {}
     if path.exists():
-        for row in read_sweep_csv(str(path)):
+        for row in read_sweep_csv(str(path), resume=True):
             if row.status == "ok":
                 done[_row_key(row.g, row.rho, row.maturity)] = row
 
@@ -627,6 +656,8 @@ def _sweep_svg(out: Path, rows: list[adiab.SweepRow]) -> None:
             (f"g={g:.3g},T={t:.3g}", [r.n for r in group], [r.chi_c for r in group])
         )
     if series:
+        from ._svg import write_line_plot
+
         write_line_plot(
             out / "boundary.svg",
             series,
@@ -637,6 +668,8 @@ def _sweep_svg(out: Path, rows: list[adiab.SweepRow]) -> None:
 
 
 def cmd_calibrate(args, cfg: RunConfig, out: Path) -> int:
+    from . import adiabatic as adiab
+
     rows = read_sweep_csv(args.sweepfile)
     try:
         result = adiab.calibrate_critical_fit(rows)
@@ -781,5 +814,17 @@ def main(argv=None) -> int:
         return EXIT_CONVERGENCE
 
 
+def script_main() -> int:
+    """The entry of the ``smilecal`` script and of ``python -m smilecal.cli``:
+    :func:`main`, then :func:`gc.freeze`, so that the collections the
+    interpreter makes as it exits skip every object alive at that point,
+    the imported modules above all. Only a process that ends after one
+    command freezes; :func:`main` itself never does, since a frozen object
+    is never collected."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script_main())

@@ -278,15 +278,57 @@ def density_curve(
     return DensityCurve(xs=xs, ps=return_density(params, xs))
 
 
-def _grid(params: SmileParams, points: int, span: float) -> np.ndarray:
-    """The x-grid of :func:`density_curve`: ``points`` uniform samples over
-    ``x_min +- span * g * chi * sqrt(T)``. A width that is not finite raises
-    the :class:`DensityCurve` error that its NaN samples would."""
+def _grid_ends(params: SmileParams, span: float) -> tuple[float, float]:
+    """The ends ``x_min +- span * g * chi * sqrt(T)`` of :func:`_grid`. A
+    width that is not finite raises the :class:`DensityCurve` error that the
+    grid's NaN samples would."""
     scale = params.sigma_plateau * math.sqrt(params.maturity)
     lo, hi = params.x_min - span * scale, params.x_min + span * scale
     if not math.isfinite(hi - lo):
         raise DomainError("xs must be strictly increasing")
-    return np.linspace(lo, hi, points)
+    return lo, hi
+
+
+def _grid(params: SmileParams, points: int, span: float) -> np.ndarray:
+    """The x-grid of :func:`density_curve`: ``points`` uniform samples from
+    one of :func:`_grid_ends` to the other."""
+    return np.linspace(*_grid_ends(params, span), points)
+
+
+def _grid_slice(
+    params: SmileParams, points: int, span: float, x: float, size: int
+) -> np.ndarray:
+    """``size`` consecutive samples of :func:`_grid`, centred where
+    ``np.searchsorted`` on the grid puts ``x`` (a NaN ``x`` last) and clipped
+    to the grid, formed without the rest of the grid and equal to its slice
+    bit for bit: sample ``i`` of ``np.linspace(lo, hi, points)`` is ``i *
+    step + lo`` and its last one ``hi``. A zero ``step``, whose grid
+    ``np.linspace`` forms another way, slices the whole grid."""
+    lo, hi = _grid_ends(params, span)
+    step = (hi - lo) / (points - 1)
+
+    def sample(i: int) -> float:
+        return hi if i == points - 1 else i * step + lo
+
+    if step == 0.0:
+        xs = _grid(params, points, span)
+        index = int(np.searchsorted(xs, x))
+    elif math.isnan(x):
+        index = points
+    else:  # the first sample not below x: guessed from the step, then checked
+        index = math.ceil(min(max((x - lo) / step, 0.0), points))
+        while index > 0 and sample(index - 1) >= x:
+            index -= 1
+        while index < points and sample(index) < x:
+            index += 1
+    start = min(max(index - size // 2, 0), max(points - size, 0))
+    stop = min(start + size, points)
+    if step == 0.0:
+        return xs[start:stop]
+    xs = np.arange(start, stop, dtype=np.float64) * step + lo
+    if stop == points:
+        xs[-1] = hi
+    return xs
 
 
 def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:

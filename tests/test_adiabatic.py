@@ -458,26 +458,32 @@ class TestWindowVerdict:
     )
     def test_slice_samples_are_the_full_curves(self, monkeypatch, opts):
         # bit for bit, at both ends of each search's final bracket on the
-        # 27-point sub-lattice, centred on the fold and clipped to the grid
+        # 27-point sub-lattice, centred on the fold, near either end of the
+        # grid and past it, and clipped to the grid; the slice starts where
+        # searchsorted on the full grid puts x, a NaN last
         adiab = smilecal.adiabatic
         for g, rho, t in product(*default_sweep_axes(3, 3, 3)):
             n = rho * g * g * t
             y, _ = adiab._fold_point(*adiab._reduced(g, n, t))
-            x = y * g * math.sqrt(t)
             for chi in _final_bracket(monkeypatch, g, n, t, opts):
                 params = SmileParams(g=g, chi=chi, n=n, maturity=t)
-                slices = []
-                monkeypatch.setattr(adiab, "stationary_points",
-                                    lambda curve: slices.append(curve) or ())
-                adiab._window_minima(params, opts, x)
-                monkeypatch.undo()
-                (part,) = slices
                 full = density_curve(params, points=opts.grid_points, span=opts.span)
-                start = int(np.searchsorted(full.xs, part.xs[0]))
-                assert part.xs.size == min(201, full.xs.size)
-                assert part.xs[0] <= x <= part.xs[-1] or x < full.xs[0] or x > full.xs[-1]
-                assert part.xs.tobytes() == full.xs[start:start + part.xs.size].tobytes()
-                assert part.ps.tobytes() == full.ps[start:start + part.xs.size].tobytes()
+                xs = full.xs
+                inner = [xs[k] for k in (xs.size // 3, xs.size // 2, 2 * xs.size // 3)]
+                for x in (y * g * math.sqrt(t), -math.inf, xs[0] - 1.0, xs[0], xs[1],
+                          *inner, *np.nextafter(inner, -np.inf), *np.nextafter(inner, np.inf),
+                          xs[-2], xs[-1], xs[-1] + 1.0, math.inf, math.nan):
+                    slices = []
+                    monkeypatch.setattr(adiab, "stationary_points",
+                                        lambda curve: slices.append(curve) or ())
+                    adiab._window_minima(params, opts, float(x))
+                    monkeypatch.undo()
+                    (part,) = slices
+                    start = int(np.searchsorted(xs, x)) - 100
+                    start = min(max(start, 0), max(xs.size - 201, 0))
+                    assert part.xs.size == min(201, xs.size)
+                    assert part.xs.tobytes() == xs[start:start + part.xs.size].tobytes()
+                    assert part.ps.tobytes() == full.ps[start:start + part.xs.size].tobytes()
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(

@@ -4,6 +4,7 @@ file formats, resume behavior, config precedence, determinism.
 
 import argparse
 import dataclasses
+import gc
 import importlib.util
 import json
 import math
@@ -659,6 +660,49 @@ class TestSweepAndCalibrate:
         assert main(args) == EXIT_OK
         assert f"{k} reused, {8 - k} to compute" in capsys.readouterr().out
         assert (out / "sweep.csv").read_bytes() == finished
+
+    TORN_SWEEP = ["sweep", "--g-range", "0.05:0.3:2", "--rho-range", "3:3:1",
+                  "--t-range", "0.2:1.5:2"]
+
+    def _torn(self, tmp_path) -> tuple[Path, bytes]:
+        # a finished 4-point sweep whose last line a kill inside the append
+        # cut to 25 bytes
+        out = tmp_path / "out"
+        assert main([*self.TORN_SWEEP, "--out", str(out)]) == EXIT_OK
+        path = out / "sweep.csv"
+        finished = path.read_bytes()
+        path.write_bytes(finished[:finished.rindex(b"\n", 0, -1) + 26])
+        return path, finished
+
+    def test_torn_last_row_is_recomputed(self, tmp_path, monkeypatch, capsys):
+        path, finished = self._torn(tmp_path)
+        real = adiabatic._sweep_one
+        calls = []
+
+        def counted(*point):
+            calls.append(point)
+            return real(*point)
+
+        monkeypatch.setattr(adiabatic, "_sweep_one", counted)
+        capsys.readouterr()
+        assert main([*self.TORN_SWEEP, "--out", str(path.parent)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert f"sweep: {path}: line 5 has no newline; dropped as torn\n" in stdout
+        assert "sweep: 4 rows, 3 reused, 1 to compute\n" in stdout
+        assert len(calls) == 1
+        assert path.read_bytes() == finished
+
+    def test_torn_row_still_fails_where_it_is_not_a_resume_tail(self, tmp_path, capsys):
+        # calibrate reads every line; a malformed line that ends in \n stops
+        # a resume as well
+        path, _ = self._torn(tmp_path)
+        error = f"error: {path}: line 5: expected 6 fields\n"
+        capsys.readouterr()
+        assert main(["calibrate", str(path), "--out", str(tmp_path / "cal")]) == EXIT_PARSE
+        assert capsys.readouterr().err == error
+        path.write_bytes(path.read_bytes() + b"\n")
+        assert main([*self.TORN_SWEEP, "--out", str(path.parent)]) == EXIT_PARSE
+        assert capsys.readouterr().err == error
 
     def test_repeated_lattice_point_computed_once(self, tmp_path, monkeypatch, capsys):
         real = adiabatic._sweep_one
@@ -1352,6 +1396,13 @@ with open(report, "w") as fh:
 
 
 class TestColdStart:
+    @staticmethod
+    def _fresh(*args) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        src = str(Path(smilecal.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
     def test_no_command_loads_scipy_or_process_pool(self, tmp_path):
         # one fresh interpreter: no command imports scipy, the normal CDF of
         # bl-oracle and the inverse CDF of delta conversion included (both
@@ -1377,18 +1428,108 @@ class TestColdStart:
             ["refit", str(dfile), "--out", out],
             ["bl-oracle", "--params", "0.15,1.6,0.07875", "--maturity", "0.5", "--out", out],
         ]
-        env = dict(os.environ)
-        src = str(Path(smilecal.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         report = tmp_path / "modules.json"
-        subprocess.run(
-            [sys.executable, "-c", _COLD_START, str(report), json.dumps(runs)],
-            env=env, check=True, capture_output=True,
-        )
+        assert self._fresh("-c", _COLD_START, str(report), json.dumps(runs)).returncode == 0
         result = json.loads(report.read_text())
         assert result["codes"] == [EXIT_NON_ADIABATIC, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK,
                                    EXIT_NEGATIVE_DENSITY, EXIT_OK, EXIT_OK]
         assert result["loaded"] == []
+
+    def _script(self, tmp_path, argv: list[str]) -> tuple[int, str, str, dict, list]:
+        # the command line as ``python -m smilecal.cli`` runs it, in a fresh
+        # interpreter: exit code, stdout, stderr, output files and the
+        # package's modules loaded by the time the interpreter exits
+        out, report = tmp_path / "script", tmp_path / "modules.json"
+        proc = self._fresh("-c", _AS_SCRIPT, str(report), *argv, "--out", str(out))
+        modules, frozen = json.loads(report.read_text())
+        assert frozen > 0  # the script entry froze the heap before exiting
+        loaded = [m for m in modules if m.split(".")[0] == "smilecal"]
+        return proc.returncode, proc.stdout, proc.stderr, _files(out), loaded
+
+    def test_import_smilecal_loads_no_module(self):
+        # nor does importing cli load the modules cli does not import
+        code = """if True:
+            import sys
+            def loaded():
+                return sorted(m for m in sys.modules if m.split(".")[0] in ("smilecal", "numpy"))
+            import smilecal
+            print(loaded())
+            from smilecal import cli
+            print("smilecal.adiabatic" in loaded())
+        """
+        assert self._fresh("-c", code).stdout == "['smilecal']\nFalse\n"
+
+    @pytest.mark.parametrize("first", ["star", "dir"])
+    def test_star_import_and_dir_give_all(self, first):
+        # in a fresh interpreter, where the first lookup loads the modules
+        code = """if True:
+            import json, sys, types
+            import smilecal
+            def public():
+                return sorted(n for n in dir(smilecal) if not n.startswith("_")
+                              and not isinstance(getattr(smilecal, n), types.ModuleType))
+            def star():
+                namespace = {}
+                exec("from smilecal import *", namespace)
+                return sorted(set(namespace) - {"__builtins__"})
+            order = (public, star) if sys.argv[1] == "dir" else (star, public)
+            found = {lookup.__name__: lookup() for lookup in order}
+            print(json.dumps([found["public"], found["star"], sorted(smilecal.__all__)]))
+        """
+        public, star, names = json.loads(self._fresh("-c", code, first).stdout)
+        assert star == names
+        assert public == names
+
+    @pytest.mark.parametrize("command", ["fit", "check", "refit"])
+    def test_script_entry_matches_main(self, tmp_path, capsys, command):
+        # the same exit code, stdout, stderr and files as an in-process main,
+        # and no module that the command does not run
+        quotes = str(_write_quotes(tmp_path / "q.csv", TRUTH))
+        argv = {"fit": ["fit", quotes],
+                "check": ["check", "--params", "0.1,2.7,0.04", "--maturity", "0.5"],
+                "refit": ["refit", quotes]}[command]
+        code, stdout, stderr, files, loaded = self._script(tmp_path, argv)
+        frozen = gc.get_freeze_count()
+        in_process = main([*argv, "--out", str(tmp_path / "main")])
+        captured = capsys.readouterr()
+        assert gc.get_freeze_count() == frozen  # main itself never freezes
+        assert (code, stdout, stderr) == (in_process, captured.out, captured.err)
+        assert files == _files(tmp_path / "main")
+        assert code == (EXIT_NON_ADIABATIC if command == "check" else EXIT_OK)
+        assert "smilecal._svg" not in loaded
+        assert ("smilecal.adiabatic" in loaded) == (command != "fit")
+
+    @pytest.mark.parametrize("command", ["density", "bl-oracle", "sweep", "calibrate"])
+    def test_command_loads_only_what_it_runs(self, tmp_path, command):
+        rows = [(g, t, rho * g * g * t, rho,
+                 1.4373 * rho**0.2787 - 0.1738 * g * math.sqrt(t) * rho**0.4683, "ok")
+                for g in (0.05, 0.1, 0.2) for rho in (3.0, 5.0, 8.0) for t in (0.1, 0.5, 2.0)]
+        write_csv(tmp_path / "sweep.csv", ["g", "T", "n", "rho", "chi_c", "status"], zip(*rows))
+        smile = ["--params", "0.15,1.6,0.07875", "--maturity", "0.5"]
+        argv = {"density": ["density", *smile], "bl-oracle": ["bl-oracle", *smile],
+                "sweep": ["sweep", "--g-range", "0.1:0.1:1", "--rho-range", "3:3:1",
+                          "--t-range", "1:1:1"],
+                "calibrate": ["calibrate", str(tmp_path / "sweep.csv")]}[command]
+        code, _, stderr, _, loaded = self._script(tmp_path, argv)
+        assert (code, stderr) == (EXIT_OK, "")
+        assert "smilecal._svg" not in loaded
+        assert ("smilecal.adiabatic" in loaded) == (command in ("sweep", "calibrate"))
+
+
+# runs smilecal.cli as ``python -m`` does and, as the interpreter exits,
+# writes the names in sys.modules and the number of frozen objects to the
+# file named by its first argument
+_AS_SCRIPT = """
+import atexit, gc, json, runpy, sys
+report = sys.argv.pop(1)
+atexit.register(lambda: open(report, "w").write(
+    json.dumps([sorted(sys.modules), gc.get_freeze_count()])))
+runpy.run_module("smilecal.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _files(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
 def _reference_fmt(value) -> str:
