@@ -1,4 +1,5 @@
-"""CSV text at numpy speed, each float written byte for byte as ``'%.17g' %``.
+"""CSV text at numpy speed, each float written byte for byte as ``'%.17g' %``,
+and the one writer of every output file.
 
 :func:`rows` turns equal-length 1-D columns into CSV lines, a block of rows
 at a time. A block holds every column for at most ``CAP`` values, and each
@@ -21,13 +22,19 @@ The error is below 1e-13 of a unit in the 17th digit, so the digits are
 exact wherever the fraction to round lies more than ``_BAND`` from 1/2. The
 others, exact ties among them, and ±0, inf, NaN, subnormals and the values
 outside that range go to ``'%.17g' %`` itself: the fast path never guesses.
+
+:func:`write_whole` writes a file so that a kill leaves it whole, old or
+new, or absent, never cut short.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import os
+from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -262,3 +269,40 @@ def rows(columns) -> Iterator[bytes]:
             yield _small(columns, start, stop)
         else:
             yield _block(columns, start, stop).tobytes().translate(None, _PAD)
+
+
+def temp_path(path: Path) -> Path:
+    """The temporary file :func:`write_whole` writes before it renames it to
+    ``path``: ``NAME.tmp`` beside ``NAME``."""
+    return path.with_name(path.name + ".tmp")
+
+
+def write_whole(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path`` whole or not at all.
+
+    The chunks go to :func:`temp_path` in ``path``'s directory, which is
+    closed; then ``path`` is unlinked, if it exists, and the temporary file
+    renamed to the name now free. A kill leaves ``path`` old, new or, between
+    the unlink and the rename, absent beside a whole temporary file. If the
+    chunks or the writing fail, or ``path`` cannot be unlinked (a directory
+    in its place, say), the temporary file is deleted, ``path`` is left as it
+    was and the error raised.
+
+    Neither replacement that ext4's ``auto_da_alloc`` flushes happens here:
+    no file is truncated, and the rename never lands on an existing name, so
+    the new pages stay in the page cache until the kernel writes them back.
+    Nothing is synced, so a power loss may lose the file. Each write makes a
+    new file: a symlink or a hard link at ``path`` is replaced, not written
+    through, and the mode follows the umask, not the old file's.
+    """
+    tmp = temp_path(path)
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        with suppress(FileNotFoundError):
+            os.unlink(path)
+    except BaseException:
+        with suppress(OSError):  # a directory named like the temporary file stays
+            os.unlink(tmp)
+        raise
+    os.rename(tmp, path)

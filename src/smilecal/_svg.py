@@ -11,6 +11,8 @@ import math
 from pathlib import Path
 from typing import Sequence
 
+from ._csv import write_whole
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT = 800, 500
@@ -123,4 +125,4 @@ def write_line_plot(
         )
 
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    write_whole(Path(path), [("\n".join(parts) + "\n").encode("utf-8")])

@@ -53,7 +53,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -202,7 +202,7 @@ def _fmt(value) -> str:
 def write_report(path: Path, items: list[tuple[str, object]]) -> None:
     """Write ``key=value`` lines to ``path`` and echo them to stdout."""
     text = "".join(f"{key}={_fmt(value)}\n" for key, value in items)
-    path.write_text(text, encoding="utf-8")
+    _csv.write_whole(path, [text.encode("utf-8")])
     print(text, end="")
 
 
@@ -221,10 +221,16 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     under glibc's 128 KiB mmap threshold, and the block's temporaries stay in
     the L2 cache. A block of few values is formatted by Python's ``%``; see
     :mod:`smilecal._csv`.
+
+    The file is written whole or not at all, as every output is: the lines go
+    to ``NAME.tmp`` beside it, the old file is unlinked and the temporary
+    file renamed to ``NAME`` (:func:`smilecal._csv.write_whole`). A kill
+    leaves the old file, the new one or, between the unlink and the rename,
+    none beside a whole ``NAME.tmp``; an error deletes the temporary file and
+    leaves the old one. Nothing is synced: a power loss may lose the file.
     """
-    with path.open("wb") as f:
-        f.write((",".join(header) + "\n").encode("utf-8"))
-        f.writelines(_csv.rows(columns))
+    head = (",".join(header) + "\n").encode("utf-8")
+    _csv.write_whole(path, chain([head], _csv.rows(columns)))
 
 
 def parse_quote_file(path: str) -> QuoteFile:
@@ -550,16 +556,22 @@ def _parse_axis(spec: str) -> tuple[float, float, int] | None:
 
 
 _SWEEP_HEADER = ["g", "T", "n", "rho", "chi_c", "status"]
+_SWEEP_HEADER_LINE = ",".join(_SWEEP_HEADER) + "\n"
 
 
 def read_sweep_csv(path: str, resume: bool = False) -> list[adiab.SweepRow]:
     """The rows of a sweep CSV. Every line must parse, except that with
     ``resume`` a last row without its ``\\n``, which a kill inside the sweep's
     append leaves, is dropped and named on stdout, so its point is computed
-    again."""
+    again; and a file that holds no more than its header, torn or whole, as a
+    kill inside a new sweep's first write leaves it, has no rows."""
     from . import adiabatic as adiab
 
     text = _read_text(path, "sweep file")
+    if resume and _SWEEP_HEADER_LINE.startswith(text):
+        if text != _SWEEP_HEADER_LINE:
+            print(f"sweep: {path}: header is torn; no rows read")
+        return []
     lines = text.splitlines()
     if resume and len(lines) > 1 and not text.endswith("\n"):
         print(f"sweep: {path}: line {len(lines)} has no newline; dropped as torn")
@@ -606,6 +618,13 @@ def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
         d if p is None else np.geomspace(*p) for p, d in zip(specs, defaults)
     )
     path = out / "sweep.csv"
+    tmp = _csv.temp_path(path)
+    if not path.exists() and tmp.is_file():
+        # a kill between the writer's unlink and rename left the file whole
+        # under its temporary name: finish the rename, so that the rewrite
+        # below does not write over the only copy of its rows
+        print(f"sweep: {path} is absent; resuming from {tmp}")
+        os.rename(tmp, path)
 
     done: dict[tuple[str, str, str], adiab.SweepRow] = {}
     if path.exists():

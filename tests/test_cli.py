@@ -11,6 +11,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -604,6 +605,57 @@ class TestDensityCommand:
         assert not recwarn.list
 
 
+def _fresh(*args) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter that imports this package."""
+    env = dict(os.environ)
+    src = str(Path(smilecal.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+# a sweep that SIGKILLs itself at the K-th call of one function: the point
+# computation ("row"), the same after cutting the last appended row short, as
+# a kill inside the append leaves it ("append"), the unlink of sweep.csv after
+# cutting the temporary file short, as a kill inside its write leaves it
+# ("write"), and the rename onto sweep.csv ("gap")
+_KILLED_SWEEP = """
+import os, signal, sys
+from smilecal import adiabatic, cli
+where, k, out, *argv = sys.argv[1:]
+path = os.path.join(out, "sweep.csv")
+calls = []
+
+def killed(real, ours, before=lambda: None):
+    def patched(*args):
+        if ours(*args):
+            calls.append(args)
+            if len(calls) == int(k):
+                before()
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+    return patched
+
+def cut(name):
+    os.truncate(name, os.path.getsize(name) - 5)
+
+def every(*args):
+    return True
+
+def onto_sweep(*args):
+    return os.fspath(args[-1]) == path
+
+if where == "row":
+    adiabatic._sweep_one = killed(adiabatic._sweep_one, every)
+elif where == "append":
+    adiabatic._sweep_one = killed(adiabatic._sweep_one, every, lambda: cut(path))
+elif where == "write":
+    os.unlink = killed(os.unlink, onto_sweep, lambda: cut(path + ".tmp"))
+else:
+    os.rename = killed(os.rename, onto_sweep)
+cli.main(["sweep", *argv, "--out", out])
+"""
+
+
 class TestSweepAndCalibrate:
     def test_sweep_csv_round_trips(self, tmp_path):
         out = tmp_path / "out"
@@ -690,6 +742,55 @@ class TestSweepAndCalibrate:
         assert f"sweep: {path}: line 5 has no newline; dropped as torn\n" in stdout
         assert "sweep: 4 rows, 3 reused, 1 to compute\n" in stdout
         assert len(calls) == 1
+        assert path.read_bytes() == finished
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory) -> bytes:
+        out = tmp_path_factory.mktemp("finished")
+        assert main([*self.TORN_SWEEP, "--out", str(out)]) == EXIT_OK
+        return (out / "sweep.csv").read_bytes()
+
+    # where the child is killed, at which call, the rows of a sweep.csv.tmp
+    # left before it by an earlier kill between the unlink and the rename
+    # (None for a new sweep), whether sweep.csv is there after the kill, and
+    # the rows whole on disk then, which the resume must reuse
+    KILLS = {
+        "between rows": ("row", 3, None, True, 2),
+        "inside an append": ("append", 4, None, True, 2),
+        "inside the first write": ("write", 1, None, False, 0),
+        "between the first unlink and rename": ("gap", 1, None, False, 0),
+        "inside the last write": ("write", 2, None, True, 4),
+        "between the last unlink and rename": ("gap", 2, None, False, 4),
+        "inside a resume's first write": ("write", 1, 2, True, 2),
+    }
+
+    @pytest.mark.parametrize("case", list(KILLS))
+    def test_resume_after_a_kill(self, tmp_path, monkeypatch, capsys, finished, case):
+        where, k, earlier, present, whole = self.KILLS[case]
+        out = tmp_path / "out"
+        path, tmp = out / "sweep.csv", out / "sweep.csv.tmp"
+        out.mkdir()
+        if earlier is not None:
+            tmp.write_bytes(b"".join(finished.splitlines(keepends=True)[:1 + earlier]))
+        proc = _fresh("-c", _KILLED_SWEEP, where, str(k), str(out), *self.TORN_SWEEP[1:])
+        assert proc.returncode == -signal.SIGKILL
+        assert path.exists() == present
+        left = (path if present else tmp).read_bytes()
+        assert max(left.count(b"\n") - 1, 0) == whole  # lines whole past the header
+
+        real = adiabatic._sweep_one
+        calls = []
+
+        def counted(*point):
+            calls.append(point)
+            return real(*point)
+
+        monkeypatch.setattr(adiabatic, "_sweep_one", counted)
+        capsys.readouterr()
+        assert main([*self.TORN_SWEEP, "--out", str(out)]) == EXIT_OK
+        assert f"sweep: 4 rows, {whole} reused, {4 - whole} to compute\n" in capsys.readouterr().out
+        assert len(calls) == 4 - whole
+        assert [p.name for p in out.iterdir()] == ["sweep.csv"]
         assert path.read_bytes() == finished
 
     def test_torn_row_still_fails_where_it_is_not_a_resume_tail(self, tmp_path, capsys):
@@ -1258,13 +1359,29 @@ class TestErrorLines:
         (["fit", "{path}", "--svg"], "smile.svg"),
     ])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, argv, name):
-        # a directory in the place of an output file
+        # a directory in the place of an output file; the outputs written
+        # before it stay, and no temporary file is left
+        before = ["fit.txt", "fit_residuals.csv"] if name == "smile.svg" else []
         path = _write_quotes(tmp_path / "q.csv", TRUTH)
         blocked = tmp_path / "out" / name
         blocked.mkdir(parents=True)
         argv = [a.format(path=path) for a in argv]
         assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{blocked}'\n"
+        assert sorted(p.name for p in blocked.parent.iterdir()) == sorted([*before, name])
+
+    def test_directory_in_the_temporary_files_place_exits_2(self, tmp_path, capsys):
+        argv = ["density", "--params", "0.1,2.7,0.04", "--maturity", "0.5",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        old = (tmp_path / "density.csv").read_bytes()
+        blocked = tmp_path / "density.csv.tmp"
+        blocked.mkdir()
+        capsys.readouterr()
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{blocked}'\n"
+        assert (tmp_path / "density.csv").read_bytes() == old
+        assert blocked.is_dir()
 
     def test_blank_sweep_line_is_skipped(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1396,13 +1513,6 @@ with open(report, "w") as fh:
 
 
 class TestColdStart:
-    @staticmethod
-    def _fresh(*args) -> subprocess.CompletedProcess:
-        env = dict(os.environ)
-        src = str(Path(smilecal.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
-
     def test_no_command_loads_scipy_or_process_pool(self, tmp_path):
         # one fresh interpreter: no command imports scipy, the normal CDF of
         # bl-oracle and the inverse CDF of delta conversion included (both
@@ -1429,7 +1539,7 @@ class TestColdStart:
             ["bl-oracle", "--params", "0.15,1.6,0.07875", "--maturity", "0.5", "--out", out],
         ]
         report = tmp_path / "modules.json"
-        assert self._fresh("-c", _COLD_START, str(report), json.dumps(runs)).returncode == 0
+        assert _fresh("-c", _COLD_START, str(report), json.dumps(runs)).returncode == 0
         result = json.loads(report.read_text())
         assert result["codes"] == [EXIT_NON_ADIABATIC, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK,
                                    EXIT_NEGATIVE_DENSITY, EXIT_OK, EXIT_OK]
@@ -1440,7 +1550,7 @@ class TestColdStart:
         # interpreter: exit code, stdout, stderr, output files and the
         # package's modules loaded by the time the interpreter exits
         out, report = tmp_path / "script", tmp_path / "modules.json"
-        proc = self._fresh("-c", _AS_SCRIPT, str(report), *argv, "--out", str(out))
+        proc = _fresh("-c", _AS_SCRIPT, str(report), *argv, "--out", str(out))
         modules, frozen = json.loads(report.read_text())
         assert frozen > 0  # the script entry froze the heap before exiting
         loaded = [m for m in modules if m.split(".")[0] == "smilecal"]
@@ -1457,7 +1567,7 @@ class TestColdStart:
             from smilecal import cli
             print("smilecal.adiabatic" in loaded())
         """
-        assert self._fresh("-c", code).stdout == "['smilecal']\nFalse\n"
+        assert _fresh("-c", code).stdout == "['smilecal']\nFalse\n"
 
     @pytest.mark.parametrize("first", ["star", "dir"])
     def test_star_import_and_dir_give_all(self, first):
@@ -1476,7 +1586,7 @@ class TestColdStart:
             found = {lookup.__name__: lookup() for lookup in order}
             print(json.dumps([found["public"], found["star"], sorted(smilecal.__all__)]))
         """
-        public, star, names = json.loads(self._fresh("-c", code, first).stdout)
+        public, star, names = json.loads(_fresh("-c", code, first).stdout)
         assert star == names
         assert public == names
 
@@ -1601,6 +1711,39 @@ class TestCsvWriter:
         write_csv(tmp_path / "new.csv", list("xaabb"), columns)
         _reference_write_csv(tmp_path / "old.csv", list("xaabb"), zip(*columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_failing_rows_leave_the_old_file(self, tmp_path):
+        # the second block's text raises, after the first reached the file
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("no text")
+
+        x = np.arange(2000.0)
+        labels = np.array([str(v) for v in range(1500)] + [Unprintable()] * 500, dtype=object)
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError, match="no text"):
+            write_csv(path, ["x", "label"], [x, labels])
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+        assert path.read_bytes() == b"old\n"
+
+    def test_rewrite_matches_a_new_file(self, tmp_path):
+        # a longer old file, and a symlink, which is replaced, not written through
+        columns = [np.linspace(0.0, 1.0, 3000), np.linspace(-1.0, 0.0, 3000)]
+        write_csv(tmp_path / "new.csv", ["a", "b"], columns)
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"9" * 200000)
+        inode = old.stat().st_ino
+        write_csv(old, ["a", "b"], columns)
+        assert old.read_bytes() == (tmp_path / "new.csv").read_bytes()
+        assert old.stat().st_ino != inode
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "new.csv")
+        write_csv(link, ["a"], columns[:1])
+        assert not link.is_symlink()
+        assert link.read_text().startswith("a\n0\n")
+        assert (tmp_path / "new.csv").read_bytes() == old.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "new.csv", "old.csv"]
 
     def test_no_rows_writes_only_the_header(self, tmp_path):
         write_csv(tmp_path / "a.csv", ["g", "status"], zip(*[]))

@@ -81,8 +81,9 @@ shown, as ``Category: message`` without its source location, so that a
 command's stderr does not depend on the commands run before it or on
 where the warning's line sits.
 
-Prints each differing exit code, stdout, stderr and output file, and
-exits 1 if anything differs, else 0. Reads ``bench/`` of the checkout
+Prints each differing exit code, stdout, stderr and output file, and, on
+a line of its own, each temporary ``*.tmp`` file left in either tree's
+outputs, even one both trees leave; exits 1 if it printed any, else 0. Reads ``bench/`` of the checkout
 this script belongs to and writes nothing there.
 """
 
@@ -392,6 +393,11 @@ def main(argv: list[str]) -> int:
                 state = ("only in old" if rel not in new_files
                          else "only in new" if rel not in old_files else "differs")
                 print(f"file {rel}: {state}")
+        for rel in sorted(old_files.keys() | new_files.keys()):
+            if rel.endswith(".tmp"):
+                diffs += 1
+                trees = [side for side, f in (("old", old_files), ("new", new_files)) if rel in f]
+                print(f"file {rel}: temporary file left in {' and '.join(trees)}")
     print(f"{len(commands)} commands, {len(old_files)} files: {diffs} differences")
     return 1 if diffs else 0
 
