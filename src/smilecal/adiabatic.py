@@ -187,15 +187,20 @@ def _verdict(params: SmileParams, settings: ChiSearchSettings) -> DensityReport:
     return analyze(curve)
 
 
-# samples in the slice of the density grid that a window verdict reads
-_WINDOW_POINTS = 201
+# samples in the slice of the density grid that a window verdict reads; a
+# window's minimum is the whole grid's at any size, so the size moves no
+# result, only the samples a verdict pays for and how often a whole-grid
+# verdict must follow: 61 is the fewest tried that keeps the tests' verdict
+# counts (at 41 the retry walks need more whole-grid verdicts)
+_WINDOW_POINTS = 61
 
 
 def _window_minima(
     params: SmileParams, settings: ChiSearchSettings, x: float
 ) -> tuple[StationaryPoint, ...]:
-    """The density's minima on a slice of ``_WINDOW_POINTS`` samples of the
-    ``settings`` grid, centred on ``x`` and clipped to the grid.
+    """The density's minima on a slice of ``_WINDOW_POINTS`` (61) samples of
+    the ``settings`` grid, centred on ``x`` and clipped to the grid: all of
+    it on a grid of fewer samples.
 
     The slice's x are the full grid's bit for bit (:func:`_grid_slice`), and
     each density sample is elementwise, so its samples are the full grid
@@ -450,10 +455,10 @@ def chi_critical_numeric(
     if a walk finds no transition, every verdict is real. No chi gets two
     verdicts.
 
-    A real verdict above ``chi_f`` first reads the slice of the grid around
-    ``x = y_f g sqrt(T)`` (:func:`_window_minima`): a minimum there is a
-    minimum of the full curve, so the density is not unimodal. Only a slice
-    without one leaves the verdict to the full grid.
+    A real verdict above ``chi_f`` first reads the 61 samples of the grid
+    around ``x = y_f g sqrt(T)`` (:func:`_window_minima`): a minimum there
+    is a minimum of the full curve, so the density is not unimodal. Only a
+    slice without one leaves the verdict to the full grid.
 
     Raises
     ------

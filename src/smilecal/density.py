@@ -68,14 +68,19 @@ class DensityCurve:
         if xs.size < 3:
             raise DomainError("a density curve needs at least 3 samples")
         # one comparison pass, which a NaN fails too
-        if not np.all(xs[1:] > xs[:-1]):
+        if not (xs[1:] > xs[:-1]).all():
             raise DomainError("xs must be strictly increasing")
         if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
             raise DomainError("xs must be finite")
-        if not np.all(np.isfinite(ps)):
+        # a NaN or an infinity among the samples shows in the least or the
+        # greatest, which analyze's negativity test reads too
+        low, high = float(ps.min()), float(ps.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise DomainError("ps must be finite")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ps", ps)
+        # not a field: a curve holds only its samples
+        object.__setattr__(self, "_ps_range", (low, high))
 
 
 @dataclass(frozen=True)
@@ -124,31 +129,53 @@ class DensityReport:
 
 
 def _gaussian_kernel(
-    vol: float | np.ndarray, maturity: float, x: np.ndarray
+    vol: float | np.ndarray, maturity: float, x: float | np.ndarray
 ) -> np.ndarray:
     """Flat-volatility return density: normal with mean ``-vol^2 T / 2``, so
     that the forward is priced correctly. The smile density evaluates it at
-    the local vol, so at chi = 1 it is this bit for bit."""
-    var = vol * vol * maturity
-    shift = 0.5 * var
-    return np.exp(-((x + shift) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    the local vol, so at chi = 1 it is this bit for bit.
+
+    ``exp(-(x + var / 2)^2 / (2 var)) / sqrt(2 pi var)``, ``var = vol^2 T``,
+    is formed in place in two new arrays of ``x``'s shape, one of them the
+    result, and a third holds ``2 var``.
+    """
+    var = np.multiply(vol, vol, out=np.empty_like(x, dtype=float))
+    var *= maturity
+    out = np.multiply(0.5, var, out=np.empty_like(var))
+    out += x
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    out /= np.multiply(2.0, var, out=np.empty_like(var))
+    np.exp(out, out=out)
+    var *= 2.0 * np.pi
+    out /= np.sqrt(var, out=var)
+    return out
 
 
-def _curvature(sigma, sigma_x, sigma_xx, x, maturity: float):
+def _curvature(sigma, sigma_x, sigma_xx, x, maturity: float) -> np.ndarray:
     """Curvature multiplier on the Gaussian kernel from a non-flat smile.
 
     ``F = (1 - (sigma'/sigma) x)^2 - (sigma' sigma T)^2 / 4 + sigma sigma'' T``
 
     equals 1 identically for a flat smile and may go negative when the
     smile bends too fast, which is exactly the arbitrage signature the
-    density checks look for. Takes floats or arrays and returns them as the
-    arithmetic gives them.
+    density checks look for. Takes floats or arrays and forms ``F`` in
+    place in a new array of ``x``'s shape, with one work array of that
+    shape.
     """
-    return (
-        (1.0 - sigma_x / sigma * x) ** 2
-        - (sigma_x * sigma * maturity) ** 2 / 4.0
-        + sigma * sigma_xx * maturity
-    )
+    out = np.divide(sigma_x, sigma, out=np.empty_like(x, dtype=float))
+    out *= x
+    np.subtract(1.0, out, out=out)
+    np.square(out, out=out)
+    term = np.multiply(sigma_x, sigma, out=np.empty_like(out))
+    term *= maturity
+    np.square(term, out=term)
+    term /= 4.0
+    out -= term
+    np.multiply(sigma, sigma_xx, out=term)
+    term *= maturity
+    out += term
+    return out
 
 
 def return_density(
@@ -163,8 +190,8 @@ def return_density(
     x_arr = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         sig, d1, d2 = _sigma_terms(params, x_arr)
-        kernel = _gaussian_kernel(sig, params.maturity, x_arr)
-        p = kernel * _curvature(sig, d1, d2, x_arr, params.maturity)
+        p = _gaussian_kernel(sig, params.maturity, x_arr)
+        p *= _curvature(sig, d1, d2, x_arr, params.maturity)
     return _as_float_or_array(p, x)
 
 
@@ -291,8 +318,27 @@ def _grid_ends(params: SmileParams, span: float) -> tuple[float, float]:
 
 def _grid(params: SmileParams, points: int, span: float) -> np.ndarray:
     """The x-grid of :func:`density_curve`: ``points`` uniform samples from
-    one of :func:`_grid_ends` to the other."""
-    return np.linspace(*_grid_ends(params, span), points)
+    one of :func:`_grid_ends` to the other. Sample ``i`` is ``i * step +
+    lo`` and the last one ``hi``, the rule by which ``np.linspace`` forms
+    them, so the two are equal bit for bit. Where ``step`` is 0,
+    ``np.linspace`` forms them another way, and forms the grid."""
+    lo, hi = _grid_ends(params, span)
+    step = (hi - lo) / (points - 1)
+    if step == 0.0:
+        return np.linspace(lo, hi, points)
+    return _grid_samples(lo, hi, step, 0, points, points)
+
+
+def _grid_samples(lo: float, hi: float, step: float, start: int, stop: int,
+                  points: int) -> np.ndarray:
+    """Samples ``start`` to ``stop`` of the ``points``-sample grid rule of
+    :func:`_grid`, with a nonzero ``step``."""
+    xs = np.arange(start, stop, dtype=np.float64)
+    xs *= step
+    xs += lo
+    if stop == points:
+        xs[-1] = hi
+    return xs
 
 
 def _grid_slice(
@@ -300,10 +346,9 @@ def _grid_slice(
 ) -> np.ndarray:
     """``size`` consecutive samples of :func:`_grid`, centred where
     ``np.searchsorted`` on the grid puts ``x`` (a NaN ``x`` last) and clipped
-    to the grid, formed without the rest of the grid and equal to its slice
-    bit for bit: sample ``i`` of ``np.linspace(lo, hi, points)`` is ``i *
-    step + lo`` and its last one ``hi``. A zero ``step``, whose grid
-    ``np.linspace`` forms another way, slices the whole grid."""
+    to the grid, formed by the grid's own rule without the rest of the grid,
+    so equal to its slice bit for bit. A zero ``step`` slices the whole
+    grid."""
     lo, hi = _grid_ends(params, span)
     step = (hi - lo) / (points - 1)
 
@@ -325,10 +370,7 @@ def _grid_slice(
     stop = min(start + size, points)
     if step == 0.0:
         return xs[start:stop]
-    xs = np.arange(start, stop, dtype=np.float64) * step + lo
-    if stop == points:
-        xs[-1] = hi
-    return xs
+    return _grid_samples(lo, hi, step, start, stop, points)
 
 
 def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:
@@ -365,11 +407,11 @@ def _kind(left: int, right: int) -> str:
 
 
 def _negative_regions(curve: DensityCurve) -> tuple[tuple[float, float], ...]:
-    peak = float(np.max(np.abs(curve.ps)))
-    threshold = -NEGATIVE_EPS_REL * peak
-    below = curve.ps < threshold
-    if not below.any():
+    low, high = curve._ps_range
+    threshold = -NEGATIVE_EPS_REL * max(-low, high)  # the peak of |ps|
+    if not low < threshold:
         return ()
+    below = curve.ps < threshold
     padded = np.concatenate(([False], below, [False]))
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
     starts, ends = edges[0::2], edges[1::2] - 1

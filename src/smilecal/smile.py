@@ -147,17 +147,39 @@ def sigma_derivatives(
 
 def _sigma_terms(params: SmileParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays of :func:`sigma_derivatives` at the float array ``x``,
-    unconverted, for a caller inside ``np.errstate``."""
+    unconverted, for a caller inside ``np.errstate``. Each is an array of
+    ``x``'s shape, 0-d for a 0-d ``x``.
+
+    The terms are formed in place, in six arrays of ``x``'s shape, three
+    of them the terms, by the elementwise operations of the closed form in
+    its order, so a sample depends on its own ``x`` alone, whatever the
+    shape::
+
+        u = x + g^2 T / 2,  den = u^2 + n,  slope = 2 g (chi - 1) n
+        sigma = g (1 + (chi - 1) u^2 / den)
+        sigma' = slope u / den^2
+        sigma'' = slope (n - (3 u) u) / (den^2 den)
+    """
     g, chi, n = params.g, params.chi, params.n
     height = chi - 1.0
-    u = x + 0.5 * g * g * params.maturity
-    uu = u * u
-    den = uu + n
-    den2 = den * den
-    sig = g * (1.0 + height * uu / den)
-    d1 = g * height * 2.0 * n * u / den2
-    # not 3.0 * uu: (3.0 * u) * u rounds differently
-    d2 = g * height * 2.0 * n * (n - 3.0 * u * u) / (den2 * den)
+    slope = g * height * 2.0 * n
+    u = np.add(x, 0.5 * g * g * params.maturity, out=np.empty_like(x))
+    sig = np.multiply(u, u, out=np.empty_like(x))  # u^2 until sig is formed
+    den = np.add(sig, n, out=np.empty_like(x))
+    sig *= height
+    sig /= den
+    sig += 1.0
+    sig *= g
+    den2 = np.multiply(den, den, out=np.empty_like(x))
+    d1 = np.multiply(slope, u, out=np.empty_like(x))
+    d1 /= den2
+    # not 3.0 * u^2: (3.0 * u) * u rounds differently
+    d2 = np.multiply(3.0, u, out=np.empty_like(x))
+    d2 *= u
+    np.subtract(n, d2, out=d2)
+    d2 *= slope
+    den2 *= den
+    d2 /= den2
     return sig, d1, d2
 
 

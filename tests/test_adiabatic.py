@@ -479,9 +479,10 @@ class TestWindowVerdict:
                     adiab._window_minima(params, opts, float(x))
                     monkeypatch.undo()
                     (part,) = slices
-                    start = int(np.searchsorted(xs, x)) - 100
-                    start = min(max(start, 0), max(xs.size - 201, 0))
-                    assert part.xs.size == min(201, xs.size)
+                    size = adiab._WINDOW_POINTS
+                    start = int(np.searchsorted(xs, x)) - size // 2
+                    start = min(max(start, 0), max(xs.size - size, 0))
+                    assert part.xs.size == min(size, xs.size)
                     assert part.xs.tobytes() == xs[start:start + part.xs.size].tobytes()
                     assert part.ps.tobytes() == full.ps[start:start + part.xs.size].tobytes()
 

@@ -26,12 +26,13 @@ from smilecal import (
     chi_critical_numeric,
     density_curve,
     return_density,
+    sigma_derivatives,
     smile_vol_of_strike,
     stationary_points,
 )
 from smilecal.adiabatic import TABLE_RANGES
 from smilecal.bs_core import _bs_value
-from smilecal.density import _curvature, _gaussian_kernel
+from smilecal.density import _curvature, _gaussian_kernel, _grid, _grid_ends
 
 FIG1 = SmileParams(g=0.1, chi=2.7, n=0.04, maturity=0.5)
 
@@ -122,6 +123,84 @@ class TestReturnDensity:
         p = SmileParams(g=0.2, chi=10.0, n=1e-4, maturity=0.5)
         curve = density_curve(p)
         assert curve.ps.min() < 0.0
+
+
+def _straight_line_terms(params, x):
+    # sigma_derivatives as plain expressions, one new array per operation
+    g, chi, n = params.g, params.chi, params.n
+    height = chi - 1.0
+    u = x + 0.5 * g * g * params.maturity
+    uu = u * u
+    den = uu + n
+    den2 = den * den
+    sig = g * (1.0 + height * uu / den)
+    d1 = g * height * 2.0 * n * u / den2
+    d2 = g * height * 2.0 * n * (n - 3.0 * u * u) / (den2 * den)
+    return sig, d1, d2
+
+
+def _straight_line_density(params, x):
+    # return_density as plain expressions: the Gaussian kernel at the smile
+    # vol times the curvature factor
+    sig, d1, d2 = _straight_line_terms(params, x)
+    t = params.maturity
+    var = sig * sig * t
+    shift = 0.5 * var
+    kernel = np.exp(-((x + shift) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    factor = (1.0 - d1 / sig * x) ** 2 - (d1 * sig * t) ** 2 / 4.0 + sig * d2 * t
+    return kernel * factor
+
+
+class TestStraightLineKernel:
+    """``return_density`` and ``sigma_derivatives`` equal the closed form
+    written as plain expressions, bit for bit, whatever the shape of x. A
+    float or a 0-d x is compared with the expressions on the one-point
+    array: on a numpy scalar ``** 2`` rounds through ``pow``, which is not
+    always the correctly rounded square that an array's ``** 2`` is."""
+
+    @staticmethod
+    def _smiles():
+        rng = np.random.default_rng(20261021)
+        smiles = [SmileParams(g=0.2, chi=1.0, n=0.01, maturity=0.5)]
+        for _ in range(40):  # off the Table-1 lattice, as the desk's generator draws
+            g, t = 10.0 ** rng.uniform(-2.5, 0.5), 10.0 ** rng.uniform(-3.5, 1.5)
+            chi = 1.0 + 10.0 ** rng.uniform(-3.0, 1.2)
+            n = 10.0 ** rng.uniform(-1.5, 2.5) * g * g * t
+            smiles.append(SmileParams(g=g, chi=chi, n=n, maturity=t))
+        return smiles
+
+    @staticmethod
+    def _assert_same(params, x):
+        want = _straight_line_terms(params, x) + (_straight_line_density(params, x),)
+        got = sigma_derivatives(params, x) + (return_density(params, x),)
+        for a, b in zip(got, want):
+            assert type(a) is np.ndarray and a.shape == np.shape(x)
+            assert a.tobytes() == b.tobytes()
+
+    def test_arrays(self):
+        underflowed = 0
+        for params in self._smiles():
+            xs = density_curve(params).xs
+            wide = density_curve(params, points=4001, span=60.0).xs
+            for x in (xs, xs[1970:2031], xs[:1], wide, wide.reshape(1, 4001),
+                      wide[1:].reshape(1000, 4).T):
+                self._assert_same(params, x)
+            underflowed += int(np.count_nonzero(return_density(params, wide) == 0.0))
+        assert underflowed > 0  # the tails past about 38 smile scales are 0
+
+    def test_floats_and_0d_arrays_are_their_one_point_arrays(self):
+        rng = np.random.default_rng(7)
+        for params in self._smiles():
+            scale = params.sigma_plateau * math.sqrt(params.maturity)
+            for y in (*rng.uniform(-12.0, 12.0, 5), 0.0, -60.0):
+                x = params.x_min + y * scale
+                want = _straight_line_terms(params, np.array([x])) + (
+                    _straight_line_density(params, np.array([x])),)
+                for arg in (x, np.float64(x), np.array(x)):
+                    got = sigma_derivatives(params, arg) + (return_density(params, arg),)
+                    for a, b in zip(got, want):
+                        assert type(a) is float
+                        assert a.hex() == float(b[0]).hex()
 
 
 class TestBlOracle:
@@ -434,6 +513,23 @@ class TestGridRule:
         else:
             with pytest.raises(GridError):
                 density_curve(params, points=points, span=span)
+
+    def test_grid_is_linspace(self):
+        # bit for bit, seeded, and where the ends round to one float and
+        # the step is 0, which np.linspace handles its own way
+        rng = np.random.default_rng(11)
+        cases = [(SmileParams(g=1e20, chi=2.0, n=1.0, maturity=1e10), 4001, 10.0)]
+        for _ in range(300):
+            g, t = 10.0 ** rng.uniform(-3.0, 1.0), 10.0 ** rng.uniform(-4.0, 2.0)
+            params = SmileParams(g=g, chi=1.0 + 10.0 ** rng.uniform(-3.0, 1.2),
+                                 n=0.1 * g * g * t, maturity=t)
+            cases.append((params, int(rng.integers(101, 20001)), rng.uniform(4.0, 60.0)))
+        for params, points, span in cases:
+            lo, hi = _grid_ends(params, span)
+            assert _grid(params, points, span).tobytes() == np.linspace(lo, hi, points).tobytes()
+        params, points, span = cases[0]
+        lo, hi = _grid_ends(params, span)
+        assert (hi - lo) / (points - 1) == 0.0
 
     @pytest.mark.parametrize("span", [math.nan, math.inf, -5.0, 3.0])
     def test_span_must_be_finite_and_at_least_4(self, span):

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/layer_times.py OLD_SRC NEW_SRC [--rounds N]
+    python tools/layer_times.py OLD_SRC NEW_SRC [--rounds N] [--reference LAYER]
 
 ``OLD_SRC`` and ``NEW_SRC`` are the ``src`` directories of two checkouts.
 One child interpreter per tree imports that tree's smilecal and prepares
@@ -27,8 +27,9 @@ time. The layers, each timed per call:
 
 Prints, per layer and tree, the median and the quartiles over the rounds of
 the mean time per call in microseconds, and the ratio of the medians, new
-over old. It also prints that ratio normalised by a reference layer,
-``return_density 4001``, whose code the trees should share: in each round
+over old. It also prints that ratio normalised by a reference layer whose
+code the trees should share, ``--reference`` (default ``return_density
+4001``; for a change to the density kernel, ``_fold_point``): in each round
 a layer's time is divided by the reference's time in the same child, and
 the column gives the median of those quotients, new over old. On a loaded
 shared machine a child can run slower as a whole, and the normalised
@@ -55,7 +56,6 @@ LAYERS = ("sigma_derivatives 4001", "return_density 4001", "return_density 201",
           "density_curve", "analyze", "_window_minima", "_fold_point", "sweep row",
           "write density.csv", "write refit_comparison.csv", "write bl_oracle.csv")
 WRITE_STRIDE = 27  # the write layers run on every 27th lattice point
-REFERENCE = "return_density 4001"  # the layer the normalised ratio divides by
 # one lattice point: its smile at chi_c, fold x, curve and the grid's slice
 Case = namedtuple("Case", "g rho t params reduced x curve part")
 
@@ -147,6 +147,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("old_src")
     parser.add_argument("new_src")
     parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--reference", choices=LAYERS, default="return_density 4001",
+                        help="the layer the normalised ratio divides by")
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
@@ -169,11 +171,12 @@ def main(argv: list[str]) -> int:
             child.wait()
     print(f"{args.rounds} rounds per tree over the 216-point Table-1 lattice; "
           "us per call, median [quartiles]")
+    print(f"normalised by {args.reference}")
     print(f"{'layer':<28}{'old':>28}{'new':>28}{'new/old':>9}{'norm':>9}")
     for name in LAYERS:
         old, new = (_summary(s[name]) for s in samples)
         cells = [f"{m:9.1f} [{a:7.1f}, {b:7.1f}]" for m, a, b in (old, new)]
-        old_rel, new_rel = (statistics.median(t / r for t, r in zip(s[name], s[REFERENCE]))
+        old_rel, new_rel = (statistics.median(t / r for t, r in zip(s[name], s[args.reference]))
                             for s in samples)
         print(f"{name:<28}{cells[0]:>28}{cells[1]:>28}{new[0] / old[0]:9.3f}"
               f"{new_rel / old_rel:9.3f}")
