@@ -1,17 +1,18 @@
-"""CSV text at numpy speed, each float written byte for byte as ``'%.17g' %``,
-and the one writer of every output file.
+"""Every artifact format of the command line: the quote, report, config and
+sweep files it reads and the reports and CSV tables it writes, each value
+by the one rule of :func:`text`; and the one writer of every output file.
 
 :func:`rows` turns equal-length 1-D columns into CSV lines, a block of rows
 at a time. A block holds every column for at most ``CAP`` values, and each
 distinct column object is formatted once in it: all of its float columns
 through one :func:`g17` call, bools through a ``True``/``False`` table and
-anything else through ``%s``. Each text is a row of a byte matrix, padded
-with 0xFF, a byte no UTF-8 text holds, and its last padding byte becomes
-the ``,`` or ``\n`` after it; the padding is then deleted. ``CAP`` is set by
-two limits measured on a 2-vCPU Xeon VM: above it a temporary of
+anything else through :func:`text`. Each text is a row of a byte matrix,
+padded with 0xFF, a byte no UTF-8 text holds, and its last padding byte
+becomes the ``,`` or ``\n`` after it; the padding is then deleted. ``CAP``
+is set by two limits measured on a 2-vCPU Xeon VM: above it a temporary of
 :func:`g17` passes glibc's 128 KiB mmap threshold and is faulted in afresh
 at each call, and far above it the temporaries leave the L2 cache. A block
-of fewer than ``SMALL`` values is formatted by Python's ``%`` instead.
+of fewer than ``SMALL`` values is formatted by :func:`text` instead.
 
 :func:`g17` forms the correctly rounded 17 significant digits that Gay's
 ``dtoa`` gives ``'%.17g' %``, for a whole array at once. For ``1e-280 <=
@@ -22,9 +23,6 @@ The error is below 1e-13 of a unit in the 17th digit, so the digits are
 exact wherever the fraction to round lies more than ``_BAND`` from 1/2. The
 others, exact ties among them, and ±0, inf, NaN, subnormals and the values
 outside that range go to ``'%.17g' %`` itself: the fast path never guesses.
-
-:func:`write_whole` writes a file so that a kill leaves it whole, old or
-new, or absent, never cut short.
 """
 
 from __future__ import annotations
@@ -33,13 +31,23 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
+from dataclasses import astuple, dataclass
 from functools import cache
+from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import QuoteFormatError
+
+# only the sweep reader builds rows, so that the commands that read no
+# sweep do not import adiabatic
+if TYPE_CHECKING:
+    from .adiabatic import SweepRow
+
 CAP = 2240  # values a block formats: g17's (CAP, 48) byte matrices stay under 128 KiB
-SMALL = 100  # a block of fewer values is formatted by Python's '%', faster there
+SMALL = 100  # a block of fewer values is formatted value by value by text, faster there
 _LO, _HI = 1e-280, 1e280  # every partial product of the scaling stays normal
 _BAND = 1e-6  # a rounding fraction this close to 1/2 is left to '%.17g' %
 _E0 = 283  # the tables hold E = floor(log10 |x|) for -_E0 <= E <= _E0, a row by E + _E0
@@ -207,12 +215,18 @@ def g17(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def text(value) -> str:
+    """The one float-to-text rule of every artifact: ``'%.17g' %`` for a
+    float and ``%s`` for anything else."""
+    return ("%.17g" if isinstance(value, float) else "%s") % (value,)
+
+
 def _cells(part: np.ndarray) -> np.ndarray:
     """The texts of one column's block that is not float, a row each, with
     one spare padding byte after the longest."""
     if part.dtype.kind == "b":
         return _BOOL.take(part.view(np.uint8), axis=0)
-    texts = [str(v).encode("utf-8") for v in part.tolist()]
+    texts = [text(v).encode("utf-8") for v in part.tolist()]
     width = max(map(len, texts)) + 1
     texts = b"".join(t.ljust(width, _PAD) for t in texts)
     return np.frombuffer(texts, np.uint8).reshape(len(part), width)
@@ -244,10 +258,9 @@ def _block(columns: list[np.ndarray], start: int, stop: int) -> np.ndarray:
 
 
 def _small(columns: list[np.ndarray], start: int, stop: int) -> bytes:
-    """The lines of rows ``start`` to ``stop`` formatted by Python's ``%``."""
-    line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    """The lines of rows ``start`` to ``stop``, value by value by :func:`text`."""
     values = zip(*(c[start:stop].tolist() for c in columns))
-    return "".join(line % row for row in values).encode("utf-8")
+    return "".join(",".join(map(text, row)) + "\n" for row in values).encode("utf-8")
 
 
 def rows(columns) -> Iterator[bytes]:
@@ -255,8 +268,7 @@ def rows(columns) -> Iterator[bytes]:
 
     A block holds ``CAP // len(columns)`` rows, one at least, so that no
     :func:`g17` call formats more than ``CAP`` values unless a row holds
-    more. A block of fewer than ``SMALL`` values is formatted by Python's
-    ``%``, which is faster there and gives the same bytes.
+    more.
     """
     columns = [np.asarray(c) for c in columns]
     if not columns:
@@ -306,3 +318,173 @@ def write_whole(path: Path, chunks: Iterable[bytes]) -> None:
             os.unlink(tmp)
         raise
     os.rename(tmp, path)
+
+
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length 1-D columns under a one-line header."""
+    head = (",".join(header) + "\n").encode("utf-8")
+    write_whole(path, chain([head], rows(columns)))
+
+
+def write_report(path: Path, items: list[tuple[str, object]]) -> None:
+    """Write ``key=value`` lines to ``path`` and echo them to stdout."""
+    lines = "".join(f"{key}={text(value)}\n" for key, value in items)
+    write_whole(path, [lines.encode("utf-8")])
+    print(lines, end="")
+
+
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of an input file, less a leading byte-order mark; any
+    failure is a :class:`QuoteFormatError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise QuoteFormatError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _content_lines(path: str, what: str) -> Iterator[tuple[int, str, str]]:
+    """``(line number, raw line, stripped line)`` of each line of a file
+    that is neither blank nor a ``#`` comment."""
+    for i, raw in enumerate(_read_text(path, what).splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield i, raw, line
+
+
+def key_value_lines(path: str, what: str) -> Iterator[tuple[int, str, str, str]]:
+    """``(line number, raw line, key, value)``, both stripped, of each
+    content line of a ``key=value`` file; a line without ``=`` gives its
+    whole text as the key."""
+    for i, raw, line in _content_lines(path, what):
+        key, _, value = line.partition("=")
+        yield i, raw, key.strip(), value.strip()
+
+
+def read_report(path: str) -> dict:
+    return {key: value for _, _, key, value in key_value_lines(path, "report")}
+
+
+_COORD_KINDS = ("delta", "x", "strike")
+_CONTEXT_KEYS = ("spot", "rate", "maturity")
+
+
+@dataclass(frozen=True)
+class QuoteFile:
+    """Parsed quote file: coordinate kind, (coordinate, vol) rows, context."""
+
+    kind: str
+    rows: tuple[tuple[float, float], ...]
+    context: dict
+
+
+def parse_quote_file(path: str) -> QuoteFile:
+    """Read a quote CSV: optional context rows, a typed header, data rows.
+
+    Context rows ``spot,VALUE`` / ``rate,VALUE`` / ``maturity,VALUE`` may
+    precede the header. The header names the coordinate kind:
+    ``delta,vol`` or ``x,vol`` or ``strike,vol``. Comment lines start
+    with ``#``.
+    """
+    kind: str | None = None
+    pairs: list[tuple[float, float]] = []
+    context: dict = {}
+    for i, raw, line in _content_lines(path, "quote file"):
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 2:
+            raise QuoteFormatError(f"{path}: line {i}: expected two fields, got {len(fields)}")
+        first, second = fields
+        key = first.lower()
+        if kind is None and key in _CONTEXT_KEYS:
+            try:
+                context[key] = float(second)
+            except ValueError as exc:
+                raise QuoteFormatError(f"{path}: line {i}: bad {key} value") from exc
+            continue
+        if key in _COORD_KINDS and second.lower() == "vol":
+            if kind is not None:
+                raise QuoteFormatError(f"{path}: line {i}: duplicate header")
+            kind = key
+            continue
+        if kind is None:
+            raise QuoteFormatError(
+                f"{path}: line {i}: expected header 'delta,vol' | 'x,vol' | 'strike,vol'"
+            )
+        try:
+            coord, vol = float(first), float(second)
+        except ValueError as exc:
+            raise QuoteFormatError(f"{path}: line {i}: bad numeric row {raw!r}") from exc
+        if vol <= 0.0:
+            raise QuoteFormatError(f"{path}: line {i}: vol must be positive")
+        pairs.append((coord, vol))
+
+    if kind is None:
+        raise QuoteFormatError(f"{path}: missing header row")
+    if len({c for c, _ in pairs}) != len(pairs):
+        raise QuoteFormatError(f"{path}: duplicate coordinates")
+    return QuoteFile(kind=kind, rows=tuple(pairs), context=context)
+
+
+# a sweep row's columns are SweepRow's fields in order, maturity as T
+_SWEEP_HEADER = ["g", "T", "n", "rho", "chi_c", "status"]
+_SWEEP_HEADER_LINE = ",".join(_SWEEP_HEADER) + "\n"
+
+
+def read_sweep_csv(path: str, resume: bool = False) -> list[SweepRow]:
+    """The rows of a sweep CSV. Every line must parse, except that with
+    ``resume`` a last row without its ``\\n``, which a kill inside
+    :func:`append_sweep` leaves, is dropped and named on stdout, so its point
+    is computed again; and a file that holds no more than its header, torn or
+    whole, as a kill inside a new sweep's first write leaves it, has no rows."""
+    from .adiabatic import SweepRow
+
+    content = _read_text(path, "sweep file")
+    if resume and _SWEEP_HEADER_LINE.startswith(content):
+        if content != _SWEEP_HEADER_LINE:
+            print(f"sweep: {path}: header is torn; no rows read")
+        return []
+    lines = content.splitlines()
+    if resume and len(lines) > 1 and not content.endswith("\n"):
+        print(f"sweep: {path}: line {len(lines)} has no newline; dropped as torn")
+        lines.pop()
+    if not lines or [f.strip() for f in lines[0].split(",")] != _SWEEP_HEADER:
+        raise QuoteFormatError(f"{path}: expected header {','.join(_SWEEP_HEADER)}")
+    sweep_rows = []
+    for i, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        fields = line.split(",", maxsplit=5)
+        if len(fields) != 6:
+            raise QuoteFormatError(f"{path}: line {i}: expected 6 fields")
+        try:
+            sweep_rows.append(SweepRow(*map(float, fields[:5]), status=fields[5].strip()))
+        except ValueError as exc:
+            raise QuoteFormatError(f"{path}: line {i}: {exc}") from exc
+    return sweep_rows
+
+
+def resume_sweep(path: Path) -> list[SweepRow]:
+    """The rows a resumed sweep reads from ``path``, none if it is absent.
+    A kill between :func:`write_whole`'s unlink and rename leaves the file
+    whole under :func:`temp_path`, so that rename is finished first: the
+    sweep's next write must not write over the only copy of its rows."""
+    tmp = temp_path(path)
+    if not path.exists() and tmp.is_file():
+        print(f"sweep: {path} is absent; resuming from {tmp}")
+        os.rename(tmp, path)
+    return read_sweep_csv(str(path), resume=True) if path.exists() else []
+
+
+def write_sweep(path: Path, sweep_rows: Iterable[SweepRow]) -> None:
+    """Write the sweep CSV at ``path`` whole, one line per row."""
+    write_csv(path, _SWEEP_HEADER, zip(*map(astuple, sweep_rows)))
+
+
+def append_sweep(path: Path, sweep_rows: Iterable[SweepRow]) -> Iterator[SweepRow]:
+    """Append each row's line to the sweep CSV at ``path`` as the row comes,
+    flushed, and then yield the row, so that an interrupted sweep keeps every
+    row it yielded."""
+    with path.open("ab") as fh:
+        for row in sweep_rows:
+            fh.writelines(rows([(v,) for v in astuple(row)]))
+            fh.flush()
+            yield row

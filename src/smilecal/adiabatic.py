@@ -619,9 +619,10 @@ def calibrate_critical_fit(rows: list[SweepRow]) -> CriticalFitResult:
     """Least-squares fit of the critical-ratio surface to sweep rows.
 
     Rows whose status is not "ok" are dropped. Requires at least 20 valid
-    rows spanning a decade in rho; the correction constants (gamma, delta)
-    are unidentifiable unless g*sqrt(T) varies across rows, which is
-    reported as :class:`IdentifiabilityError`.
+    rows, with finite positive rho and g*sqrt(T), spanning a factor of 2 in
+    rho; the fit is reported as :class:`IdentifiabilityError` unless
+    g*sqrt(T) varies across rows, the fit converges and every standard error
+    is finite.
 
     Starts from the packaged constants and returns the fitted ones with
     asymptotic standard errors and the residual mean squared error.
@@ -629,39 +630,45 @@ def calibrate_critical_fit(rows: list[SweepRow]) -> CriticalFitResult:
     good = [r for r in rows if r.status == "ok" and math.isfinite(r.chi_c)]
     if len(good) < 20:
         raise DomainError(f"need at least 20 valid rows, got {len(good)}")
-    rho = np.array([r.rho for r in good])
-    if rho.max() / rho.min() < 2.0:
-        raise DomainError("rows must span at least a factor of 2 in rho")
-    g_sqrt_t = np.array([r.g * math.sqrt(r.maturity) for r in good])
-    spread = g_sqrt_t.max() / g_sqrt_t.min()
-    if spread < 1.0 + 1e-9:
-        raise IdentifiabilityError(
-            "rows do not vary g*sqrt(T); gamma and delta are unidentifiable"
-        )
-    target = np.array([r.chi_c for r in good])
+    with np.errstate(all="ignore"):
+        rho = np.array([r.rho for r in good])
+        g_sqrt_t = np.array([r.g for r in good]) * np.sqrt([r.maturity for r in good])
+        if not ((rho > 0.0) & (rho < np.inf) & (g_sqrt_t > 0.0) & (g_sqrt_t < np.inf)).all():
+            raise DomainError("every row's rho and g*sqrt(T) must be finite and positive")
+        if rho.max() / rho.min() < 2.0:
+            raise DomainError("rows must span at least a factor of 2 in rho")
+        if g_sqrt_t.max() / g_sqrt_t.min() < 1.0 + 1e-9:
+            raise IdentifiabilityError(
+                "rows do not vary g*sqrt(T); gamma and delta are unidentifiable"
+            )
+        target = np.array([r.chi_c for r in good])
 
-    start = DEFAULT_CRITICAL_FIT
-    theta0 = np.array([start.alpha, start.beta, start.gamma, start.delta])
-    result = levenberg_marquardt(
-        lambda th: _surface_resid_jac(th, rho, g_sqrt_t, target),
-        theta0,
-        max_iter=300,
-        rel_tol=1e-13,
-    )
-    resid, jac = _surface_resid_jac(result.theta, rho, g_sqrt_t, target)
-    dof = max(len(good) - 4, 1)
-    s2 = float(resid @ resid) / dof
-    try:
-        cov = s2 * np.linalg.inv(jac.T @ jac)
+        start = DEFAULT_CRITICAL_FIT
+        theta0 = np.array([start.alpha, start.beta, start.gamma, start.delta])
+        result = levenberg_marquardt(
+            lambda th: _surface_resid_jac(th, rho, g_sqrt_t, target),
+            theta0,
+            max_iter=300,
+            rel_tol=1e-13,
+        )
+        if not result.converged:
+            raise IdentifiabilityError(
+                f"the surface fit did not converge in {result.iterations} iterations")
+        resid, jac = _surface_resid_jac(result.theta, rho, g_sqrt_t, target)
+        s2 = float(resid @ resid) / (len(good) - 4)
+        try:
+            cov = s2 * np.linalg.inv(jac.T @ jac)
+        except np.linalg.LinAlgError as exc:
+            raise IdentifiabilityError(f"normal matrix singular: {exc}") from exc
         stderr = tuple(float(v) for v in np.sqrt(np.diag(cov)))
-    except np.linalg.LinAlgError as exc:
-        raise IdentifiabilityError(f"normal matrix singular: {exc}") from exc
+        if not all(map(math.isfinite, stderr)):
+            raise IdentifiabilityError(f"standard errors {stderr} are not all finite")
 
     alpha, beta, gamma, delta = (float(v) for v in result.theta)
     return CriticalFitResult(
         params=CriticalFitParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta),
         stderr=stderr,
-        mse=float(np.mean(resid**2)),
+        mse=float(np.mean(resid**2)),  # finite, as the standard errors are
         n_rows=len(good),
     )
 

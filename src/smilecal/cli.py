@@ -12,14 +12,15 @@ Exit codes are a stable contract:
 
 Codes 2 and 3 follow the error families of :mod:`smilecal.errors`: a
 ``DomainError`` exits 2 and a ``ConvergenceError`` 3. The one exception is
-``calibrate``, which prints ``calibration failed: ...`` and exits 3 when
-its sweep rows are too few or span too little rho, both ``DomainError``s.
+``calibrate``, which prints ``calibration failed: ...`` and exits 3 on
+every error of the fit of the rows it could read, ``DomainError``s too.
 
 ``density`` and ``bl-oracle`` are report commands: they exit 0 once their
 report is written, whatever the density looks like, and put the verdict in
 the report. ``check`` is the command that exits with the verdict.
 
-All tabular output is plain CSV with a one-line header; scalar reports are
+:mod:`smilecal._csv` owns every artifact format, of inputs and outputs.
+Tabular output is plain CSV with a one-line header; scalar reports are
 key=value text. Floats are written ``%.17g``, which round-trips every
 float64 exactly; NaN and infinity are written ``nan``, ``inf`` and
 ``-inf``, bools ``True``/``False``. Every command is deterministic for
@@ -50,10 +51,9 @@ import gc
 import math
 import os
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from functools import cache
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -61,6 +61,9 @@ import numpy as np
 
 from . import _csv
 from . import density as dens
+
+# bench/tracing.py wraps these names on cli, so the commands look them up here
+from ._csv import parse_quote_file, read_report, write_csv, write_report
 from .bs_core import MarketEnv, strike_to_x, x_to_strike
 from .errors import ConvergenceError, DomainError, IdentifiabilityError, QuoteFormatError
 from .smile import (
@@ -85,9 +88,6 @@ EXIT_NEGATIVE_DENSITY = 4
 EXIT_CONSTRAINED_FAILURE = 5
 
 ENV_OUT_DIR = "SMILECAL_OUT"
-
-_COORD_KINDS = ("delta", "x", "strike")
-_CONTEXT_KEYS = ("spot", "rate", "maturity")
 
 
 @dataclass(frozen=True)
@@ -115,17 +115,8 @@ class RunConfig:
         )
 
 
-@dataclass(frozen=True)
-class QuoteFile:
-    """Parsed quote file: coordinate kind, (coordinate, vol) rows, context."""
-
-    kind: str
-    rows: tuple[tuple[float, float], ...]
-    context: dict
-
-
 # ----------------------------------------------------------------------
-# configuration and small-file I/O
+# configuration
 # ----------------------------------------------------------------------
 
 
@@ -150,29 +141,9 @@ _PARSERS = {
 _CONFIG_KEYS = {f.name.replace("_", "-"): f for f in fields(RunConfig)}
 
 
-def _read_text(path: str, what: str) -> str:
-    """The UTF-8 text of an input file, less a leading byte-order mark; any
-    failure is a :class:`QuoteFormatError`."""
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise QuoteFormatError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def _key_value_lines(path: str, what: str) -> Iterator[tuple[int, str, str, str]]:
-    """``(line number, raw line, key, value)``, both stripped, of each line
-    of a ``key=value`` file that is neither blank nor a ``#`` comment; a
-    line without ``=`` gives its whole text as the key."""
-    for i, raw in enumerate(_read_text(path, what).splitlines(), 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            key, _, value = line.partition("=")
-            yield i, raw, key.strip(), value.strip()
-
-
 def load_config(path: str) -> RunConfig:
     cfg = RunConfig()
-    for i, raw, key, value in _key_value_lines(path, "config file"):
+    for i, raw, key, value in _csv.key_value_lines(path, "config file"):
         if "=" not in raw:
             raise QuoteFormatError(f"{path}:{i}: expected key=value, got {raw!r}")
         key = key.lower().replace("_", "-")
@@ -193,98 +164,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg if cfg.out is not None else replace(cfg, out=os.environ.get(ENV_OUT_DIR) or ".")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def write_report(path: Path, items: list[tuple[str, object]]) -> None:
-    """Write ``key=value`` lines to ``path`` and echo them to stdout."""
-    text = "".join(f"{key}={_fmt(value)}\n" for key, value in items)
-    _csv.write_whole(path, [text.encode("utf-8")])
-    print(text, end="")
-
-
-def read_report(path: str) -> dict:
-    return {key: value for _, _, key, value in _key_value_lines(path, "report")}
-
-
-def write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length 1-D columns under a one-line header.
-
-    Floats are written ``%.17g``, bools ``True``/``False`` and anything else
-    ``%s``: the bytes :func:`_fmt` gives value by value. The rows are formed
-    by numpy in blocks of every column for at most ``_csv.CAP`` values, each
-    column object that is passed more than once formatted once, and the
-    block's floats in one call. The cap has two limits: every temporary stays
-    under glibc's 128 KiB mmap threshold, and the block's temporaries stay in
-    the L2 cache. A block of few values is formatted by Python's ``%``; see
-    :mod:`smilecal._csv`.
-
-    The file is written whole or not at all, as every output is: the lines go
-    to ``NAME.tmp`` beside it, the old file is unlinked and the temporary
-    file renamed to ``NAME`` (:func:`smilecal._csv.write_whole`). A kill
-    leaves the old file, the new one or, between the unlink and the rename,
-    none beside a whole ``NAME.tmp``; an error deletes the temporary file and
-    leaves the old one. Nothing is synced: a power loss may lose the file.
-    """
-    head = (",".join(header) + "\n").encode("utf-8")
-    _csv.write_whole(path, chain([head], _csv.rows(columns)))
-
-
-def parse_quote_file(path: str) -> QuoteFile:
-    """Read a quote CSV: optional context rows, a typed header, data rows.
-
-    Context rows ``spot,VALUE`` / ``rate,VALUE`` / ``maturity,VALUE`` may
-    precede the header. The header names the coordinate kind:
-    ``delta,vol`` or ``x,vol`` or ``strike,vol``. Comment lines start
-    with ``#``.
-    """
-    kind: str | None = None
-    rows: list[tuple[float, float]] = []
-    context: dict = {}
-    for i, raw in enumerate(_read_text(path, "quote file").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 2:
-            raise QuoteFormatError(f"{path}: line {i}: expected two fields, got {len(fields)}")
-        first, second = fields
-        key = first.lower()
-        if kind is None and key in _CONTEXT_KEYS:
-            try:
-                context[key] = float(second)
-            except ValueError as exc:
-                raise QuoteFormatError(f"{path}: line {i}: bad {key} value") from exc
-            continue
-        if key in _COORD_KINDS and second.lower() == "vol":
-            if kind is not None:
-                raise QuoteFormatError(f"{path}: line {i}: duplicate header")
-            kind = key
-            continue
-        if kind is None:
-            raise QuoteFormatError(
-                f"{path}: line {i}: expected header 'delta,vol' | 'x,vol' | 'strike,vol'"
-            )
-        try:
-            coord, vol = float(first), float(second)
-        except ValueError as exc:
-            raise QuoteFormatError(f"{path}: line {i}: bad numeric row {raw!r}") from exc
-        if vol <= 0.0:
-            raise QuoteFormatError(f"{path}: line {i}: vol must be positive")
-        rows.append((coord, vol))
-
-    if kind is None:
-        raise QuoteFormatError(f"{path}: missing header row")
-    if len({c for c, _ in rows}) != len(rows):
-        raise QuoteFormatError(f"{path}: duplicate coordinates")
-    return QuoteFile(kind=kind, rows=tuple(rows), context=context)
+# ----------------------------------------------------------------------
+# shared helpers for the commands
+# ----------------------------------------------------------------------
 
 
 def quotes_from_file(
-    qf: QuoteFile, maturity: float, spot: float, rate: float
+    qf: _csv.QuoteFile, maturity: float, spot: float, rate: float
 ) -> list[VolQuote]:
     if qf.kind == "x":
         return [VolQuote(vol=v, x=c) for c, v in qf.rows]
@@ -293,11 +179,6 @@ def quotes_from_file(
         return [VolQuote(vol=v, x=VolQuote(vol=v, delta=c).to_x(maturity)) for c, v in qf.rows]
     env = MarketEnv(spot=spot, rate=rate, maturity=maturity)
     return [VolQuote(vol=v, x=strike_to_x(env, c)) for c, v in qf.rows]
-
-
-# ----------------------------------------------------------------------
-# shared helpers for the commands
-# ----------------------------------------------------------------------
 
 
 def _market_context(args, context: dict) -> tuple[float, float]:
@@ -452,9 +333,9 @@ def cmd_check(args, cfg: RunConfig, out: Path) -> int:
         ("adiabatic", verdict.adiabatic),
     ])
     for point in report.minima:
-        print(f"minimum at x={_fmt(point.x)} density={_fmt(point.p)}")
+        print(f"minimum at x={_csv.text(point.x)} density={_csv.text(point.p)}")
     for lo, hi in report.negative_regions:
-        print(f"negative density on [{_fmt(lo)}, {_fmt(hi)}]")
+        print(f"negative density on [{_csv.text(lo)}, {_csv.text(hi)}]")
     if report.negative_regions:
         code, label = EXIT_NEGATIVE_DENSITY, "negative-density"
     elif report.minima:
@@ -555,52 +436,6 @@ def _parse_axis(spec: str) -> tuple[float, float, int] | None:
     return lo, hi, count
 
 
-_SWEEP_HEADER = ["g", "T", "n", "rho", "chi_c", "status"]
-_SWEEP_HEADER_LINE = ",".join(_SWEEP_HEADER) + "\n"
-
-
-def read_sweep_csv(path: str, resume: bool = False) -> list[adiab.SweepRow]:
-    """The rows of a sweep CSV. Every line must parse, except that with
-    ``resume`` a last row without its ``\\n``, which a kill inside the sweep's
-    append leaves, is dropped and named on stdout, so its point is computed
-    again; and a file that holds no more than its header, torn or whole, as a
-    kill inside a new sweep's first write leaves it, has no rows."""
-    from . import adiabatic as adiab
-
-    text = _read_text(path, "sweep file")
-    if resume and _SWEEP_HEADER_LINE.startswith(text):
-        if text != _SWEEP_HEADER_LINE:
-            print(f"sweep: {path}: header is torn; no rows read")
-        return []
-    lines = text.splitlines()
-    if resume and len(lines) > 1 and not text.endswith("\n"):
-        print(f"sweep: {path}: line {len(lines)} has no newline; dropped as torn")
-        lines.pop()
-    if not lines or [f.strip() for f in lines[0].split(",")] != _SWEEP_HEADER:
-        raise QuoteFormatError(f"{path}: expected header {','.join(_SWEEP_HEADER)}")
-    rows = []
-    for i, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        fields = line.split(",", maxsplit=5)
-        if len(fields) != 6:
-            raise QuoteFormatError(f"{path}: line {i}: expected 6 fields")
-        try:
-            rows.append(
-                adiab.SweepRow(
-                    g=float(fields[0]),
-                    maturity=float(fields[1]),
-                    n=float(fields[2]),
-                    rho=float(fields[3]),
-                    chi_c=float(fields[4]),
-                    status=fields[5].strip(),
-                )
-            )
-        except ValueError as exc:
-            raise QuoteFormatError(f"{path}: line {i}: {exc}") from exc
-    return rows
-
-
 def _row_key(g: float, rho: float, maturity: float) -> tuple[str, str, str]:
     return (format(g, ".12g"), format(rho, ".12g"), format(maturity, ".12g"))
 
@@ -618,19 +453,8 @@ def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
         d if p is None else np.geomspace(*p) for p, d in zip(specs, defaults)
     )
     path = out / "sweep.csv"
-    tmp = _csv.temp_path(path)
-    if not path.exists() and tmp.is_file():
-        # a kill between the writer's unlink and rename left the file whole
-        # under its temporary name: finish the rename, so that the rewrite
-        # below does not write over the only copy of its rows
-        print(f"sweep: {path} is absent; resuming from {tmp}")
-        os.rename(tmp, path)
-
-    done: dict[tuple[str, str, str], adiab.SweepRow] = {}
-    if path.exists():
-        for row in read_sweep_csv(str(path), resume=True):
-            if row.status == "ok":
-                done[_row_key(row.g, row.rho, row.maturity)] = row
+    done = {_row_key(row.g, row.rho, row.maturity): row
+            for row in _csv.resume_sweep(path) if row.status == "ok"}
 
     # one row per distinct point: an axis such as 0.1:0.1:3 repeats its value
     lattice: dict[tuple[str, str, str], tuple[float, float, float]] = {}
@@ -643,24 +467,17 @@ def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
 
     # rows reach the file as they complete, so an interrupted sweep resumes
     # from what it finished; the final rewrite restores lattice order
-    write_csv(path, _SWEEP_HEADER, zip(*map(_sweep_fields, done.values())))
-    with path.open("ab") as fh:
-        for row in adiab.sweep_points(missing, settings):
-            fh.writelines(_csv.rows([(v,) for v in _sweep_fields(row)]))
-            fh.flush()
-            done[_row_key(row.g, row.rho, row.maturity)] = row
+    _csv.write_sweep(path, done.values())
+    for row in _csv.append_sweep(path, adiab.sweep_points(missing, settings)):
+        done[_row_key(row.g, row.rho, row.maturity)] = row
 
     rows = [done[key] for key in lattice]
-    write_csv(path, _SWEEP_HEADER, zip(*map(_sweep_fields, rows)))
+    _csv.write_sweep(path, rows)
     ok = sum(1 for r in rows if r.status == "ok")
     print(f"sweep complete: {ok}/{len(rows)} rows ok -> {path}")
     if cfg.svg:
         _sweep_svg(out, rows)
     return EXIT_OK if ok >= 0.9 * len(rows) else EXIT_CONVERGENCE
-
-
-def _sweep_fields(r: adiab.SweepRow) -> tuple:
-    return (r.g, r.maturity, r.n, r.rho, r.chi_c, r.status)
 
 
 def _sweep_svg(out: Path, rows: list[adiab.SweepRow]) -> None:
@@ -689,7 +506,7 @@ def _sweep_svg(out: Path, rows: list[adiab.SweepRow]) -> None:
 def cmd_calibrate(args, cfg: RunConfig, out: Path) -> int:
     from . import adiabatic as adiab
 
-    rows = read_sweep_csv(args.sweepfile)
+    rows = _csv.read_sweep_csv(args.sweepfile)
     try:
         result = adiab.calibrate_critical_fit(rows)
     except (DomainError, IdentifiabilityError) as exc:
@@ -736,7 +553,7 @@ def cmd_bl_oracle(args, cfg: RunConfig, out: Path) -> int:
         [strikes, curve.xs, oracle_x, analytic, rel, flagged],
     )
     core = analytic > 1e-3 * analytic.max()
-    print(f"max rel diff where density > 1e-3 of peak: {_fmt(float(rel[core].max()))}")
+    print(f"max rel diff where density > 1e-3 of peak: {_csv.text(float(rel[core].max()))}")
     print(f"flagged points: {int(flagged.sum())}")
     return EXIT_OK
 

@@ -4,9 +4,9 @@ Every error belongs to one of two families, and the command line exits
 with the family's code: :class:`DomainError` (exit 2) for input that is
 out of domain, unreadable or unparseable, and :class:`ConvergenceError`
 (exit 3) for a solver, search or calibration that found no answer. The
-one exception is the ``calibrate`` command: the ``DomainError`` of a sweep
-file with too few valid rows, or too narrow a span in rho, exits 3 there,
-as a calibration that found no answer.
+one exception is the ``calibrate`` command: the ``DomainError`` of sweep
+rows that cannot be calibrated exits 3 there, as a calibration that found
+no answer.
 """
 
 __all__ = [

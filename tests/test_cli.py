@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import smilecal
 from smilecal import SmileParams, adiabatic, cli, errors, sigma_of_x, std_normal_cdf
+from smilecal._csv import read_sweep_csv
 from smilecal.cli import (
     EXIT_CONSTRAINED_FAILURE,
     EXIT_CONVERGENCE,
@@ -33,7 +34,6 @@ from smilecal.cli import (
     main,
     parse_quote_file,
     read_report,
-    read_sweep_csv,
     write_csv,
 )
 

@@ -1,8 +1,8 @@
-"""Hostile text variants of valid quote and config files, and hostile
-smile numbers, run through ``smilecal.cli.main`` in-process: every case
-ends in a documented exit code (0-5), with no exception escaping ``main``
-and no ``RuntimeWarning``. The package's one floating-point rule, every
-``np.errstate`` spelled ``all="ignore"``, is checked on the source."""
+"""Hostile text variants of valid quote, config, report and sweep files,
+and hostile smile numbers, run through ``smilecal.cli.main`` in-process:
+every case ends in a documented exit code (0-5), with no exception escaping
+``main`` and no ``RuntimeWarning``. The package's one floating-point rule,
+every ``np.errstate`` spelled ``all="ignore"``, is checked on the source."""
 
 import ast
 import contextlib
@@ -32,6 +32,31 @@ STRIKES = "93.0,0.12\n96.8,0.11\n100.75,0.1\n104.9,0.11\n"  # rows of the explic
 # subnormal, overflowing, empty and non-numeric text
 TOKENS = ["nan", "NaN", "inf", "-inf", "1e309", "-0", "0", "5e-324", "1e-300", "-1",
           "1e300", "", " ", "abc", "vol", "x", "maturity"]
+
+# 24 ok sweep rows (g, T, n, rho, chi_c) on the packaged critical-ratio
+# surface, and five edits that once calibrated to the packaged constants
+# with nan standard errors, or failed only after a RuntimeWarning or, for
+# a negative T, a traceback
+SURFACE = [(g, t, rho * g * g * t, rho, 1.4373 * rho**0.2787 - 0.1738 * g * t**0.5 * rho**0.4683)
+           for g in (0.05, 0.1, 0.2) for rho in (3.0, 5.0, 8.0, 9.0) for t in (0.1, 2.0)]
+BAD_SWEEPS = {
+    "rho inf": [(*r[:3], math.inf, r[4]) if k == 5 else r for k, r in enumerate(SURFACE)],
+    "rho 0": [(*r[:3], 0.0, r[4]) if k == 5 else r for k, r in enumerate(SURFACE)],
+    "T -1": [(r[0], -1.0, *r[2:]) if k == 3 else r for k, r in enumerate(SURFACE)],
+    "every T 0": [(g, 0.0, n, rho, c) for g, _, n, rho, c in SURFACE],
+    "g and T 1e200": [(1e200 * g, 1e200 * t, n, rho, c) for g, t, n, rho, c in SURFACE],
+}
+SWEEP_HEADER = "g,T,n,rho,chi_c,status"
+
+
+def _sweep_lines(rows) -> list[str]:
+    return [",".join(map(repr, row)) + ",ok" for row in rows]
+
+
+def _sweep_case(rows) -> tuple[list[str], dict[str, str]]:
+    text = "\n".join([SWEEP_HEADER, *_sweep_lines(rows)]) + "\n"
+    return ["calibrate", "sweep.csv"], {"sweep.csv": text}
+
 
 # valid, then hostile values of each config key; grids stay small enough
 # to run fast, and chi-max at most 20, the default
@@ -150,7 +175,8 @@ def test_every_case_ends_in_a_documented_exit_code(fuzz_dir, case):
     _assert_documented_exit(fuzz_dir, [str(fuzz_dir / a) if a in files else a for a in argv])
 
 
-def _assert_documented_exit(fuzz_dir, argv: list[str]) -> None:
+def _assert_documented_exit(fuzz_dir, argv: list[str]) -> tuple[int, str]:
+    """Run ``argv``; its exit code and stderr."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -158,6 +184,49 @@ def _assert_documented_exit(fuzz_dir, argv: list[str]) -> None:
         code = main([*argv, "--out", str(fuzz_dir / "out")])
     assert code in range(6), stderr.getvalue()
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return code, stderr.getvalue()
+
+
+@st.composite
+def _file_case(draw) -> tuple[list[str], dict[str, str]]:
+    """``(argv, files)``: ``check`` or ``density`` on a hostile
+    ``--params-file`` report, ``report.txt``, or ``calibrate`` on a hostile
+    ``sweep.csv``."""
+    if draw(st.booleans()):
+        sweep = draw(_hostile_text([SWEEP_HEADER], _sweep_lines(SURFACE)))
+        return ["calibrate", "sweep.csv"], {"sweep.csv": sweep}
+    params = SMILES[draw(st.sampled_from(sorted(SMILES)))]
+    lines = [f"{key}={getattr(params, key)!r}" for key in ("g", "chi", "n", "maturity")]
+    report = draw(_hostile_text([], [*lines, "residual_rms=1e-05", "converged=True"], sep="="))
+    argv = [draw(st.sampled_from(["check", "density"])), "--params-file", "report.txt",
+            "--grid", "201"]
+    return argv, {"report.txt": report}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_file_case())
+@example(case=_sweep_case(BAD_SWEEPS["rho inf"]))
+@example(case=_sweep_case(BAD_SWEEPS["rho 0"]))
+@example(case=_sweep_case(BAD_SWEEPS["every T 0"]))
+@example(case=_sweep_case(BAD_SWEEPS["g and T 1e200"]))
+@example(case=_sweep_case(BAD_SWEEPS["T -1"]))
+def test_every_report_and_sweep_file_ends_in_a_documented_exit_code(fuzz_dir, case):
+    argv, files = case
+    for name, text in files.items():
+        (fuzz_dir / name).write_bytes(text.encode("utf-8"))
+    _assert_documented_exit(fuzz_dir, [str(fuzz_dir / a) if a in files else a for a in argv])
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SWEEPS))
+def test_calibrate_of_rows_out_of_range_fails(tmp_path, bad):
+    # exit 3 and no report, as for any sweep whose rows do not calibrate
+    argv, files = _sweep_case(BAD_SWEEPS[bad])
+    (tmp_path / "sweep.csv").write_text(files["sweep.csv"], encoding="utf-8")
+    code, stderr = _assert_documented_exit(tmp_path, [argv[0], str(tmp_path / "sweep.csv")])
+    assert code == 3
+    assert stderr.startswith("calibration failed: ")
+    assert not (tmp_path / "out" / "calibration.txt").exists()
 
 
 WIDE = st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e))  # log-uniform, 1e-300..1e300

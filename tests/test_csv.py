@@ -1,19 +1,25 @@
 """The vectorised ``%.17g`` of ``smilecal._csv`` against Python's own
 ``'%.17g' %``, byte for byte, on random bit patterns, every power of ten and
-its neighbours, exact rounding ties and the special values; and the CSV
-lines of ``rows`` against a row-by-row oracle, at the block edges of every
-column count up to 7, with repeated column objects, columns that are not
-float, float32 input, no rows and both sides of the small-block cutoff.
+its neighbours, exact rounding ties and the special values, the random
+ones in every artifact that writes a float too; the CSV lines of
+``rows`` against a row-by-row oracle, at the block edges of every column
+count up to 7, with repeated column objects, columns that are not float,
+float32 input, no rows and both sides of the small-block cutoff; and no
+module but ``_csv`` opening, renaming or deleting a file.
 """
 
+import ast
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smilecal import _csv
+from smilecal import _csv, density
 from smilecal._csv import CAP, SMALL, g17, rows
+from smilecal.adiabatic import SweepRow
+from smilecal.cli import main
 
 DBL_MAX = sys.float_info.max
 TINY = sys.float_info.min  # the least normal float
@@ -42,10 +48,70 @@ def _significant_digits(x: float) -> str:
     return str(num * 5 ** (den.bit_length() - 1)).rstrip("0")
 
 
-def test_random_bit_patterns():
+def test_random_bit_patterns(tmp_path, monkeypatch, capsys):
     bits = np.random.default_rng(30).integers(0, 2**64, 120_000, dtype=np.uint64,
                                                endpoint=False)
     _assert_g17(bits.view(np.float64))
+
+    # the same floats in every artifact that writes one: a report, CSV cells
+    # on the _small path and the g17 path, a sweep row's append and check's
+    # printed minima; bools too, which '%.17g' alone would write as 1 and 0
+    x = np.concatenate([bits[:400].view(np.float64), [0.0, -0.0, math.inf, -math.inf,
+                                                      math.nan, 5e-324, -5e-324, TINY / 3]])
+    want = [b"%.17g" % v for v in x.tolist()]
+    flags = x > 0.0
+    flag_texts = [str(f).encode() for f in flags.tolist()]
+
+    _csv.write_report(tmp_path / "report.txt", [("x", v) for v in x.tolist()] + [("ok", True)])
+    assert (tmp_path / "report.txt").read_bytes().splitlines() == (
+        [b"x=" + w for w in want] + [b"ok=True"])
+
+    step = SMALL // 2 - 1  # two columns of this many rows take the _small path
+    for cut in (len(x), step):
+        lines = b"".join(b"".join(rows([x[i:i + cut], flags[i:i + cut]]))
+                         for i in range(0, len(x), cut)).splitlines()
+        assert lines == [w + b"," + f for w, f in zip(want, flag_texts)]
+
+    path = tmp_path / "sweep.csv"
+    _csv.write_sweep(path, [])
+    swept = [SweepRow(g=v, maturity=v, n=v, rho=v, chi_c=v, status="ok") for v in x.tolist()]
+    assert list(_csv.append_sweep(path, swept)) == swept
+    assert path.read_bytes().splitlines()[1:] == [b",".join([w] * 5) + b",ok" for w in want]
+
+    real = density.analyze
+
+    def minima_at_x(curve):
+        points = [density.StationaryPoint(x=v, kind="minimum", p=v) for v in x.tolist()]
+        return density.DensityReport(curve=real(curve).curve, minima=tuple(points),
+                                     negative_regions=())
+
+    monkeypatch.setattr(density, "analyze", minima_at_x)
+    capsys.readouterr()
+    main(["check", "--params", "0.15,1.6,0.07875", "--maturity", "0.5", "--grid", "201",
+          "--out", str(tmp_path / "check")])
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("minimum at")]
+    assert printed == [f"minimum at x={w.decode()} density={w.decode()}" for w in want]
+
+
+def test_only_csv_touches_files():
+    # every artifact is read and written by _csv, so no other module opens,
+    # reads, renames or deletes a file
+    src = Path(__file__).resolve().parents[1] / "src" / "smilecal"
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "_csv.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            on_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", "") == "os"
+            if (name in ("open", "read_text", "read_bytes", "write_text", "write_bytes",
+                         "rename", "unlink") or name == "replace" and on_os):
+                calls.append(f"{path.name}:{node.lineno} {ast.unparse(func)}")
+    assert calls == []
 
 
 def test_powers_of_ten_and_their_neighbours():

@@ -7,15 +7,16 @@ Usage::
 ``OLD_SRC`` and ``NEW_SRC`` are the ``src`` directories of two checkouts.
 One child interpreter per tree imports that tree's smilecal and prepares
 the 216-point Table-1 lattice: each point's ``chi_c`` and the smile at it,
-its fold, its 4001-point density curve and the 201-point slice of that grid
-centred on the fold's ``x``. The children then take turns, ``N`` rounds
-each (default 20), and which one goes first alternates: in a round a child
-times one pass of every layer over the whole lattice, in-process, so drift
-on a shared machine falls on both trees alike. Only one child runs at a
-time. The layers, each timed per call:
+its fold, its 4001-point density curve and the slice of that grid centred
+on the fold's ``x`` that a window verdict reads, of the tree's own
+``adiabatic._WINDOW_POINTS`` samples. The children then take turns, ``N``
+rounds each (default 20), and which one goes first alternates: in a round a
+child times one pass of every layer over the whole lattice, in-process, so
+drift on a shared machine falls on both trees alike. Only one child runs at
+a time. The layers, each timed per call:
 
 * ``sigma_derivatives`` on the 4001-point grid;
-* ``return_density`` on the 4001-point grid and on the 201-point slice;
+* ``return_density`` on the 4001-point grid and on the window's slice;
 * ``density_curve`` and ``analyze`` of its curve;
 * ``_window_minima`` at the fold's ``x``;
 * ``_fold_point`` at the point's ``(rho, s)``;
@@ -52,7 +53,7 @@ from collections import namedtuple
 from itertools import product
 from pathlib import Path
 
-LAYERS = ("sigma_derivatives 4001", "return_density 4001", "return_density 201",
+LAYERS = ("sigma_derivatives 4001", "return_density 4001", "return_density window",
           "density_curve", "analyze", "_window_minima", "_fold_point", "sweep row",
           "write density.csv", "write refit_comparison.csv", "write bl_oracle.csv")
 WRITE_STRIDE = 27  # the write layers run on every 27th lattice point
@@ -75,6 +76,7 @@ def serve(src: str) -> None:
     if not Path(adiab.__file__).resolve().is_relative_to(Path(src).resolve()):
         sys.exit(f"smilecal was imported from {adiab.__file__}, not from {src}")
     settings = ChiSearchSettings()
+    window = adiab._WINDOW_POINTS
     cases = []
     for g, rho, t in product(*adiab.default_sweep_axes()):
         n = rho * g * g * t
@@ -82,8 +84,9 @@ def serve(src: str) -> None:
         reduced = adiab._reduced(g, n, t)
         x = adiab._fold_point(*reduced)[0] * g * math.sqrt(t)
         curve = density_curve(params)
-        start = min(max(int(np.searchsorted(curve.xs, x)) - 100, 0), curve.xs.size - 201)
-        cases.append(Case(g, rho, t, params, reduced, x, curve, curve.xs[start:start + 201]))
+        start = min(max(int(np.searchsorted(curve.xs, x)) - window // 2, 0),
+                    curve.xs.size - window)
+        cases.append(Case(g, rho, t, params, reduced, x, curve, curve.xs[start:start + window]))
     calls = {name: (cases, call) for name, call in zip(LAYERS, (
         lambda c: sigma_derivatives(c.params, c.curve.xs),
         lambda c: return_density(c.params, c.curve.xs),
