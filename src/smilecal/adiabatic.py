@@ -11,14 +11,14 @@ ways:
   unimodality verdict (:func:`chi_critical_numeric`); a closed-form fold
   of the density's log-slope (:func:`_fold_point`) predicts every verdict,
   and real ones are made only at the ends of the bracket it gives, unless
-  they contradict it; above the fold a slice of the grid around the fold's
-  x decides first (:func:`_window_minima`). The fold's Newton step takes its
-  y-derivatives from Taylor coefficients of the density's log-slope,
-  formed in straight-line arithmetic from the smile's derivatives, which
-  come from a recurrence, and its chi-derivatives from the same
-  coefficients at a complex plateau ratio (the complex step); where
-  Newton from the calibrated surface finds no fold, the fold is continued
-  from the calibrated box,
+  they contradict it; above the fold the grid samples around the one
+  nearest the fold's x decide first (:func:`_window_minima`). The fold's
+  Newton step takes its y-derivatives from Taylor coefficients of the
+  density's log-slope, formed in straight-line arithmetic from the
+  smile's derivatives, which come from a recurrence, and its
+  chi-derivatives from the same coefficients at a complex plateau ratio
+  (the complex step); where Newton from the calibrated surface finds no
+  fold, the fold is continued from the calibrated box,
 * an empirical power-law surface in rho = n/(g^2 T) and g*sqrt(T)
   calibrated against sweeps of the numerical search
   (:func:`chi_critical_formula`, :func:`calibrate_critical_fit`).
@@ -40,7 +40,7 @@ import numpy as np
 
 from ._lm import levenberg_marquardt
 from .density import STANDARD_GRID_POINTS, STANDARD_SPAN, DensityCurve, DensityReport
-from .density import StationaryPoint, _check_grid, _grid_slice, analyze, density_curve
+from .density import StationaryPoint, _check_grid, _grid, _grid_rule, analyze, density_curve
 from .density import return_density, stationary_points
 from .errors import (
     ConvergenceError,
@@ -187,8 +187,8 @@ def _verdict(params: SmileParams, settings: ChiSearchSettings) -> DensityReport:
     return analyze(curve)
 
 
-# samples in the slice of the density grid that a window verdict reads; a
-# window's minimum is the whole grid's at any size, so the size moves no
+# samples of the density grid that a window verdict reads; a window's
+# minimum is the whole grid's at any size, so the size moves no
 # result, only the samples a verdict pays for and how often a whole-grid
 # verdict must follow: 61 is the fewest tried that keeps the tests' verdict
 # counts (at 41 the retry walks need more whole-grid verdicts)
@@ -198,20 +198,26 @@ _WINDOW_POINTS = 61
 def _window_minima(
     params: SmileParams, settings: ChiSearchSettings, x: float
 ) -> tuple[StationaryPoint, ...]:
-    """The density's minima on a slice of ``_WINDOW_POINTS`` (61) samples of
-    the ``settings`` grid, centred on ``x`` and clipped to the grid: all of
-    it on a grid of fewer samples.
+    """The density's minima on the ``_WINDOW_POINTS`` (61) samples of the
+    ``settings`` grid around the sample nearest ``x``, clipped to the grid:
+    all of it on a grid of fewer samples. An ``x`` below the grid, or a zero
+    step, takes sample 0; an ``x`` above the grid, or a NaN, the last.
 
-    The slice's x are the full grid's bit for bit (:func:`_grid_slice`), and
+    The window's x are the full grid's bit for bit (:func:`_grid`), and
     each density sample is elementwise, so its samples are the full grid
     curve's bit for bit. A ``-`` slope, zero slopes only and a ``+`` slope
-    in the slice are the same run in the full curve, so each minimum found
-    here is one of :func:`_verdict`'s, at the same ``x``. A slice with none
-    says nothing about the rest of the grid.
+    in the window are the same run in the full curve, so each minimum found
+    here is one of :func:`_verdict`'s, at the same ``x``, wherever the
+    window lies. A window with none says nothing about the rest of the grid.
     """
-    xs = _grid_slice(params, settings.grid_points, settings.span, x, _WINDOW_POINTS)
-    points = stationary_points(DensityCurve(xs=xs, ps=return_density(params, xs)))
-    return tuple(p for p in points if p.kind == "minimum")
+    points, span = settings.grid_points, settings.span
+    lo, _, step = _grid_rule(params, points, span)
+    at = (x - lo) / step if step else 0.0
+    nearest = points - 1 if not at < points - 1 else round(max(at, 0.0))
+    start = min(max(nearest - _WINDOW_POINTS // 2, 0), max(points - _WINDOW_POINTS, 0))
+    xs = _grid(params, points, span, start, min(start + _WINDOW_POINTS, points))
+    found = stationary_points(DensityCurve(xs=xs, ps=return_density(params, xs)))
+    return tuple(p for p in found if p.kind == "minimum")
 
 
 # The box of (rho, s = g*sqrt(T)) that the Table-1 lattice covers, each
@@ -456,9 +462,9 @@ def chi_critical_numeric(
     verdicts.
 
     A real verdict above ``chi_f`` first reads the 61 samples of the grid
-    around ``x = y_f g sqrt(T)`` (:func:`_window_minima`): a minimum there
-    is a minimum of the full curve, so the density is not unimodal. Only a
-    slice without one leaves the verdict to the full grid.
+    around the one nearest ``x = y_f g sqrt(T)`` (:func:`_window_minima`): a
+    minimum there is a minimum of the full curve, so the density is not
+    unimodal. Only a window without one leaves the verdict to the full grid.
 
     Raises
     ------

@@ -237,14 +237,6 @@ def _ndtri_float(y0: float) -> float:
     return x if upper else -x
 
 
-def _ndtri(p):
-    """Inverse normal CDF: a float for a 0-d input, else an array of its shape."""
-    if np.ndim(p) == 0:
-        return _ndtri_float(float(p))
-    p = np.asarray(p, dtype=float)
-    return np.array([_ndtri_float(v) for v in p.ravel().tolist()]).reshape(p.shape)
-
-
 def std_normal_cdf(z: float | np.ndarray) -> float | np.ndarray:
     """Standard normal CDF N(z), accurate to better than 1e-15 absolute."""
     z = np.asarray(z, dtype=float)
@@ -374,8 +366,7 @@ def implied_vol(env: MarketEnv, strike: float, price: float) -> float:
 
 
 def _delta_to_x_float(delta: float, vol: float, maturity: float) -> float:
-    """:func:`delta_to_x` of one float ``delta`` and ``vol``: the same checks,
-    and the same roundings in the same order."""
+    """:func:`delta_to_x` of one float ``delta`` and ``vol``."""
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie strictly inside (0, 1)")
     if not vol > 0.0:
@@ -394,21 +385,18 @@ def delta_to_x(
     ``x = vol**2 * T / 2 - vol * sqrt(T) * N^{-1}(delta)``; the quoting
     convention evaluates it with the quote's own volatility. ``N^{-1}`` is
     the package's own port of Cephes ``ndtri``, bit-identical to
-    ``scipy.special.ndtri``. Float ``delta`` and ``vol`` run the same
-    formula per float, about ten times faster than through 0-d arrays.
+    ``scipy.special.ndtri``. Arrays broadcast, and each element runs the
+    float formula in C order, so the first bad element decides the
+    :class:`DomainError`, and an empty array returns an empty array
+    whatever the maturity.
     """
     if isinstance(delta, float) and isinstance(vol, float):
         return _delta_to_x_float(float(delta), float(vol), maturity)
-    delta_a = np.asarray(delta, dtype=float)
-    vol_a = np.asarray(vol, dtype=float)
-    if not np.all((delta_a > 0.0) & (delta_a < 1.0)):
-        raise DomainError("delta must lie strictly inside (0, 1)")
-    if not np.all(vol_a > 0.0):
-        raise DomainError("vol must be positive")
-    if not maturity > 0.0:
-        raise DomainError("maturity must be positive")
-    with np.errstate(all="ignore"):
-        out = 0.5 * vol_a * vol_a * maturity - vol_a * math.sqrt(maturity) * _ndtri(delta_a)
+    delta_a, vol_a = np.broadcast_arrays(np.asarray(delta, dtype=float),
+                                         np.asarray(vol, dtype=float))
+    out = np.array([_delta_to_x_float(d, v, maturity)
+                    for d, v in zip(delta_a.ravel().tolist(), vol_a.ravel().tolist())],
+                   dtype=float).reshape(delta_a.shape)
     return _as_float_or_array(out, delta_a, vol_a)
 
 

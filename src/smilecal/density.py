@@ -305,72 +305,34 @@ def density_curve(
     return DensityCurve(xs=xs, ps=return_density(params, xs))
 
 
-def _grid_ends(params: SmileParams, span: float) -> tuple[float, float]:
-    """The ends ``x_min +- span * g * chi * sqrt(T)`` of :func:`_grid`. A
-    width that is not finite raises the :class:`DensityCurve` error that the
-    grid's NaN samples would."""
+def _grid_rule(params: SmileParams, points: int, span: float) -> tuple[float, float, float]:
+    """The ends ``lo, hi = x_min -+ span * g * chi * sqrt(T)`` of the x-grid of
+    :func:`density_curve` and its ``step``. A width that is not finite raises
+    the :class:`DensityCurve` error that the grid's NaN samples would."""
     scale = params.sigma_plateau * math.sqrt(params.maturity)
     lo, hi = params.x_min - span * scale, params.x_min + span * scale
     if not math.isfinite(hi - lo):
         raise DomainError("xs must be strictly increasing")
-    return lo, hi
+    return lo, hi, (hi - lo) / (points - 1)
 
 
-def _grid(params: SmileParams, points: int, span: float) -> np.ndarray:
-    """The x-grid of :func:`density_curve`: ``points`` uniform samples from
-    one of :func:`_grid_ends` to the other. Sample ``i`` is ``i * step +
-    lo`` and the last one ``hi``, the rule by which ``np.linspace`` forms
-    them, so the two are equal bit for bit. Where ``step`` is 0,
-    ``np.linspace`` forms them another way, and forms the grid."""
-    lo, hi = _grid_ends(params, span)
-    step = (hi - lo) / (points - 1)
-    if step == 0.0:
-        return np.linspace(lo, hi, points)
-    return _grid_samples(lo, hi, step, 0, points, points)
-
-
-def _grid_samples(lo: float, hi: float, step: float, start: int, stop: int,
-                  points: int) -> np.ndarray:
-    """Samples ``start`` to ``stop`` of the ``points``-sample grid rule of
-    :func:`_grid`, with a nonzero ``step``."""
+def _grid(params: SmileParams, points: int, span: float, start: int = 0,
+          stop: int | None = None) -> np.ndarray:
+    """Samples ``start`` to ``stop`` (default: the last) of the
+    ``points``-sample x-grid of :func:`density_curve`. Sample ``i`` is ``i *
+    step + lo`` and the last one ``hi`` (:func:`_grid_rule`), the rule by
+    which ``np.linspace`` forms a grid of nonzero step, so a slice is the
+    whole grid's bit for bit. A step that underflows to 0 repeats a sample,
+    as there are then fewer floats from ``lo`` to ``hi`` than samples, and
+    :class:`DensityCurve` rejects the grid."""
+    lo, hi, step = _grid_rule(params, points, span)
+    stop = points if stop is None else stop
     xs = np.arange(start, stop, dtype=np.float64)
     xs *= step
     xs += lo
     if stop == points:
         xs[-1] = hi
     return xs
-
-
-def _grid_slice(
-    params: SmileParams, points: int, span: float, x: float, size: int
-) -> np.ndarray:
-    """``size`` consecutive samples of :func:`_grid`, centred where
-    ``np.searchsorted`` on the grid puts ``x`` (a NaN ``x`` last) and clipped
-    to the grid, formed by the grid's own rule without the rest of the grid,
-    so equal to its slice bit for bit. A zero ``step`` slices the whole
-    grid."""
-    lo, hi = _grid_ends(params, span)
-    step = (hi - lo) / (points - 1)
-
-    def sample(i: int) -> float:
-        return hi if i == points - 1 else i * step + lo
-
-    if step == 0.0:
-        xs = _grid(params, points, span)
-        index = int(np.searchsorted(xs, x))
-    elif math.isnan(x):
-        index = points
-    else:  # the first sample not below x: guessed from the step, then checked
-        index = math.ceil(min(max((x - lo) / step, 0.0), points))
-        while index > 0 and sample(index - 1) >= x:
-            index -= 1
-        while index < points and sample(index) < x:
-            index += 1
-    start = min(max(index - size // 2, 0), max(points - size, 0))
-    stop = min(start + size, points)
-    if step == 0.0:
-        return xs[start:stop]
-    return _grid_samples(lo, hi, step, start, stop, points)
 
 
 def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:

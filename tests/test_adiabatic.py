@@ -459,8 +459,8 @@ class TestWindowVerdict:
     def test_slice_samples_are_the_full_curves(self, monkeypatch, opts):
         # bit for bit, at both ends of each search's final bracket on the
         # 27-point sub-lattice, centred on the fold, near either end of the
-        # grid and past it, and clipped to the grid; the slice starts where
-        # searchsorted on the full grid puts x, a NaN last
+        # grid and past it, and clipped to the grid; the slice is centred on
+        # the sample nearest x, the last one for an x above the grid or a NaN
         adiab = smilecal.adiabatic
         for g, rho, t in product(*default_sweep_axes(3, 3, 3)):
             n = rho * g * g * t
@@ -480,7 +480,8 @@ class TestWindowVerdict:
                     monkeypatch.undo()
                     (part,) = slices
                     size = adiab._WINDOW_POINTS
-                    start = int(np.searchsorted(xs, x)) - size // 2
+                    nearest = int(np.argmin(np.abs(xs - x))) if x < xs[-1] else xs.size - 1
+                    start = nearest - size // 2
                     start = min(max(start, 0), max(xs.size - size, 0))
                     assert part.xs.size == min(size, xs.size)
                     assert part.xs.tobytes() == xs[start:start + part.xs.size].tobytes()

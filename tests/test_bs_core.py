@@ -27,7 +27,7 @@ from smilecal import (
     strike_to_x,
     x_to_strike,
 )
-from smilecal.bs_core import _ndtr, _ndtr_float, _ndtri
+from smilecal.bs_core import _ndtr, _ndtr_float, _ndtri_float
 
 
 def _phi(z: float) -> float:
@@ -127,6 +127,10 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def _ndtri_each(p) -> np.ndarray:
+    return np.array([_ndtri_float(v) for v in np.ravel(p).tolist()])
+
+
 def _ndtri_sample() -> np.ndarray:
     # about 1e5 probabilities over the port's three ranges and both wings
     rng = np.random.default_rng(20231)
@@ -152,7 +156,7 @@ class TestNdtriPort:
     def test_bitwise_on_sample(self):
         p = _ndtri_sample()
         assert p.min() > 0.0 and p.max() < 1.0
-        mismatch = np.flatnonzero(_bits(_ndtri(p)) != _bits(scipy.special.ndtri(p)))
+        mismatch = np.flatnonzero(_bits(_ndtri_each(p)) != _bits(scipy.special.ndtri(p)))
         assert mismatch.size == 0, p[mismatch[:5]].tolist()
 
     def test_every_range_is_sampled(self):
@@ -168,24 +172,25 @@ class TestNdtriPort:
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
     def test_bitwise_property(self, p):
-        assert _bits(_ndtri(p)) == _bits(scipy.special.ndtri(p))
+        assert _bits(_ndtri_float(p)) == _bits(scipy.special.ndtri(p))
 
     def test_bounds_and_outside(self):
         p = np.array([0.0, 1.0, -0.5, 1.5, math.nan])
-        np.testing.assert_array_equal(_ndtri(p), scipy.special.ndtri(p))
+        np.testing.assert_array_equal(_ndtri_each(p), scipy.special.ndtri(p))
 
+    # delta_to_x at vol 1 and T = 1 applies it as 1/2 - N^{-1}(delta)
     def test_scalar_in_float_out(self):
         for p in (0.3, np.float64(0.3), np.asarray(0.3)):
-            out = _ndtri(p)
+            out = delta_to_x(p, 1.0, 1.0)
             assert type(out) is float
-            assert out == scipy.special.ndtri(0.3)
+            assert out == 0.5 - scipy.special.ndtri(0.3)
 
     @pytest.mark.parametrize("shape", [(1,), (2, 3), (0,), (3, 0)])
     def test_array_keeps_shape(self, shape):
         p = np.linspace(0.05, 0.95, math.prod(shape)).reshape(shape)
-        out = _ndtri(p)
+        out = delta_to_x(p, 1.0, 1.0)
         assert out.shape == shape and out.dtype == np.float64
-        assert np.array_equal(_bits(out), _bits(scipy.special.ndtri(p)))
+        assert np.array_equal(_bits(out), _bits(0.5 - scipy.special.ndtri(p)))
 
 
 # Cephes' MAXLOG: past x^2 = MAXLOG its erfc returns 0
@@ -448,7 +453,8 @@ class TestCoordinates:
             delta_to_x(delta, vol, maturity)
 
     def test_float_path_equals_the_array_path(self):
-        # floats run their own path; each result must carry the array path's bits
+        # an array runs the float path per element, and both carry the bits
+        # of the formula with scipy's ndtri
         rng = np.random.default_rng(23)
         deltas = np.concatenate([rng.uniform(size=400), [1e-300, 1e-20, 1e-10, 0.01, 0.5,
                                                          0.99, 1.0 - 1e-10, 1.0 - 2.0**-53]])
@@ -458,7 +464,8 @@ class TestCoordinates:
         ts = np.exp(rng.uniform(-6.0, 3.0, deltas.size))
         ts[4] = 1e300
         for d, v, t in zip(deltas.tolist(), vols.tolist(), ts.tolist()):
-            want = delta_to_x(np.array([d]), np.array([v]), t)[0]
+            want = 0.5 * v * v * t - v * math.sqrt(t) * float(scipy.special.ndtri(d))
+            assert _bits(delta_to_x(np.array([d]), np.array([v]), t)[0]) == _bits(want)
             got = delta_to_x(d, v, t)
             assert type(got) is float
             assert _bits(got) == _bits(want), (d, v, t)
@@ -474,6 +481,20 @@ class TestCoordinates:
         with pytest.raises(DomainError) as floats:
             delta_to_x(delta, vol, maturity)
         assert str(floats.value) == str(arrays.value)
+
+    def test_array_raises_at_its_first_bad_element(self):
+        # elements run in C order after broadcasting, each with its own checks
+        with pytest.raises(DomainError, match="^vol must be positive$"):
+            delta_to_x(np.array([0.3, 0.0]), np.array([-0.2, 0.2]), 1.0)
+        with pytest.raises(DomainError, match="^vol must be positive$"):
+            delta_to_x(np.array([0.3, 1.0]), np.array([[-0.2], [0.2]]), 1.0)
+        with pytest.raises(DomainError, match="^delta must lie strictly inside"):
+            delta_to_x(np.array([0.3, 1.0]), np.array([[0.2], [-0.2]]), 1.0)
+
+    @pytest.mark.parametrize("maturity", [1.0, -1.0, math.nan])
+    def test_empty_array_is_empty(self, maturity):
+        out = delta_to_x(np.zeros((3, 0)), 0.2, maturity)
+        assert out.shape == (3, 0) and out.dtype == np.float64
 
     def test_forward_strike_maps_to_zero(self):
         env = MarketEnv(spot=100.0, rate=0.03, maturity=2.0)

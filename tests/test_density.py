@@ -32,7 +32,8 @@ from smilecal import (
 )
 from smilecal.adiabatic import TABLE_RANGES
 from smilecal.bs_core import _bs_value
-from smilecal.density import _curvature, _gaussian_kernel, _grid, _grid_ends
+from smilecal.cli import main
+from smilecal.density import _curvature, _gaussian_kernel, _grid, _grid_rule
 
 FIG1 = SmileParams(g=0.1, chi=2.7, n=0.04, maturity=0.5)
 
@@ -515,21 +516,40 @@ class TestGridRule:
                 density_curve(params, points=points, span=span)
 
     def test_grid_is_linspace(self):
-        # bit for bit, seeded, and where the ends round to one float and
-        # the step is 0, which np.linspace handles its own way
+        # bit for bit, seeded; each slice of it is the grid's slice
         rng = np.random.default_rng(11)
-        cases = [(SmileParams(g=1e20, chi=2.0, n=1.0, maturity=1e10), 4001, 10.0)]
         for _ in range(300):
             g, t = 10.0 ** rng.uniform(-3.0, 1.0), 10.0 ** rng.uniform(-4.0, 2.0)
             params = SmileParams(g=g, chi=1.0 + 10.0 ** rng.uniform(-3.0, 1.2),
                                  n=0.1 * g * g * t, maturity=t)
-            cases.append((params, int(rng.integers(101, 20001)), rng.uniform(4.0, 60.0)))
-        for params, points, span in cases:
-            lo, hi = _grid_ends(params, span)
-            assert _grid(params, points, span).tobytes() == np.linspace(lo, hi, points).tobytes()
-        params, points, span = cases[0]
-        lo, hi = _grid_ends(params, span)
-        assert (hi - lo) / (points - 1) == 0.0
+            points, span = int(rng.integers(101, 20001)), rng.uniform(4.0, 60.0)
+            lo, hi, _ = _grid_rule(params, points, span)
+            xs = _grid(params, points, span)
+            assert xs.tobytes() == np.linspace(lo, hi, points).tobytes()
+            start = int(rng.integers(0, points))
+            stop = int(rng.integers(start + 1, points + 1))
+            assert _grid(params, points, span, start, stop).tobytes() == xs[start:stop].tobytes()
+
+    @pytest.mark.parametrize("params", [
+        # the ends differ, but at 4001 points the step underflows to 0
+        SmileParams(g=1e-322, chi=1.5, n=1.0, maturity=1.0),
+        # the ends round to one float
+        SmileParams(g=1e20, chi=2.0, n=1.0, maturity=1e10),
+    ], ids=["step-underflows", "ends-equal"])
+    @pytest.mark.parametrize("points", [4001, 1001])
+    def test_zero_step_grid_rejected(self, params, points):
+        # fewer floats lie between the ends than the grid has samples, so
+        # the grid repeats one, whatever rule forms it
+        assert _grid_rule(params, 4001, 10.0)[2] == 0.0
+        assert np.unique(_grid(params, points, 10.0)).size < points
+        with pytest.raises(DomainError, match="^xs must be strictly increasing$"):
+            density_curve(params, points=points)
+
+    def test_zero_step_grid_exits_2(self, tmp_path, capsys):
+        code = main(["density", "--params", "1e-322,1.5,1", "--maturity", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: xs must be strictly increasing\n"
 
     @pytest.mark.parametrize("span", [math.nan, math.inf, -5.0, 3.0])
     def test_span_must_be_finite_and_at_least_4(self, span):

@@ -1,15 +1,17 @@
 """The package's public names: each module's ``__all__`` is the one list of
 its names, the package exports exactly their concatenation, and every name
-has a caller outside the tests."""
+has a caller outside the tests. The tools read only names the package has."""
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import smilecal
 
 MODULES = ("adiabatic", "bs_core", "density", "errors", "smile")
 ROOT = Path(__file__).resolve().parents[1]
+SUBMODULES = {f"smilecal.{m.name}" for m in pkgutil.iter_modules(smilecal.__path__)}
 # paper criterion 6, the square-well closed form: ROADMAP item 5 either
 # gives it a demo or removes it
 CALLED_BY_TESTS_ONLY = {"square_well_critical_x"}
@@ -55,3 +57,63 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
     assert [n for n in smilecal.__all__ if n not in used | CALLED_BY_TESTS_ONLY] == []
     assert CALLED_BY_TESTS_ONLY <= set(smilecal.__all__) - used
+
+
+def _tool_trees(path: Path) -> list[ast.AST]:
+    """A tool's syntax tree, and those of the Python sources it holds as
+    strings for child interpreters (those that import smilecal)."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))]
+    for node in ast.walk(trees[0]):
+        if isinstance(node, ast.Constant) and "import smilecal" in str(node.value):
+            try:
+                trees.append(ast.parse(node.value))
+            except SyntaxError:  # prose, a docstring
+                pass
+    return trees
+
+
+def _module_reads(tree: ast.AST) -> list[tuple[str, str]]:
+    """``(module, name)`` for each name that ``tree`` imports from a smilecal
+    module or reads, writes or deletes as an attribute of one. A name bound
+    to a module by any import in the tree counts throughout it."""
+    bound, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "smilecal":
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        bound["smilecal"] = "smilecal"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "smilecal":
+            for alias in node.names:
+                reads.append((node.module, alias.name))
+                if f"{node.module}.{alias.name}" in SUBMODULES:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+
+    def module_of(node) -> str | None:
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute) and (parent := module_of(node.value)):
+            name = f"{parent}.{node.attr}"
+            return name if name in SUBMODULES else None
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (module := module_of(node.value)):
+            reads.append((module, node.attr))
+    return reads
+
+
+def test_tools_read_only_names_the_package_has():
+    # no test runs the tools, so a renamed or deleted private helper would
+    # break them unseen
+    reads = {(module, name) for path in sorted((ROOT / "tools").glob("*.py"))
+             for tree in _tool_trees(path) for module, name in _module_reads(tree)}
+    missing = [f"{module}.{name}" for module, name in sorted(reads)
+               if not (hasattr(importlib.import_module(module), name)
+                       or f"{module}.{name}" in SUBMODULES)]
+    assert missing == []
+    for name in ("_reduced", "_fold_point", "_window_minima", "_sweep_one", "stationary_points"):
+        assert ("smilecal.adiabatic", name) in reads
+    assert {("smilecal.cli", "main"), ("smilecal.cli", "__file__")} <= reads

@@ -7,13 +7,14 @@ Usage::
 ``OLD_SRC`` and ``NEW_SRC`` are the ``src`` directories of two checkouts.
 One child interpreter per tree imports that tree's smilecal and prepares
 the 216-point Table-1 lattice: each point's ``chi_c`` and the smile at it,
-its fold, its 4001-point density curve and the slice of that grid centred
-on the fold's ``x`` that a window verdict reads, of the tree's own
-``adiabatic._WINDOW_POINTS`` samples. The children then take turns, ``N``
-rounds each (default 20), and which one goes first alternates: in a round a
-child times one pass of every layer over the whole lattice, in-process, so
-drift on a shared machine falls on both trees alike. Only one child runs at
-a time. The layers, each timed per call:
+its fold, its 4001-point density curve and the slice of that grid that
+the tree's own window verdict reads at the fold's ``x``, taken from one
+``_window_minima`` call, so each tree times the samples its verdict reads.
+The children then take turns, ``N`` rounds each (default 20), and which
+one goes first alternates: in a round a child times one pass of every
+layer over the whole lattice, in-process, so drift on a shared machine
+falls on both trees alike. Only one child runs at a time. The layers,
+each timed per call:
 
 * ``sigma_derivatives`` on the 4001-point grid;
 * ``return_density`` on the 4001-point grid and on the window's slice;
@@ -76,17 +77,26 @@ def serve(src: str) -> None:
     if not Path(adiab.__file__).resolve().is_relative_to(Path(src).resolve()):
         sys.exit(f"smilecal was imported from {adiab.__file__}, not from {src}")
     settings = ChiSearchSettings()
-    window = adiab._WINDOW_POINTS
+
+    def window_xs(params, x):
+        """The x of the grid slice that ``_window_minima`` reads at ``x``."""
+        seen, real = [], adiab.stationary_points
+        adiab.stationary_points = lambda curve: seen.append(curve.xs) or ()
+        try:
+            adiab._window_minima(params, settings, x)
+        finally:
+            adiab.stationary_points = real
+        (xs,) = seen
+        return xs
+
     cases = []
     for g, rho, t in product(*adiab.default_sweep_axes()):
         n = rho * g * g * t
         params = SmileParams(g=g, chi=adiab.chi_critical_numeric(g, n, t), n=n, maturity=t)
         reduced = adiab._reduced(g, n, t)
         x = adiab._fold_point(*reduced)[0] * g * math.sqrt(t)
-        curve = density_curve(params)
-        start = min(max(int(np.searchsorted(curve.xs, x)) - window // 2, 0),
-                    curve.xs.size - window)
-        cases.append(Case(g, rho, t, params, reduced, x, curve, curve.xs[start:start + window]))
+        cases.append(Case(g, rho, t, params, reduced, x, density_curve(params),
+                          window_xs(params, x)))
     calls = {name: (cases, call) for name, call in zip(LAYERS, (
         lambda c: sigma_derivatives(c.params, c.curve.xs),
         lambda c: return_density(c.params, c.curve.xs),
