@@ -13,7 +13,8 @@ a value that leaves the float range is rejected by a named check, not warned of.
 
 The normal CDF and its inverse are ports of Cephes ``ndtr`` and ``ndtri``,
 equal to ``scipy.special.ndtr`` and ``ndtri`` bit for bit; the package
-imports no scipy.
+imports no scipy. ``ndtr`` has one path, on arrays, which a scalar takes
+too; ``ndtri`` runs per float.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def _as_float_or_array(out: np.ndarray, *inputs) -> float | np.ndarray:
 # order, expression order and branch edges, so each equals scipy's bit for
 # bit. ``ndtri`` runs per float, with libm's ``log`` and ``sqrt`` through
 # ``math`` as in the C. ``ndtr`` runs on arrays, one boolean-selected branch
-# at a time: numpy's elementwise add, multiply and divide round as C's do; a
-# 0-d input runs the same formulas per float, with ``math.exp``.
+# at a time, a 0-d input too (a 0-d mask selects a 1-element array): numpy's
+# elementwise add, multiply and divide round as C's do.
 _SQRT1_2 = 7.07106781186547524401e-1  # 1/sqrt(2)
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX); erfc is 0 past exp(-MAXLOG)
 # erf on |x| < 1, x * T(x^2) / U(x^2); each U, Q and S has an implicit leading 1
@@ -175,29 +176,9 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _ndtr_float(a: float) -> float:
-    """``_ndtr`` of one float: the same branches and roundings, with libm's
-    ``exp`` through ``math``."""
-    if math.isnan(a):
-        return math.nan  # the array path's NaN, whatever the input's sign and payload
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < 1.0:
-        zz = x * x
-        return 0.5 + 0.5 * (x * _polevl(zz, _ERF_T) / _p1evl(zz, _ERF_U))
-    if -z * z < -_MAXLOG:
-        half = 0.0
-    else:
-        p, q = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
-        half = 0.5 * (math.exp(-z * z) * _polevl(z, p) / _p1evl(z, q))
-    return 1.0 - half if x > 0.0 else half
-
-
 def _ndtr(a):
     """Normal CDF: ``np.float64`` for a 0-d input, else an array of its shape."""
     a = np.asarray(a, dtype=float)
-    if a.ndim == 0:
-        return np.float64(_ndtr_float(float(a)))
     with np.errstate(all="ignore"):
         x = a * _SQRT1_2
         z = np.abs(x)

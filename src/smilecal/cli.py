@@ -369,7 +369,9 @@ def cmd_refit(args, cfg: RunConfig, out: Path) -> int:
     )
     write_report(out / "refit.txt", items)
 
-    free_curve = dens.density_curve(free.params, points=cfg.grid, span=cfg.span)
+    # a kept free fit's report holds its curve on the same grid
+    free_curve = (final_report.curve if final is free
+                  else dens.density_curve(free.params, points=cfg.grid, span=cfg.span))
     xs = free_curve.xs
     vol_free = sigma_of_x(free.params, xs)
     p_free = free_curve.ps

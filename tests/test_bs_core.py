@@ -27,7 +27,7 @@ from smilecal import (
     strike_to_x,
     x_to_strike,
 )
-from smilecal.bs_core import _ndtr, _ndtr_float, _ndtri_float
+from smilecal.bs_core import _ndtr, _ndtri_float
 
 
 def _phi(z: float) -> float:
@@ -197,10 +197,8 @@ class TestNdtriPort:
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
-def _ndtr_sample() -> np.ndarray:
-    # about 1e5 arguments: normal, uniform over both erfc ranges and random
-    # bit patterns (NaN, inf and subnormals included), and the branch edges
-    rng = np.random.default_rng(20232)
+def _ndtr_edges() -> np.ndarray:
+    # the specials and the branch edges
     edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]
     # |a| / sqrt(2) crosses 1 (erf to erfc) and 8 (erfc's P/Q to R/S)
     for edge in (math.sqrt(2.0), 8.0 * math.sqrt(2.0)):
@@ -209,11 +207,18 @@ def _ndtr_sample() -> np.ndarray:
     # a^2 / 2 passes MAXLOG near |a| = 37.7
     cut = math.sqrt(2.0 * _LOG_DBL_MAX)
     near_cut = cut * (1.0 + np.arange(-64, 65) * 2.0**-52)
+    return np.concatenate([np.array(edges), near_cut, -near_cut])
+
+
+def _ndtr_sample() -> np.ndarray:
+    # about 1e5 arguments: normal, uniform over both erfc ranges and random
+    # bit patterns (NaN, inf and subnormals included), and the branch edges
+    rng = np.random.default_rng(20232)
     return np.concatenate([
         rng.normal(0.0, 3.0, 35_000),
         rng.uniform(-40.0, 40.0, 35_000),
         rng.integers(-(2**63), 2**63 - 1, 30_000, dtype=np.int64).view(float),
-        np.array(edges), near_cut, -near_cut,
+        _ndtr_edges(),
     ])
 
 
@@ -247,11 +252,16 @@ class TestNdtrPort:
         assert math.isnan(out[0])
         assert out[1:].tolist() == [1.0, 0.0, 0.5, 0.5, 1.0, 0.0]
 
-    def test_float_path_matches_array_path(self):
-        # a 0-d input runs _ndtr_float; it must equal the array path's bits
-        a = _ndtr_sample()
-        mismatch = [v for v, y in zip(a.tolist(), _bits(_ndtr(a)).tolist())
-                    if _bits(_ndtr_float(v)) != y]
+    def test_zero_d_matches_scipy_and_the_whole_array(self):
+        # 2000 seeded draws from the sample, and every edge; each one alone,
+        # as a float and as a 0-d array, gives the bits of scipy and of its
+        # element in the whole array
+        sample = np.random.default_rng(20234).choice(_ndtr_sample(), 2000, replace=False)
+        a = np.concatenate([sample, _ndtr_edges()])
+        whole = _bits(_ndtr(a)).tolist()
+        ref = _bits(scipy.special.ndtr(a)).tolist()
+        mismatch = [v for v, w, r in zip(a.tolist(), whole, ref)
+                    if not _bits(_ndtr(np.float64(v))) == _bits(_ndtr(np.asarray(v))) == w == r]
         assert mismatch == [], mismatch[:5]
 
     def test_scalar_in_float64_out(self):

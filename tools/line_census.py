@@ -22,7 +22,8 @@ For each module it then prints the executable lines (those of the
 compiled module's code objects, from ``co_lines``) that no run reached,
 and those that only tier-1 reached: code that the workloads, the CLI and
 the demos never run. Lines that only a child process runs (``bench/run.py``
-times fresh imports in children) are not seen. Uses the standard library
+times fresh imports in children, and tier-1 tests run fresh interpreters)
+are not seen, as the report's header says. Uses the standard library
 alone.
 """
 
@@ -155,6 +156,8 @@ def main(argv: list[str]) -> int:
     reached, tier1_only = tier1 | others, tier1 - others
     print(f"lines of {PACKAGE.relative_to(ROOT)} reached by no run, and by tier-1 only "
           f"(runs: {', '.join(census.runs)})")
+    print("only this process is traced: lines that only a child interpreter runs (a test's "
+          "subprocess, a fresh import) read as unreached")
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
         never = sorted(n for n in lines if (str(path), n) not in reached)
