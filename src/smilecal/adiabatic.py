@@ -11,8 +11,8 @@ ways:
   unimodality verdict (:func:`chi_critical_numeric`); a closed-form fold
   of the density's log-slope (:func:`_fold_point`) predicts every verdict,
   and real ones are made only at the ends of the bracket it gives, unless
-  they contradict it; above the fold the grid samples around the one
-  nearest the fold's x decide first (:func:`_window_minima`). The fold's
+  they contradict it; above the fold the grid samples around the one nearest
+  the fold's x decide first (:func:`density._window_curve`). The fold's
   Newton step takes its y-derivatives from Taylor coefficients of the
   density's log-slope, formed in straight-line arithmetic from the
   smile's derivatives, which come from a recurrence, and its
@@ -39,9 +39,8 @@ from itertools import product
 import numpy as np
 
 from ._lm import levenberg_marquardt
-from .density import STANDARD_GRID_POINTS, STANDARD_SPAN, DensityCurve, DensityReport
-from .density import StationaryPoint, _check_grid, _grid, _grid_rule, analyze, density_curve
-from .density import return_density, stationary_points
+from .density import STANDARD_GRID_POINTS, STANDARD_SPAN, DensityReport, _check_grid
+from .density import _window_curve, analyze, density_curve, stationary_points
 from .errors import (
     ConvergenceError,
     CriticalSearchError,
@@ -193,31 +192,6 @@ def _verdict(params: SmileParams, settings: ChiSearchSettings) -> DensityReport:
 # verdict must follow: 61 is the fewest tried that keeps the tests' verdict
 # counts (at 41 the retry walks need more whole-grid verdicts)
 _WINDOW_POINTS = 61
-
-
-def _window_minima(
-    params: SmileParams, settings: ChiSearchSettings, x: float
-) -> tuple[StationaryPoint, ...]:
-    """The density's minima on the ``_WINDOW_POINTS`` (61) samples of the
-    ``settings`` grid around the sample nearest ``x``, clipped to the grid:
-    all of it on a grid of fewer samples. An ``x`` below the grid, or a zero
-    step, takes sample 0; an ``x`` above the grid, or a NaN, the last.
-
-    The window's x are the full grid's bit for bit (:func:`_grid`), and
-    each density sample is elementwise, so its samples are the full grid
-    curve's bit for bit. A ``-`` slope, zero slopes only and a ``+`` slope
-    in the window are the same run in the full curve, so each minimum found
-    here is one of :func:`_verdict`'s, at the same ``x``, wherever the
-    window lies. A window with none says nothing about the rest of the grid.
-    """
-    points, span = settings.grid_points, settings.span
-    lo, _, step = _grid_rule(params, points, span)
-    at = (x - lo) / step if step else 0.0
-    nearest = points - 1 if not at < points - 1 else round(max(at, 0.0))
-    start = min(max(nearest - _WINDOW_POINTS // 2, 0), max(points - _WINDOW_POINTS, 0))
-    xs = _grid(params, points, span, start, min(start + _WINDOW_POINTS, points))
-    found = stationary_points(DensityCurve(xs=xs, ps=return_density(params, xs)))
-    return tuple(p for p in found if p.kind == "minimum")
 
 
 # The box of (rho, s = g*sqrt(T)) that the Table-1 lattice covers, each
@@ -461,9 +435,9 @@ def chi_critical_numeric(
     if a walk finds no transition, every verdict is real. No chi gets two
     verdicts.
 
-    A real verdict above ``chi_f`` first reads the 61 samples of the grid
-    around the one nearest ``x = y_f g sqrt(T)`` (:func:`_window_minima`): a
-    minimum there is a minimum of the full curve, so the density is not
+    A real verdict above ``chi_f`` first reads the 61 grid samples around
+    the one nearest ``x = y_f g sqrt(T)`` (:func:`density._window_curve`):
+    a minimum there is a minimum of the full curve, so the density is not
     unimodal. Only a window without one leaves the verdict to the full grid.
 
     Raises
@@ -477,8 +451,9 @@ def chi_critical_numeric(
     def non_unimodal(chi: float) -> bool:
         if chi not in known:
             params = SmileParams(g=g, chi=chi, n=n, maturity=maturity)
-            known[chi] = (chi > chi_f and bool(_window_minima(params, opts, x_f))
-                          or not _verdict(params, opts).unimodal)
+            known[chi] = (chi > chi_f and any(p.kind == "minimum" for p in stationary_points(
+                _window_curve(params, opts.grid_points, opts.span, x_f, _WINDOW_POINTS)))
+                or not _verdict(params, opts).unimodal)
         return known[chi]
 
     def search(verdict) -> tuple[float, float]:

@@ -335,6 +335,25 @@ def _grid(params: SmileParams, points: int, span: float, start: int = 0,
     return xs
 
 
+def _window_curve(params: SmileParams, points: int, span: float, x: float,
+                  size: int) -> DensityCurve:
+    """The density on the ``size`` samples of the :func:`density_curve` grid
+    of ``points`` samples around the one nearest ``x``, clipped to the grid
+    (all of it if it has fewer). An ``x`` below the grid or a zero step takes
+    sample 0, an ``x`` above it or a NaN the last. Its x, and so its
+    elementwise samples, are the whole grid's bit for bit (:func:`_grid`),
+    and a ``-`` slope, zero slopes only and a ``+`` slope in it are the same
+    run in the whole curve: each minimum :func:`stationary_points` finds here
+    is one of :func:`analyze`'s on the whole grid, at the same ``x``. A
+    window with none says nothing about the rest of the grid."""
+    lo, _, step = _grid_rule(params, points, span)
+    at = (x - lo) / step if step else 0.0
+    nearest = points - 1 if not at < points - 1 else round(max(at, 0.0))
+    start = min(max(nearest - size // 2, 0), max(points - size, 0))
+    xs = _grid(params, points, span, start, min(start + size, points))
+    return DensityCurve(xs=xs, ps=return_density(params, xs))
+
+
 def stationary_points(curve: DensityCurve) -> tuple[StationaryPoint, ...]:
     """Classify every interior zero of the discrete derivative.
 

@@ -41,10 +41,11 @@ from smilecal import (
     return_density,
     sigma_derivatives,
     sigma_of_x,
+    stationary_points,
     sweep,
     sweep_points,
 )
-from smilecal.density import _curvature, _gaussian_kernel
+from smilecal.density import _curvature, _gaussian_kernel, _window_curve
 
 FIG1 = dict(g=0.1, n=0.04, maturity=0.5)
 FIG2_PARAMS = SmileParams(g=0.1758, chi=1.20, n=0.00030, maturity=1.0 / 365.0)
@@ -227,18 +228,18 @@ def _record_search_chis(monkeypatch):
     # search makes, each list in order
     adiab = smilecal.adiabatic
     full, window = [], []
-    curve, minima = adiab.density_curve, adiab._window_minima
+    curve, part = adiab.density_curve, adiab._window_curve
 
     def full_curve(params, **kwargs):
         full.append(params.chi)
         return curve(params, **kwargs)
 
-    def window_minima(params, settings, x):
+    def window_curve(params, *args):
         window.append(params.chi)
-        return minima(params, settings, x)
+        return part(params, *args)
 
     monkeypatch.setattr(adiab, "density_curve", full_curve)
-    monkeypatch.setattr(adiab, "_window_minima", window_minima)
+    monkeypatch.setattr(adiab, "_window_curve", window_curve)
     return full, window
 
 
@@ -473,13 +474,8 @@ class TestWindowVerdict:
                 for x in (y * g * math.sqrt(t), -math.inf, xs[0] - 1.0, xs[0], xs[1],
                           *inner, *np.nextafter(inner, -np.inf), *np.nextafter(inner, np.inf),
                           xs[-2], xs[-1], xs[-1] + 1.0, math.inf, math.nan):
-                    slices = []
-                    monkeypatch.setattr(adiab, "stationary_points",
-                                        lambda curve: slices.append(curve) or ())
-                    adiab._window_minima(params, opts, float(x))
-                    monkeypatch.undo()
-                    (part,) = slices
                     size = adiab._WINDOW_POINTS
+                    part = _window_curve(params, opts.grid_points, opts.span, float(x), size)
                     nearest = int(np.argmin(np.abs(xs - x))) if x < xs[-1] else xs.size - 1
                     start = nearest - size // 2
                     start = min(max(start, 0), max(xs.size - size, 0))
@@ -508,8 +504,10 @@ class TestWindowVerdict:
         else:
             x = curve.xs[0] + centre * (curve.xs[-1] - curve.xs[0])
         minima = analyze(curve).minima
-        for point in adiab._window_minima(params, ChiSearchSettings(), x):
-            assert point in minima
+        opts = ChiSearchSettings()
+        window = _window_curve(params, opts.grid_points, opts.span, x, adiab._WINDOW_POINTS)
+        for point in stationary_points(window):
+            assert point.kind != "minimum" or point in minima
 
     @pytest.mark.parametrize(
         "wrong_y",
@@ -557,12 +555,8 @@ class TestOneDensityKernel:
                 xs = density_curve(params).xs
                 assert return_density(params, xs).tobytes() == \
                     _kernel_times_factor(params, xs).tobytes()
-                slices = []
-                monkeypatch.setattr(adiab, "stationary_points",
-                                    lambda curve: slices.append(curve) or ())
-                adiab._window_minima(params, opts, x)
-                monkeypatch.undo()
-                (part,) = slices
+                part = _window_curve(params, opts.grid_points, opts.span, x,
+                                     adiab._WINDOW_POINTS)
                 assert part.ps.tobytes() == _kernel_times_factor(params, part.xs).tobytes()
                 value = return_density(params, x)
                 assert type(value) is float

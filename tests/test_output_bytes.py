@@ -100,13 +100,18 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _tool():
+    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def digests(src: Path, work: Path) -> tuple[dict[str, str], dict[str, str]]:
     """Run the slice on the package tree ``src`` in the empty directory
     ``work``: the digest of each command's ``[exit code, stdout, stderr]``
     (as JSON) and of each file the commands write."""
-    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool()
     commands, files = tool.command_set()
     chosen = [cmd for cmd in commands if cmd["id"] in SLICE]
     assert len(chosen) == len(SLICE)
@@ -127,14 +132,28 @@ def digests(src: Path, work: Path) -> tuple[dict[str, str], dict[str, str]]:
     return outcomes, written
 
 
-def test_slice_outputs_are_pinned(tmp_path, monkeypatch):
+def _bench_modules() -> set[str]:
+    return {name for name, module in list(sys.modules.items())
+            if Path(getattr(module, "__file__", None) or ".").parent == ROOT / "bench"}
+
+
+def test_command_set_leaves_the_interpreter_as_it_was(monkeypatch):
+    # the tool imports bench/gen.py with bench/ first on the path and no
+    # bytecode written; its caller keeps its path and flag, and no module of
+    # bench/ stays loaded (numpy loads numpy.random on first use, so the
+    # whole set of modules may grow)
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    tool = _tool()
+    before = list(sys.path), sys.dont_write_bytecode, _bench_modules()
+    tool.command_set()
+    assert (list(sys.path), sys.dont_write_bytecode, _bench_modules()) == before
+
+
+def test_slice_outputs_are_pinned(tmp_path):
     env = environment()
     differ = [key for key in env if env[key] != PINNED_ON.get(key)]
     if differ:
         pytest.skip(f"digests pinned in another environment; differs in {', '.join(differ)}")
-    # the tool puts bench/ on the path and turns bytecode writing off
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     outcomes, written = digests(ROOT / "src", tmp_path)
     for got, pinned in ((outcomes, COMMANDS), (written, FILES)):
         moved = sorted(k for k in got.keys() | pinned.keys() if got.get(k) != pinned.get(k))

@@ -1,6 +1,7 @@
 """The package's public names: each module's ``__all__`` is the one list of
 its names, the package exports exactly their concatenation, and every name
-has a caller outside the tests. The tools read only names the package has."""
+has a caller outside the tests. The tools read only names the package has,
+and patch none of them."""
 
 import ast
 import importlib
@@ -72,11 +73,11 @@ def _tool_trees(path: Path) -> list[ast.AST]:
     return trees
 
 
-def _module_reads(tree: ast.AST) -> list[tuple[str, str]]:
-    """``(module, name)`` for each name that ``tree`` imports from a smilecal
-    module or reads, writes or deletes as an attribute of one. A name bound
-    to a module by any import in the tree counts throughout it."""
-    bound, reads = {}, []
+def _module_attributes(tree: ast.AST) -> list[tuple[str, ast.Attribute]]:
+    """``(module, node)`` for each attribute of a smilecal module in ``tree``,
+    read, written or deleted. A name bound to a module by any import in the
+    tree counts throughout it."""
+    bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -87,7 +88,6 @@ def _module_reads(tree: ast.AST) -> list[tuple[str, str]]:
                         bound["smilecal"] = "smilecal"
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "smilecal":
             for alias in node.names:
-                reads.append((node.module, alias.name))
                 if f"{node.module}.{alias.name}" in SUBMODULES:
                     bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
 
@@ -99,10 +99,17 @@ def _module_reads(tree: ast.AST) -> list[tuple[str, str]]:
             return name if name in SUBMODULES else None
         return None
 
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and (module := module_of(node.value)):
-            reads.append((module, node.attr))
-    return reads
+    return [(module, node) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and (module := module_of(node.value))]
+
+
+def _module_reads(tree: ast.AST) -> list[tuple[str, str]]:
+    """``(module, name)`` for each name that ``tree`` imports from a smilecal
+    module or reads, writes or deletes as an attribute of one."""
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "smilecal" for alias in node.names]
+    return imported + [(module, node.attr) for module, node in _module_attributes(tree)]
 
 
 def test_tools_read_only_names_the_package_has():
@@ -114,6 +121,19 @@ def test_tools_read_only_names_the_package_has():
                if not (hasattr(importlib.import_module(module), name)
                        or f"{module}.{name}" in SUBMODULES)]
     assert missing == []
-    for name in ("_reduced", "_fold_point", "_window_minima", "_sweep_one", "stationary_points"):
+    for name in ("_reduced", "_fold_point", "_sweep_one", "stationary_points"):
         assert ("smilecal.adiabatic", name) in reads
-    assert {("smilecal.cli", "main"), ("smilecal.cli", "__file__")} <= reads
+    assert {("smilecal.density", "_window_curve"), ("smilecal.cli", "main"),
+            ("smilecal.cli", "__file__")} <= reads
+
+
+def test_no_tool_patches_the_package():
+    # a tool that assigns or deletes an attribute of a package module times
+    # or compares a program other than the one it names; this covers the
+    # sources the tools hold for child interpreters too
+    patched = [f"{path.name}:{node.lineno} {module}.{node.attr}"
+               for path in sorted((ROOT / "tools").glob("*.py"))
+               for tree in _tool_trees(path)
+               for module, node in _module_attributes(tree)
+               if isinstance(node.ctx, (ast.Store, ast.Del))]
+    assert patched == []

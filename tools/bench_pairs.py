@@ -14,9 +14,12 @@ a shared machine falls on both alike.
 ``FILE`` is a JSON record: the machine, and per workload the seeds, the run
 length, each run's correctness and failed count, and for each end-to-end
 metric of the new tree's ``BENCHMARK.json`` its per-pair values on both
-trees, their medians and quartiles, and the number of pairs the new tree
-won. Each tree is named by its git commit, where it has one, and by a hash
-of its ``src`` files. A workload already in ``FILE`` is replaced and the
+trees, their medians and quartiles, the number of pairs the new tree
+won, the old tree's quartile distance over its median (``old_spread``) and
+whether a claim of a gain on it is ``met`` or ``unresolved``: met when the
+new tree won at least 9 of 10 pairs and its median is better than the old
+one's by more than the old tree's quartile distance. Each tree is named by
+its git commit, where it has one, and by a hash of its ``src`` files. A workload already in ``FILE`` is replaced and the
 others are kept, so one file gathers several workloads.
 """
 
@@ -83,11 +86,15 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         name, sign = m["name"], 1.0 if m["better"] == "higher" else -1.0
         old = [p["old"]["metrics"][name] for p in pairs]
         new = [p["new"]["metrics"][name] for p in pairs]
+        old_median, new_median = statistics.median(old), statistics.median(new)
+        (q1, q3), won = _quartiles(old), sum(sign * (b - a) > 0.0 for a, b in zip(old, new))
         out[name] = {
             "unit": m["unit"], "better": m["better"], "old": old, "new": new,
-            "old_median": statistics.median(old), "new_median": statistics.median(new),
-            "old_quartiles": _quartiles(old), "new_quartiles": _quartiles(new),
-            "new_won": sum(sign * (b - a) > 0.0 for a, b in zip(old, new)),
+            "old_median": old_median, "new_median": new_median,
+            "old_quartiles": [q1, q3], "new_quartiles": _quartiles(new), "new_won": won,
+            "old_spread": (q3 - q1) / old_median,
+            "claim": "met" if 10 * won >= 9 * len(pairs)
+            and sign * (new_median - old_median) > q3 - q1 else "unresolved",
         }
     return out
 
@@ -133,7 +140,8 @@ def main(argv: list[str]) -> int:
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for name, m in record["workloads"][args.workload]["metrics"].items():
         print(f"{name:12s} old {m['old_median']:10.4g}  new {m['new_median']:10.4g}  "
-              f"new won {m['new_won']}/{len(pairs)}")
+              f"new won {m['new_won']}/{len(pairs)}  old spread {m['old_spread']:.1%}  "
+              f"claim {m['claim']}")
     return 0
 
 

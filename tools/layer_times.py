@@ -8,8 +8,11 @@ Usage::
 One child interpreter per tree imports that tree's smilecal and prepares
 the 216-point Table-1 lattice: each point's ``chi_c`` and the smile at it,
 its fold, its 4001-point density curve and the slice of that grid that
-the tree's own window verdict reads at the fold's ``x``, taken from one
-``_window_minima`` call, so each tree times the samples its verdict reads.
+the tree's own window verdict reads at the fold's ``x``, taken from
+``density._window_curve``, so each tree times the samples its verdict reads.
+A tree whose ``density`` has no ``_window_curve`` (one from before the
+window moved there) cannot be timed here; compare such a tree end to end
+with ``tools/bench_pairs.py``.
 The children then take turns, ``N`` rounds each (default 20), and which
 one goes first alternates: in a round a child times one pass of every
 layer over the whole lattice, in-process, so drift on a shared machine
@@ -19,7 +22,8 @@ each timed per call:
 * ``sigma_derivatives`` on the 4001-point grid;
 * ``return_density`` on the 4001-point grid and on the window's slice;
 * ``density_curve`` and ``analyze`` of its curve;
-* ``_window_minima`` at the fold's ``x``;
+* the window verdict at the fold's ``x``: the minima of
+  ``stationary_points`` on ``_window_curve``, as the search reads them;
 * ``_fold_point`` at the point's ``(rho, s)``;
 * one ``sweep`` row: the point's whole ``chi_c`` search;
 * ``cli.write_csv`` of the desk's three big layouts at the grid's 4001
@@ -55,7 +59,7 @@ from itertools import product
 from pathlib import Path
 
 LAYERS = ("sigma_derivatives 4001", "return_density 4001", "return_density window",
-          "density_curve", "analyze", "_window_minima", "_fold_point", "sweep row",
+          "density_curve", "analyze", "window verdict", "_fold_point", "sweep row",
           "write density.csv", "write refit_comparison.csv", "write bl_oracle.csv")
 WRITE_STRIDE = 27  # the write layers run on every 27th lattice point
 # one lattice point: its smile at chi_c, fold x, curve and the grid's slice
@@ -73,21 +77,16 @@ def serve(src: str) -> None:
                           bl_density_oracle, density_curve, return_density,
                           sigma_derivatives, sigma_of_x, smile_vol_of_strike, x_to_strike)
     from smilecal.cli import write_csv
+    from smilecal.density import _window_curve
 
     if not Path(adiab.__file__).resolve().is_relative_to(Path(src).resolve()):
         sys.exit(f"smilecal was imported from {adiab.__file__}, not from {src}")
     settings = ChiSearchSettings()
 
-    def window_xs(params, x):
-        """The x of the grid slice that ``_window_minima`` reads at ``x``."""
-        seen, real = [], adiab.stationary_points
-        adiab.stationary_points = lambda curve: seen.append(curve.xs) or ()
-        try:
-            adiab._window_minima(params, settings, x)
-        finally:
-            adiab.stationary_points = real
-        (xs,) = seen
-        return xs
+    def window(params, x):
+        """The curve on the grid slice that the window verdict reads at ``x``."""
+        return _window_curve(params, settings.grid_points, settings.span, x,
+                             adiab._WINDOW_POINTS)
 
     cases = []
     for g, rho, t in product(*adiab.default_sweep_axes()):
@@ -96,14 +95,15 @@ def serve(src: str) -> None:
         reduced = adiab._reduced(g, n, t)
         x = adiab._fold_point(*reduced)[0] * g * math.sqrt(t)
         cases.append(Case(g, rho, t, params, reduced, x, density_curve(params),
-                          window_xs(params, x)))
+                          window(params, x).xs))
     calls = {name: (cases, call) for name, call in zip(LAYERS, (
         lambda c: sigma_derivatives(c.params, c.curve.xs),
         lambda c: return_density(c.params, c.curve.xs),
         lambda c: return_density(c.params, c.part),
         lambda c: density_curve(c.params),
         lambda c: analyze(c.curve),
-        lambda c: adiab._window_minima(c.params, settings, c.x),
+        lambda c: any(p.kind == "minimum"
+                      for p in adiab.stationary_points(window(c.params, c.x))),
         lambda c: adiab._fold_point(*c.reduced),
         lambda c: adiab._sweep_one(c.g, c.rho, c.t, settings),
     ))}

@@ -201,10 +201,20 @@ REFUSED = {
 def command_set() -> tuple[list[dict], dict[str, str]]:
     """The commands, as ``{"id", "argv"}``, ``{"id", "demo"}`` or ``{"id",
     "append": [path, text]}``, and the input files (relative path -> text)
-    they read."""
+    they read. Imports ``bench/gen.py``, which imports ``bench/oracle.py``,
+    and then restores the caller's ``sys.path`` and
+    ``sys.dont_write_bytecode`` and unloads the two if it loaded them; a
+    module they import from elsewhere (numpy) stays loaded."""
+    path, dont_write = list(sys.path), sys.dont_write_bytecode
+    fresh = {"gen", "oracle"} - sys.modules.keys()
     sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
     sys.path.insert(0, str(ROOT / "bench"))
-    import gen
+    try:
+        import gen
+    finally:
+        sys.path[:], sys.dont_write_bytecode = path, dont_write
+        for name in fresh:
+            sys.modules.pop(name, None)
 
     commands: list[dict] = []
     files: dict[str, str] = {"flat.csv": FLAT_QUOTES, "collapsing.csv": COLLAPSING_QUOTES,
